@@ -27,6 +27,7 @@ from .core import (
     SelectedTag,
     SelectionResult,
     Vocabulary,
+    rank_all_tags,
     rank_tags,
     validate_inputs,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "ngd",
     "pair_similarity",
     "predict_threshold",
+    "rank_all_tags",
     "rank_tags",
     "refine_novel_scores",
     "run_strategy",

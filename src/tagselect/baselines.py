@@ -17,17 +17,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    FROM_SEEN_THRESHOLDING,
     GroundTruth,
     ScoreTable,
-    SelectedTag,
     SelectionResult,
     Vocabulary,
+    rank_all_tags,
     rank_tags,
 )
 from .errors import TagSelectError
 from .metrics import evaluate
-from .selection import AdaptiveConfig, refine_novel_scores, select_adaptive, select_topk
+from .selection import (
+    AdaptiveConfig,
+    refine_novel_scores,
+    select_adaptive,
+    select_topk,
+    threshold_rows,
+)
 from .similarity import SimilarityMatrix
 from .thresholds import ThresholdModel, predict_threshold, tag_stats
 
@@ -77,23 +82,6 @@ def _map_images(fn: Callable[[str], tuple], images: Sequence[str], jobs: int) ->
         return [fn(x) for x in images]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, images))
-
-
-def _threshold_rows(
-    table: ScoreTable, thresholds: np.ndarray
-) -> dict[str, tuple[SelectedTag, ...]]:
-    """Vectorized strict-threshold selection over all table columns."""
-    mask = table.scores > thresholds[None, :]
-    rows: dict[str, tuple[SelectedTag, ...]] = {}
-    tags = table.tags
-    for i, image in enumerate(table.images):
-        idx = np.flatnonzero(mask[i])
-        row = table.scores[i]
-        ordered = sorted(idx, key=lambda j: (-row[j], tags[j]))
-        rows[image] = tuple(
-            SelectedTag(tags[j], float(row[j]), FROM_SEEN_THRESHOLDING) for j in ordered
-        )
-    return rows
 
 
 def _require_model(spec: StrategySpec, model: ThresholdModel | None) -> ThresholdModel:
@@ -149,7 +137,7 @@ def run_strategy(
             [predict_threshold(batch_model, t, mode) for t in table.tags],
             dtype=np.float64,
         )
-        return SelectionResult(table.images, _threshold_rows(table, thr))
+        return SelectionResult(table.images, threshold_rows(table, thr))
 
     # Hybrid rows: learned thresholds where available, batch-statistic
     # predictions for novel (and untrainable seen) tags.
@@ -163,7 +151,7 @@ def run_strategy(
         ],
         dtype=np.float64,
     )
-    return SelectionResult(table.images, _threshold_rows(table, thr))
+    return SelectionResult(table.images, threshold_rows(table, thr))
 
 
 @dataclass(frozen=True)
@@ -256,7 +244,7 @@ def compare(
     """
     if not strategies:
         raise TagSelectError("compare needs at least one strategy")
-    raw_rankings = {x: rank_tags(table, x) for x in table.images}
+    raw_rankings = dict(zip(table.images, rank_all_tags(table)))
     rows = []
     shared_maps = []
     for spec in strategies:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import formats
 from .baselines import STRATEGY_NAMES, StrategySpec, compare, run_strategy, table1_strategies
-from .core import ScoreTable, rank_tags, validate_inputs
+from .core import ScoreTable, SelectionResult, rank_all_tags, validate_inputs
 from .errors import FormatError, TagSelectError
 from .fusion import fuse, learn_weights
 from .metrics import evaluate
@@ -155,8 +155,16 @@ def cmd_refine(args) -> int:
 def cmd_evaluate(args) -> int:
     vocab, table = _load_common(args)
     truth = formats.load_truth(args.truth, vocab)
-    selections = formats.load_selections(args.selections)
-    rankings = {x: rank_tags(table, x) for x in selections.images}
+    rankings = dict(zip(table.images, rank_all_tags(table)))
+    loaded = formats.load_selections(args.selections)
+    for x in loaded.images:
+        if x not in rankings:
+            raise TagSelectError(f"selections name image {x!r}, absent from the score table")
+    # The selections file has no row for an image with an empty selection,
+    # so every scored image is evaluated and a missing row counts as empty.
+    selections = SelectionResult(
+        table.images, {x: loaded.rows.get(x, ()) for x in table.images}
+    )
     report = evaluate(
         truth, selections, rankings, require_full_coverage=not args.partial_coverage
     )

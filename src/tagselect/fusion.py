@@ -8,18 +8,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    FROM_SEEN_THRESHOLDING,
-    GroundTruth,
-    ScoreTable,
-    SelectedTag,
-    SelectionResult,
-    Vocabulary,
-    rank_tags,
-)
+from .core import GroundTruth, ScoreTable, SelectionResult, Vocabulary, rank_all_tags
 from .errors import TagSelectError
 from .metrics import evaluate
-from .selection import select_by_threshold
+from .selection import threshold_rows
 from .thresholds import learn_all_thresholds
 
 _WEIGHT_ATOL = 1e-9
@@ -90,17 +82,8 @@ def threshold_selection_strategy(
 
     def strategy(table: ScoreTable) -> SelectionResult:
         model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
-        trainable = list(model.tau)
-        rows = {}
-        for x in table.images:
-            row = table.row(x)
-            chosen = select_by_threshold(table, x, model.tau, trainable)
-            ordered = sorted(chosen, key=lambda t: (-row[table.tag_index(t)], t))
-            rows[x] = tuple(
-                SelectedTag(t, float(row[table.tag_index(t)]), FROM_SEEN_THRESHOLDING)
-                for t in ordered
-            )
-        return SelectionResult(table.images, rows)
+        thr = np.array([model.tau.get(t, np.inf) for t in table.tags], dtype=np.float64)
+        return SelectionResult(table.images, threshold_rows(table, thr))
 
     return strategy
 
@@ -116,7 +99,7 @@ def _objective(
     fused = fuse(tables, weights)
     selections = strategy(fused)
     judged = fused.restrict(coverage)
-    rankings = {x: rank_tags(judged, x) for x in selections.images}
+    rankings = dict(zip(judged.images, rank_all_tags(judged)))
     # Training labels are typically incomplete, so the objective masks each
     # image down to its defined labels instead of demanding full coverage.
     report = evaluate(truth, selections, rankings, require_full_coverage=False)

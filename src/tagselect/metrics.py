@@ -4,9 +4,12 @@ precision of the tag ranking, and their corpus means."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .core import GroundTruth, SelectionResult
+import numpy as np
+
+from .core import GroundTruth, SelectedTag, SelectionResult
 from .errors import TagSelectError
 
 
@@ -103,41 +106,144 @@ def evaluate(
 ) -> EvaluationReport:
     """Score per-image selections and rankings against ground truth.
 
-    Each image's ranking defines the tag universe it is judged over.  With
-    ``require_full_coverage`` (the default) an image is excluded unless every
-    universe tag carries a defined label; this mirrors dropping test images
-    without full ground truth.  With it off, undefined tags are masked out of
-    both the ranking and the prediction set instead.  Images with an empty
-    relevant set are always excluded.  Corpus means run over included images.
+    Each image's ranking defines the tag universe it is judged over, and
+    universes may differ from image to image.  With ``require_full_coverage``
+    (the default) an image is excluded unless every universe tag carries a
+    defined label; this mirrors dropping test images without full ground
+    truth.  With it off, undefined tags are masked out of both the ranking
+    and the prediction set instead.  Images with an empty relevant set are
+    always excluded.  Corpus means run over included images.
+
+    Every image is scored in one array pass, and the floats equal those of
+    ``f_image`` and ``ap_image`` bit for bit: an image's AP adds its
+    precisions left to right in rank order, and ``mf``/``map`` add the
+    per-image values left to right in image order, as the scalar loop does.
     """
-    per_image: dict[str, ImageEval] = {}
-    excluded: list[str] = []
-    for x in selections.images:
+    images = selections.images
+    universes: list[Sequence[str]] = []
+    for x in images:
         try:
-            universe = list(rankings[x])
+            universes.append(rankings[x])
         except KeyError:
-            raise TagSelectError(f"no ranking given for image {x!r}") from None
-        if not truth.has_image(x):
-            excluded.append(x)
-            continue
-        predicted = selections.tag_set(x)
-        if require_full_coverage:
-            if not truth.has_full_coverage(x, universe):
-                excluded.append(x)
-                continue
-            judged = universe
-        else:
-            judged = [t for t in universe if truth.label(x, t) is not None]
-            predicted = frozenset(t for t in predicted if truth.label(x, t) is not None)
-        relevant = frozenset(t for t in judged if truth.label(x, t))
-        if not relevant:
-            excluded.append(x)
-            continue
-        precision, recall, f = f_image(relevant, predicted)
-        ap = ap_image(relevant, judged)
-        per_image[x] = ImageEval(precision, recall, f, ap)
+            break
+    missing = images[len(universes)] if len(universes) < len(images) else None
+    # Images up to the first one without a ranking are scored, so that an
+    # error in one of them is raised before the missing ranking, in image
+    # order, as a per-image loop would.
+    in_truth = [i for i, x in enumerate(images[: len(universes)]) if truth.has_image(x)]
+    names = [images[i] for i in in_truth]
+    scored = _score_images(
+        truth, names, [universes[i] for i in in_truth],
+        [selections.row(x) for x in names], require_full_coverage,
+    )
+    if missing is not None:
+        raise TagSelectError(f"no ranking given for image {missing!r}")
+    per_image = {names[i]: ImageEval(*values) for i, values in scored}
     if not per_image:
         raise TagSelectError("no evaluable image: every image lacks usable ground truth")
+    excluded = tuple(x for x in images if x not in per_image)
     mf = sum(e.f for e in per_image.values()) / len(per_image)
     mean_ap = sum(e.ap for e in per_image.values()) / len(per_image)
-    return EvaluationReport(per_image, mf, mean_ap, tuple(excluded))
+    return EvaluationReport(per_image, mf, mean_ap, excluded)
+
+
+def _score_images(
+    truth: GroundTruth,
+    images: list[str],
+    universes: list[Sequence[str]],
+    selected: list[tuple[SelectedTag, ...]],
+    require_full_coverage: bool,
+) -> list[tuple[int, tuple[float, float, float, float]]]:
+    """(position, (precision, recall, F, AP)) of every included image.
+
+    Tags are encoded as cells ``image * width + column`` of a flat grid over
+    the images and the truth coverage, plus one last column that stands for
+    every tag outside the coverage and is never labeled.
+    """
+    n = len(images)
+    n_cov = len(truth.coverage)
+    width = n_cov + 1
+    index_dtype = np.int32 if n * width < 2**31 else np.int64
+    column = {t: j for j, t in enumerate(truth.coverage)}
+    labels = np.full((n, width), -1, dtype=np.int8)
+    labels[:, :n_cov] = truth.labels[[truth.image_index(x) for x in images]]
+    labels = labels.ravel()
+
+    # Ranked positions, image-major and in rank order.
+    lengths = np.fromiter(map(len, universes), dtype=np.intp, count=n)
+    cells = _cells(column, n_cov, chain.from_iterable(universes), lengths, index_dtype)
+    owner = cells // width
+    label = labels[cells]
+    ranked = np.zeros(n * width, dtype=bool)
+    ranked[cells] = True
+    is_judged = label >= 0
+    n_judged = np.bincount(owner[is_judged], minlength=n)
+    n_distinct = np.count_nonzero((ranked & (labels >= 0)).reshape(n, width), axis=1)
+    relevant = ranked & (labels == 1)
+    n_relevant = np.count_nonzero(relevant.reshape(n, width), axis=1)
+    included = n_relevant > 0
+    if require_full_coverage:
+        included &= n_judged == lengths
+    duplicated = np.flatnonzero(included & (n_judged > n_distinct))
+    if duplicated.size:
+        i = int(duplicated[0])
+        order = [t for t in universes[i] if truth.label(images[i], t) is not None]
+        ap_image(truth.relevant_set(images[i]), order)  # raises on the duplicate
+
+    # AP: at the k-th relevant tag of an image, judged at position i, the
+    # precision is k / i; each image adds its precisions in rank order.
+    judged_pos = np.cumsum(is_judged, dtype=index_dtype)
+    del is_judged
+    hit_at = np.flatnonzero(label == 1)
+    del label
+    hit_owner = owner[hit_at]
+    del owner
+    n_hits = np.bincount(hit_owner, minlength=n)
+    hit_start = np.cumsum(n_hits) - n_hits
+    judged_start = np.cumsum(n_judged) - n_judged
+    k = np.arange(hit_at.size, dtype=index_dtype) - hit_start[hit_owner]
+    precision_at = (k + 1) / (judged_pos[hit_at] - judged_start[hit_owner])
+    del judged_pos, hit_at
+    acc = np.zeros(n)
+    by_depth = np.argsort(k, kind="stable")
+    bounds = np.searchsorted(k[by_depth], np.arange(int(n_hits.max(initial=0)) + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at = by_depth[lo:hi]  # the (depth+1)-th hit of distinct images
+        acc[hit_owner[at]] += precision_at[at]
+
+    # F from |P| and the hits among the predictions.
+    n_pred = np.fromiter(map(len, selected), dtype=np.intp, count=n)
+    pred = _cells(
+        column, n_cov, (st.tag for row in selected for st in row), n_pred, index_dtype
+    )
+    pred_owner = pred // width
+    hits = np.bincount(pred_owner[relevant[pred]], minlength=n)
+    if not require_full_coverage:
+        n_pred = np.bincount(pred_owner[labels[pred] >= 0], minlength=n)
+
+    keep = np.flatnonzero(included)
+    hits, n_pred, n_rel = hits[keep], n_pred[keep], n_relevant[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(n_pred > 0, hits / n_pred, 0.0)
+        recall = hits / n_rel
+        denom = precision + recall
+        f = np.where(denom == 0.0, 0.0, 2.0 * precision * recall / denom)
+    ap = acc[keep] / n_rel
+    return list(zip(
+        keep.tolist(), zip(precision.tolist(), recall.tolist(), f.tolist(), ap.tolist())
+    ))
+
+
+def _cells(
+    column: Mapping[str, int],
+    outside: int,
+    tags: Iterable[str],
+    lengths: np.ndarray,
+    dtype: type,
+) -> np.ndarray:
+    """Flat grid cells of consecutive per-image tag lists of the given lengths."""
+    cols = np.fromiter(
+        map(column.get, tags, repeat(outside)), dtype=dtype, count=int(lengths.sum())
+    )
+    owner = np.repeat(np.arange(lengths.size, dtype=dtype), lengths)
+    return owner * (outside + 1) + cols

@@ -82,6 +82,27 @@ def select_by_threshold(
     return frozenset(chosen)
 
 
+def threshold_rows(
+    table: ScoreTable, thresholds: np.ndarray
+) -> dict[str, tuple[SelectedTag, ...]]:
+    """Strict-threshold selection over all table columns at once.
+
+    ``thresholds`` holds one value per column; ``+inf`` keeps a column out.
+    Each image's picks are ordered by descending score, then tag string.
+    """
+    mask = table.scores > thresholds[None, :]
+    rows: dict[str, tuple[SelectedTag, ...]] = {}
+    tags = table.tags
+    for i, image in enumerate(table.images):
+        idx = np.flatnonzero(mask[i])
+        row = table.scores[i]
+        ordered = sorted(idx, key=lambda j: (-row[j], tags[j]))
+        rows[image] = tuple(
+            SelectedTag(tags[j], float(row[j]), FROM_SEEN_THRESHOLDING) for j in ordered
+        )
+    return rows
+
+
 def k_novel(seen_size: int, novel_size: int, a_size: int) -> int:
     """How many novel tags to select, extrapolating the seen selection rate.
 

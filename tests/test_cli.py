@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tagselect import STRATEGY_NAMES
 from tagselect.cli import main
 
 BENCH_ARGS = [
@@ -141,6 +142,61 @@ class TestPipeline:
         ]
         table = capsys.readouterr().out
         assert "adaptive" in table
+
+    def test_every_strategy_round_trip_equals_compare(self, tmp_path):
+        # Seed 2 at 100 images gives every threshold strategy some image with
+        # an empty selection, which the selections file has no row for.
+        bench = tmp_path / "bench"
+        args = [*BENCH_ARGS[2:], "--n-images", "100"]
+        assert run("gen-synth", "--out-dir", bench, "--seed", 2, *args) == 0
+        io = [
+            "--vocab", bench / "vocabulary.tsv",
+            "--scores", bench / "eval_scores.tsv",
+        ]
+        truth = ["--truth", bench / "eval_truth.tsv"]
+        thresholds = tmp_path / "thresholds.tsv"
+        assert run(
+            "learn-thresholds",
+            "--vocab", bench / "vocabulary.tsv",
+            "--scores", bench / "train_scores.tsv",
+            "--truth", bench / "train_truth.tsv",
+            "--out", thresholds,
+        ) == 0
+        comparison = tmp_path / "compare.json"
+        assert run("compare", *io, *truth, "--thresholds", thresholds, "--out", comparison) == 0
+        rows = {r["strategy"]: r for r in json.loads(comparison.read_text())["rows"]}
+        assert set(rows) == set(STRATEGY_NAMES)
+        missing_rows = 0
+        for name in STRATEGY_NAMES:
+            selections = tmp_path / f"{name}.tsv"
+            assert run(
+                "select", *io, "--strategy", name, "--thresholds", thresholds,
+                "--out", selections,
+            ) == 0
+            lines = selections.read_text().splitlines()[1:]
+            missing_rows += 100 - len({line.split("\t")[0] for line in lines})
+            report = tmp_path / f"{name}.json"
+            assert run("evaluate", *io, *truth, "--selections", selections, "--out", report) == 0
+            got = json.loads(report.read_text())
+            want = rows[name]
+            assert (repr(got["mf"]), repr(got["map"])) == (repr(want["mf"]), repr(want["map"]))
+            assert got["n_excluded"] == want["n_excluded"]
+            assert got["n_included"] + got["n_excluded"] == 100
+        assert missing_rows > 0
+
+    def test_evaluate_rejects_selection_for_unscored_image(self, bench_dir, tmp_path, capsys):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text("# image_id\ttag\tscore\tprovenance\nghost\tt0\t0.5\tfrom_fallback\n")
+        code = run(
+            "evaluate",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--truth", bench_dir / "eval_truth.tsv",
+            "--selections", selections,
+            "--out", tmp_path / "eval.json",
+        )
+        assert code == 1
+        assert "'ghost'" in capsys.readouterr().err
 
     def test_refine_rewrites_novel_columns(self, bench_dir, tmp_path):
         thresholds = tmp_path / "thresholds.tsv"

@@ -14,6 +14,7 @@ from tagselect import (
     SelectionResult,
     TagSelectError,
     Vocabulary,
+    rank_all_tags,
     rank_tags,
     validate_inputs,
 )
@@ -231,3 +232,47 @@ class TestRankTags:
         table = ScoreTable(("x",), tags, base)
         rescaled = ScoreTable(("x",), tags, base * 3.0 + 11.0)
         assert rank_tags(table, "x") == rank_tags(rescaled, "x")
+
+
+class TestRankAllTags:
+    # Column order deliberately not lexicographic, so the tie-break cannot
+    # fall back on column order.
+    TAGS = ("kiwi", "Apple", "b", "apple", "a1", "a", "zeta", "B", "a10", "a2")
+
+    def assert_batched_equals_scalar(self, table):
+        assert rank_all_tags(table) == [rank_tags(table, x) for x in table.images]
+
+    def test_all_equal_rows(self):
+        n, m = 4, len(self.TAGS)
+        table = make_table([f"x{i}" for i in range(n)], self.TAGS, np.full((n, m), 0.25))
+        self.assert_batched_equals_scalar(table)
+        assert rank_all_tags(table)[0] == sorted(self.TAGS)
+
+    def test_signed_zeros_tie(self):
+        rows = [
+            [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 0.0, -0.0],
+            [-0.0] * 5 + [0.0] * 5,
+        ]
+        table = make_table(["x0", "x1"], self.TAGS, rows)
+        self.assert_batched_equals_scalar(table)
+        assert rank_all_tags(table)[1] == sorted(self.TAGS)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_matches_rank_tags_on_tied_tables(self, data):
+        m = data.draw(st.integers(1, len(self.TAGS)))
+        tags = data.draw(st.permutations(self.TAGS))[:m]
+        n = data.draw(st.integers(0, 6))
+        values = st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, 1e-300))
+        rows = data.draw(st.lists(
+            st.lists(values, min_size=m, max_size=m), min_size=n, max_size=n
+        ))
+        table = ScoreTable(tuple(f"x{i}" for i in range(n)), tuple(tags),
+                           np.array(rows, dtype=float).reshape(n, m))
+        self.assert_batched_equals_scalar(table)
+
+    def test_matches_rank_tags_on_random_tables(self):
+        rng = np.random.default_rng(43)
+        tags = tuple(f"t{i:03d}" for i in rng.permutation(207))
+        scores = rng.integers(0, 7, size=(50, 207)) / 4.0
+        self.assert_batched_equals_scalar(make_table([f"x{i}" for i in range(50)], tags, scores))

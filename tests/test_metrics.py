@@ -9,6 +9,7 @@ import oracles
 from tagselect import (
     FROM_FALLBACK,
     GroundTruth,
+    ImageEval,
     SelectedTag,
     SelectionResult,
     TagSelectError,
@@ -178,9 +179,10 @@ class TestEvaluate:
             evaluate(truth, selections_of({"i": ["a"]}), {"i": ["a"]})
 
     def test_missing_ranking_rejected(self):
-        truth = GroundTruth.from_pairs([("i", "a", 1)])
-        with pytest.raises(TagSelectError):
-            evaluate(truth, selections_of({"i": ["a"]}), {})
+        truth = GroundTruth.from_pairs([("i", "a", 1), ("j", "a", 1)])
+        sels = selections_of({"i": ["a"], "j": ["a"]})
+        with pytest.raises(TagSelectError, match="no ranking given for image 'j'"):
+            evaluate(truth, sels, {"i": ["a"]})
 
     def test_matches_corpus_oracle(self):
         rng = np.random.default_rng(59)
@@ -212,3 +214,160 @@ class TestEvaluate:
         assert d["mf"] == 1.0 and "per_image" not in d
         d = report.to_dict(per_image=True)
         assert d["per_image"]["i"]["ap"] == 1.0
+
+
+def evaluate_per_image(truth, selections, rankings, require_full_coverage=True):
+    """The corpus evaluation as one loop over images and the scalar F/AP."""
+    per_image = {}
+    excluded = []
+    for x in selections.images:
+        try:
+            universe = list(rankings[x])
+        except KeyError:
+            raise TagSelectError(f"no ranking given for image {x!r}") from None
+        if not truth.has_image(x):
+            excluded.append(x)
+            continue
+        predicted = selections.tag_set(x)
+        if require_full_coverage:
+            if not truth.has_full_coverage(x, universe):
+                excluded.append(x)
+                continue
+            judged = universe
+        else:
+            judged = [t for t in universe if truth.label(x, t) is not None]
+            predicted = frozenset(t for t in predicted if truth.label(x, t) is not None)
+        relevant = frozenset(t for t in judged if truth.label(x, t))
+        if not relevant:
+            excluded.append(x)
+            continue
+        precision, recall, f = f_image(relevant, predicted)
+        per_image[x] = (precision, recall, f, ap_image(relevant, judged))
+    if not per_image:
+        raise TagSelectError("no evaluable image: every image lacks usable ground truth")
+    mf = sum(v[2] for v in per_image.values()) / len(per_image)
+    mean_ap = sum(v[3] for v in per_image.values()) / len(per_image)
+    return per_image, mf, mean_ap, tuple(excluded)
+
+
+POOL = [f"t{i}" for i in range(9)]
+# Tags that may be ranked or selected but that no ground truth covers.
+STRAYS = ["u0", "u1"]
+
+
+@st.composite
+def evaluation_instances(draw, duplicates=False, missing=False):
+    """Random truth, selections and rankings over a small tag pool.
+
+    Coverage is a random part of the pool, labels may be undefined, some
+    selected images have no truth, rankings have per-image universes that
+    may reach outside the coverage, and selections may be empty or name
+    tags their ranking lacks.
+    """
+    coverage = draw(st.lists(st.sampled_from(POOL), unique=True))
+    names = [f"im{i}" for i in range(draw(st.integers(1, 7)))]
+    in_truth = [x for x in names if draw(st.integers(0, 3))]
+    label = st.sampled_from((-1, 0, 1, 1) if draw(st.booleans()) else (0, 1))
+    labels = draw(st.lists(
+        st.lists(label, min_size=len(coverage), max_size=len(coverage)),
+        min_size=len(in_truth), max_size=len(in_truth),
+    ))
+    truth = GroundTruth(in_truth, coverage, np.array(labels, dtype=np.int8).reshape(
+        len(in_truth), len(coverage)))
+    anywhere = st.sampled_from(POOL + STRAYS)
+    covered = st.sampled_from(coverage) if coverage else anywhere
+    # Most universes stay inside the coverage, so that full coverage holds
+    # often enough to be tested.
+    rows = {x: draw(st.lists(anywhere, unique=True, max_size=6)) for x in names}
+    rankings = {
+        x: draw(st.lists(
+            covered if draw(st.integers(0, 3)) else anywhere,
+            unique=not duplicates, max_size=12,
+        ))
+        for x in names
+    }
+    if missing and draw(st.booleans()):
+        del rankings[draw(st.sampled_from(names))]
+    return truth, selections_of(rows), rankings
+
+
+def assert_matches_per_image(truth, sels, rankings, full):
+    try:
+        want = evaluate_per_image(truth, sels, rankings, require_full_coverage=full)
+    except TagSelectError as exc:
+        with pytest.raises(TagSelectError) as got:
+            evaluate(truth, sels, rankings, require_full_coverage=full)
+        assert str(got.value) == str(exc)
+        return
+    per_image, mf, mean_ap, excluded = want
+    report = evaluate(truth, sels, rankings, require_full_coverage=full)
+    assert (repr(report.mf), repr(report.map)) == (repr(mf), repr(mean_ap))
+    assert list(report.per_image) == list(per_image)
+    for x, values in per_image.items():
+        e = report.per_image[x]
+        assert tuple(map(repr, (e.precision, e.recall, e.f, e.ap))) == tuple(map(repr, values))
+    assert report.excluded == excluded
+
+
+class TestBatchedEvaluate:
+    @settings(deadline=None, max_examples=300)
+    @given(evaluation_instances(), st.booleans())
+    def test_equals_per_image_scalar_loop(self, instance, full):
+        assert_matches_per_image(*instance, full)
+
+    @settings(deadline=None, max_examples=300)
+    @given(evaluation_instances(duplicates=True, missing=True), st.booleans())
+    def test_errors_match_per_image_scalar_loop(self, instance, full):
+        assert_matches_per_image(*instance, full)
+
+    def test_different_universes_and_stray_tags(self):
+        truth = GroundTruth.from_pairs(
+            [("i", "a", 1), ("i", "b", 0), ("i", "c", 1), ("j", "a", 0), ("j", "c", 1)]
+        )
+        sels = selections_of({"i": ["c", "z"], "j": ["a", "b"], "k": []})
+        rankings = {"i": ["b", "c", "a"], "j": ["c", "z", "a"], "k": ["a"]}
+        for full in (True, False):
+            assert_matches_per_image(truth, sels, rankings, full)
+        report = evaluate(truth, sels, rankings, require_full_coverage=False)
+        # j: the unlabeled b is masked out of the prediction, z out of the ranking.
+        assert report.per_image["j"] == ImageEval(0.0, 0.0, 0.0, 1.0)
+        assert report.excluded == ("k",)
+
+    def test_empty_selection_scores_zero(self):
+        truth = GroundTruth.from_pairs([("i", "a", 1), ("i", "b", 0)])
+        report = evaluate(truth, selections_of({"i": []}), {"i": ["b", "a"]})
+        assert report.per_image["i"] == ImageEval(0.0, 0.0, 0.0, 0.5)
+
+    def test_duplicate_judged_tag_is_named(self):
+        truth = GroundTruth.from_pairs([("i", "a", 1), ("i", "b", 0)])
+        with pytest.raises(TagSelectError, match="duplicate tag 'b'"):
+            evaluate(truth, selections_of({"i": ["a"]}), {"i": ["a", "b", "b"]})
+
+    def test_duplicate_unjudged_tag_is_masked(self):
+        truth = GroundTruth.from_pairs([("i", "a", 1), ("i", "b", 0)])
+        sels = selections_of({"i": ["a"]})
+        report = evaluate(truth, sels, {"i": ["a", "z", "z"]}, require_full_coverage=False)
+        assert report.per_image["i"] == ImageEval(1.0, 1.0, 1.0, 1.0)
+
+    def test_earlier_duplicate_wins_over_later_missing_ranking(self):
+        truth = GroundTruth.from_pairs([("i", "a", 1), ("j", "a", 1)])
+        sels = selections_of({"i": ["a"], "j": ["a"]})
+        with pytest.raises(TagSelectError, match="duplicate tag 'a'"):
+            evaluate(truth, sels, {"i": ["a", "a"]})
+
+    def test_long_rankings_sum_in_rank_and_image_order(self):
+        # Dozens of relevant tags per image and hundreds of images: a
+        # pairwise or blocked sum would differ from the scalar loop in the
+        # last bits here.
+        rng = np.random.default_rng(61)
+        tags = [f"t{i}" for i in range(80)]
+        images = [f"im{i}" for i in range(300)]
+        labels = rng.choice(np.array([-1, 0, 1], dtype=np.int8), p=[0.1, 0.4, 0.5],
+                            size=(len(images), len(tags)))
+        truth = GroundTruth(images, tags, labels)
+        sels = selections_of({x: list(rng.choice(tags, size=int(rng.integers(0, 30)),
+                                                 replace=False)) for x in images})
+        rankings = {x: list(rng.permutation(tags)) for x in images}
+        assert_matches_per_image(truth, sels, rankings, False)
+        full = GroundTruth(images, tags, np.abs(labels))
+        assert_matches_per_image(full, sels, rankings, True)
