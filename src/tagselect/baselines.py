@@ -10,9 +10,8 @@ from_fallback.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,17 +21,11 @@ from .core import (
     SelectionResult,
     Vocabulary,
     rank_all_tags,
-    rank_tags,
+    require_finite,
 )
 from .errors import TagSelectError
 from .metrics import evaluate
-from .selection import (
-    AdaptiveConfig,
-    refine_novel_scores,
-    select_adaptive,
-    select_topk,
-    threshold_rows,
-)
+from .selection import AdaptiveConfig, adaptive_rows, refine_table, select_rows
 from .similarity import SimilarityMatrix
 from .thresholds import ThresholdModel, predict_threshold, tag_stats
 
@@ -77,13 +70,6 @@ def table1_strategies(k: int = 5, w: float = 0.5, refine: bool = False) -> tuple
     return tuple(StrategySpec(name, k=k, w=w, refine=refine) for name in STRATEGY_NAMES)
 
 
-def _map_images(fn: Callable[[str], tuple], images: Sequence[str], jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(x) for x in images]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, images))
-
-
 def _require_model(spec: StrategySpec, model: ThresholdModel | None) -> ThresholdModel:
     if model is None:
         raise TagSelectError(f"strategy {spec.name!r} requires a threshold model")
@@ -97,7 +83,6 @@ def run_strategy(
     model: ThresholdModel | None = None,
     sim: SimilarityMatrix | None = None,
     cfg: AdaptiveConfig | None = None,
-    jobs: int = 1,
 ) -> SelectionResult:
     """Run one strategy over every image of a vocabulary-aligned table.
 
@@ -105,53 +90,36 @@ def run_strategy(
     side) are computed on the batch being annotated, as they need no labels;
     learned thresholds and lsq coefficients come from the model, trained
     elsewhere.  ``cfg`` overrides the adaptive knobs derived from ``spec``.
+    A non-finite score raises a ``TagSelectError`` before any selection.
     """
     if table.tags != vocab.tags:
         raise TagSelectError("score table columns must match the vocabulary order")
+    require_finite(table)
     if cfg is None:
         cfg = AdaptiveConfig(fallback_k=spec.k, refine=spec.refine, w=spec.w)
 
     if spec.name == "top_k":
-        results = _map_images(lambda x: select_topk(table, x, spec.k), table.images, jobs)
-        return SelectionResult(table.images, dict(zip(table.images, results)))
-
+        return select_rows(table, fallback_k=spec.k)
     if spec.name == "adaptive":
-        model = _require_model(spec, model)
-        if cfg.refine and sim is None:
-            raise TagSelectError("adaptive refinement requires a similarity matrix")
-        results = _map_images(
-            lambda x: select_adaptive(table, x, vocab, model, sim, cfg),
-            table.images,
-            jobs,
-        )
-        return SelectionResult(table.images, dict(zip(table.images, results)))
+        return adaptive_rows(table, vocab, _require_model(spec, model), sim, cfg)
 
-    batch_stats = tag_stats(table)
-    if spec.name in ("mu_sigma", "lsq"):
-        if spec.name == "lsq":
-            batch_model = replace(_require_model(spec, model), stats=batch_stats)
-        else:
-            batch_model = ThresholdModel(tau={}, stats=batch_stats)
-        mode = spec.name
-        thr = np.array(
-            [predict_threshold(batch_model, t, mode) for t in table.tags],
-            dtype=np.float64,
-        )
-        return SelectionResult(table.images, threshold_rows(table, thr))
-
-    # Hybrid rows: learned thresholds where available, batch-statistic
-    # predictions for novel (and untrainable seen) tags.
-    model = _require_model(spec, model)
-    batch_model = replace(model, stats=batch_stats)
-    mode = "mu_sigma" if spec.name == "hybrid_tau_musigma" else "lsq"
+    # The other rows threshold every column: mu_sigma and lsq by batch
+    # statistics, the hybrids by learned thresholds where available and
+    # batch-statistic predictions for novel (and untrainable seen) tags.
+    if spec.name == "mu_sigma":
+        batch_model = ThresholdModel(tau={}, stats=tag_stats(table))
+    else:
+        batch_model = replace(_require_model(spec, model), stats=tag_stats(table))
+    learned = batch_model.tau if spec.name.startswith("hybrid") else {}
+    mode = "lsq" if spec.name.endswith("lsq") else "mu_sigma"
     thr = np.array(
         [
-            model.tau[t] if t in model.tau else predict_threshold(batch_model, t, mode)
+            learned[t] if t in learned else predict_threshold(batch_model, t, mode)
             for t in table.tags
         ],
         dtype=np.float64,
     )
-    return SelectionResult(table.images, threshold_rows(table, thr))
+    return select_rows(table, np.arange(table.n_tags), thr)
 
 
 @dataclass(frozen=True)
@@ -194,36 +162,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _refined_rankings(
-    table: ScoreTable,
-    vocab: Vocabulary,
-    model: ThresholdModel,
-    sim: SimilarityMatrix,
-    w: float,
-) -> dict[str, list[str]]:
-    """Full-vocabulary rankings where novel scores are refined per image.
-
-    Images whose seen selection is empty keep their raw ranking, matching
-    the fallback path of the adaptive strategy.
-    """
-    pool = [t for t in vocab.seen_tags if t in model.tau]
-    tau = np.array([model.tau[t] for t in pool], dtype=np.float64)
-    pool_idx = np.array([table.tag_index(t) for t in pool], dtype=np.intp)
-    rankings: dict[str, list[str]] = {}
-    for x in table.images:
-        row = table.row(x)
-        a_mask = row[pool_idx] > tau
-        if not a_mask.any():
-            rankings[x] = rank_tags(table, x)
-            continue
-        a_tags = [pool[j] for j in np.flatnonzero(a_mask)]
-        refined = refine_novel_scores(table, x, vocab, a_tags, model, sim, w)
-        merged = {t: float(row[table.tag_index(t)]) for t in vocab.seen_tags}
-        merged.update(refined)
-        rankings[x] = sorted(vocab.tags, key=lambda t: (-merged[t], t))
-    return rankings
-
-
 def compare(
     strategies: Sequence[StrategySpec],
     table: ScoreTable,
@@ -231,7 +169,6 @@ def compare(
     vocab: Vocabulary,
     model: ThresholdModel | None = None,
     sim: SimilarityMatrix | None = None,
-    jobs: int = 1,
     refined_rankings: bool = False,
 ) -> ComparisonReport:
     """Evaluate several strategies on one table with shared rankings.
@@ -240,7 +177,8 @@ def compare(
     must coincide (selection cannot alter ranking quality); this is asserted
     to a 1e-12 tolerance.  With ``refined_rankings``, adaptive strategies
     that refine scores are instead judged on per-image refined rankings and
-    are exempt from the shared-MAP assertion.
+    are exempt from the shared-MAP assertion.  Non-finite scores raise, as
+    in ``run_strategy``, before any selection.
     """
     if not strategies:
         raise TagSelectError("compare needs at least one strategy")
@@ -248,12 +186,12 @@ def compare(
     rows = []
     shared_maps = []
     for spec in strategies:
-        selections = run_strategy(spec, table, vocab, model, sim, jobs=jobs)
+        selections = run_strategy(spec, table, vocab, model, sim)
         uses_refined = refined_rankings and spec.name == "adaptive" and spec.refine
         if uses_refined:
-            if model is None or sim is None:
-                raise TagSelectError("refined rankings require a model and similarity matrix")
-            rankings = _refined_rankings(table, vocab, model, sim, spec.w)
+            # run_strategy has already rejected a missing model or matrix.
+            refined = refine_table(table, vocab, model, sim, spec.w)
+            rankings = dict(zip(table.images, rank_all_tags(refined)))
         else:
             rankings = raw_rankings
         report = evaluate(truth, selections, rankings)

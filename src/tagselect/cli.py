@@ -13,15 +13,13 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
 from .baselines import STRATEGY_NAMES, StrategySpec, compare, run_strategy, table1_strategies
-from .core import ScoreTable, SelectionResult, rank_all_tags, validate_inputs
+from .core import SelectionResult, rank_all_tags, validate_inputs
 from .errors import FormatError, TagSelectError
 from .fusion import fuse, learn_weights
 from .metrics import evaluate
-from .selection import AdaptiveConfig, refine_novel_scores, select_by_threshold
+from .selection import AdaptiveConfig, refine_table
 from .similarity import similarity_matrix
 from .synthetic import SyntheticSpec, generate_synthetic
 from .thresholds import learn_all_thresholds
@@ -104,15 +102,6 @@ def cmd_learn_thresholds(args) -> int:
     return 0
 
 
-def _adaptive_config(args) -> AdaptiveConfig:
-    return AdaptiveConfig(
-        fallback_k=args.k,
-        refine=args.refine,
-        w=args.w,
-        report_refined=args.report_refined,
-    )
-
-
 def cmd_select(args) -> int:
     vocab, table = _load_common(args)
     model = None
@@ -122,33 +111,20 @@ def cmd_select(args) -> int:
     if args.cooccurrence:
         sim = similarity_matrix(formats.load_cooccurrence(args.cooccurrence), vocab)
     spec = StrategySpec(args.strategy, k=args.k, w=args.w, refine=args.refine)
-    result = run_strategy(
-        spec, table, vocab, model, sim, cfg=_adaptive_config(args), jobs=args.jobs
+    cfg = AdaptiveConfig(
+        fallback_k=args.k, refine=args.refine, w=args.w, report_refined=args.report_refined
     )
+    result = run_strategy(spec, table, vocab, model, sim, cfg=cfg)
     formats.save_selections(result, args.out)
     return 0
 
 
 def cmd_refine(args) -> int:
-    """Rewrite the novel-tag columns of a score table with refined values.
-
-    The selected seen set is recomputed per image from the learned
-    thresholds; images where it is empty keep their raw scores.
-    """
+    """Rewrite the novel-tag columns of a score table by ``refine_table``."""
     vocab, table = _load_common(args)
     model = formats.load_thresholds(args.thresholds, vocab)
     sim = similarity_matrix(formats.load_cooccurrence(args.cooccurrence), vocab)
-    pool = [t for t in vocab.seen_tags if t in model.tau]
-    scores = np.array(table.scores)
-    novel_cols = {t: table.tag_index(t) for t in vocab.novel_tags}
-    for i, image in enumerate(table.images):
-        chosen = select_by_threshold(table, image, model.tau, pool)
-        if not chosen:
-            continue
-        refined = refine_novel_scores(table, image, vocab, chosen, model, sim, args.w)
-        for t, value in refined.items():
-            scores[i, novel_cols[t]] = value
-    formats.save_scores(ScoreTable(table.images, table.tags, scores), args.out)
+    formats.save_scores(refine_table(table, vocab, model, sim, args.w), args.out)
     return 0
 
 
@@ -219,14 +195,7 @@ def cmd_compare(args) -> int:
     else:
         specs = list(table1_strategies(k=args.k, w=args.w, refine=args.refine))
     report = compare(
-        specs,
-        table,
-        truth,
-        vocab,
-        model,
-        sim,
-        jobs=args.jobs,
-        refined_rankings=args.refined_rankings,
+        specs, table, truth, vocab, model, sim, refined_rankings=args.refined_rankings
     )
     formats.save_report(report, args.out)
     if args.text:
@@ -308,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-refined", action=argparse.BooleanOptionalAction, default=False,
         help="write refined novel scores instead of raw ones",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument("--out", required=True, help="output selections TSV")
     p.set_defaults(func=cmd_select)
 
@@ -360,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--refined-rankings", action=argparse.BooleanOptionalAction, default=False,
         help="judge refining strategies on refined rankings",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
     p.add_argument(
         "--text", action=argparse.BooleanOptionalAction, default=False,
         help="also print an aligned text table",

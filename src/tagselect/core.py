@@ -132,6 +132,11 @@ class ScoreTable:
         object.__setattr__(self, "_img_index", {x: i for i, x in enumerate(images)})
         object.__setattr__(self, "_tag_index", {t: j for j, t in enumerate(tags)})
         object.__setattr__(self, "_tags_arr", np.array(tags, dtype=object))
+        # Each column's rank among the sorted tag strings: tags are unique,
+        # so ties broken by it are broken by the strings themselves.
+        tag_rank = np.empty(len(tags), dtype=np.int32)
+        tag_rank[np.argsort(self._tags_arr)] = np.arange(len(tags), dtype=np.int32)
+        object.__setattr__(self, "_tag_rank", tag_rank)
 
     @property
     def n_images(self) -> int:
@@ -388,6 +393,18 @@ def validate_inputs(
     return violations
 
 
+def require_finite(table: ScoreTable) -> None:
+    """Raise a ``TagSelectError`` naming the first non-finite score in
+    row-major order; ``validate_inputs`` lists every bad cell instead."""
+    finite = np.isfinite(table.scores)
+    if not finite.all():
+        i, j = divmod(int(np.argmin(finite)), table.n_tags)
+        raise TagSelectError(
+            f"non-finite score for image {table.images[i]!r}, tag {table.tags[j]!r}; "
+            "run validate to list every bad cell"
+        )
+
+
 def rank_tags(table: ScoreTable, image: str) -> list[str]:
     """All tags of the table ranked by descending score; ties broken by
     ascending tag string so the ranking is a deterministic total order."""
@@ -396,16 +413,12 @@ def rank_tags(table: ScoreTable, image: str) -> list[str]:
     return [table.tags[i] for i in order]
 
 
-def rank_all_tags(table: ScoreTable) -> list[list[str]]:
-    """``rank_tags`` for every image, in image order, from one 2-D lexsort.
+def order_rows(scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
+    """Column order of each row of ``scores`` by descending score, ties
+    broken by ascending ``tag_rank``: one 2-D lexsort."""
+    return np.lexsort((np.broadcast_to(tag_rank, scores.shape), -scores), axis=-1)
 
-    Tags are unique, so breaking ties by each column's rank among the sorted
-    tag strings orders exactly as breaking them by the strings themselves.
-    """
-    m = table.n_tags
-    tag_rank = np.empty(m, dtype=np.int32)
-    tag_rank[np.argsort(table._tags_arr)] = np.arange(m, dtype=np.int32)
-    keys = (np.broadcast_to(tag_rank, table.scores.shape), -table.scores)
-    order = np.lexsort(keys, axis=-1)
-    del keys
-    return table._tags_arr[order].tolist()
+
+def rank_all_tags(table: ScoreTable) -> list[list[str]]:
+    """``rank_tags`` for every image, in image order, from one 2-D lexsort."""
+    return table._tags_arr[order_rows(table.scores, table._tag_rank)].tolist()

@@ -16,8 +16,10 @@ from .core import (
     FROM_SEEN_THRESHOLDING,
     ScoreTable,
     SelectedTag,
+    SelectionResult,
     Vocabulary,
-    rank_tags,
+    order_rows,
+    require_finite,
 )
 from .errors import TagSelectError
 from .similarity import SimilarityMatrix
@@ -48,15 +50,71 @@ class AdaptiveConfig:
             raise TagSelectError(f"refinement weight must lie in [0, 1], got {self.w!r}")
 
 
+_PROVENANCES = (FROM_SEEN_THRESHOLDING, FROM_NOVEL_TOPK, FROM_FALLBACK)
+_EMPTY = np.zeros(0, dtype=np.intp)
+
+
+def select_rows(
+    table: ScoreTable,
+    pool: np.ndarray = _EMPTY,
+    tau: np.ndarray = _EMPTY,
+    novel: np.ndarray = _EMPTY,
+    fallback_k: int | None = None,
+    ranked: np.ndarray | None = None,
+) -> SelectionResult:
+    """The selection kernel behind every strategy, one array pass over all
+    images.  The ``pool`` columns (ascending) whose scores strictly exceed
+    ``tau`` form each image's set A, by descending score; the top
+    k_novel(|pool|, |novel|, |A|) ``novel`` columns by ``ranked`` (default:
+    the scores) follow.  With ``fallback_k``, an image whose A is empty gets
+    the top ``fallback_k`` columns instead.  Ties go to the lexically smaller tag."""
+    require_finite(table)
+    scores = table.scores
+    tag_rank = table._tag_rank
+    mask = scores[:, pool] > tau
+    a_size = np.count_nonzero(mask, axis=1)
+    # Only the selected cells are sorted: a lexsort of whole rows costs more
+    # than the selection itself when A is small.
+    r, j = np.nonzero(mask)
+    c = pool[j]
+    order = np.lexsort((tag_rank[c], -scores[r, c], r))
+    parts = [(r[order], c[order], np.full(r.size, 0))]
+    # An empty pool selects nothing, so its k_novel is 0.
+    k = np.minimum((2 * novel.size * a_size + pool.size) // max(2 * pool.size, 1), novel.size)
+    take = np.flatnonzero(k)
+    key = (scores if ranked is None else ranked)[take][:, novel]
+    i, j = np.nonzero(np.arange(novel.size) < k[take, None])
+    parts.append((take[i], novel[order_rows(key, tag_rank[novel])[i, j]], np.full(i.size, 1)))
+    if fallback_k is not None and not a_size.all():
+        if not isinstance(fallback_k, int) or not 1 <= fallback_k <= table.n_tags:
+            raise TagSelectError(f"k must lie in [1, {table.n_tags}], got {fallback_k!r}")
+        fallback = np.flatnonzero(a_size == 0)
+        c = order_rows(scores[fallback], tag_rank)[:, :fallback_k].ravel()
+        parts.append((np.repeat(fallback, fallback_k), c, np.full(c.size, 2)))
+
+    # A stable sort by image keeps each image's seen picks before its novel
+    # ones; an image with fallback picks has neither.
+    r, c, p = (np.concatenate(arrays) for arrays in zip(*parts))
+    order = np.argsort(r, kind="stable")
+    r, c, p = r[order], c[order], p[order]
+    picks = [
+        SelectedTag(table.tags[j], s, _PROVENANCES[q])
+        for j, s, q in zip(c.tolist(), scores[r, c].tolist(), p.tolist())
+    ]
+    ends = np.cumsum(np.bincount(r, minlength=table.n_images)).tolist()
+    return SelectionResult(
+        table.images, {x: picks[lo:hi] for x, lo, hi in zip(table.images, [0, *ends], ends)}
+    )
+
+
+def _image_table(table: ScoreTable, image: str) -> ScoreTable:
+    i = table.image_index(image)
+    return ScoreTable((image,), table.tags, table.scores[i : i + 1])
+
+
 def select_topk(table: ScoreTable, image: str, k: int) -> tuple[SelectedTag, ...]:
     """The k highest-scoring tags of the image, ties broken by tag string."""
-    if not isinstance(k, int) or not 1 <= k <= table.n_tags:
-        raise TagSelectError(f"k must lie in [1, {table.n_tags}], got {k!r}")
-    row = table.row(image)
-    ranked = rank_tags(table, image)[:k]
-    return tuple(
-        SelectedTag(t, float(row[table.tag_index(t)]), FROM_FALLBACK) for t in ranked
-    )
+    return select_rows(_image_table(table, image), fallback_k=k).row(image)
 
 
 def select_by_threshold(
@@ -80,27 +138,6 @@ def select_by_threshold(
         if row[table.tag_index(t)] > tau:
             chosen.append(t)
     return frozenset(chosen)
-
-
-def threshold_rows(
-    table: ScoreTable, thresholds: np.ndarray
-) -> dict[str, tuple[SelectedTag, ...]]:
-    """Strict-threshold selection over all table columns at once.
-
-    ``thresholds`` holds one value per column; ``+inf`` keeps a column out.
-    Each image's picks are ordered by descending score, then tag string.
-    """
-    mask = table.scores > thresholds[None, :]
-    rows: dict[str, tuple[SelectedTag, ...]] = {}
-    tags = table.tags
-    for i, image in enumerate(table.images):
-        idx = np.flatnonzero(mask[i])
-        row = table.scores[i]
-        ordered = sorted(idx, key=lambda j: (-row[j], tags[j]))
-        rows[image] = tuple(
-            SelectedTag(tags[j], float(row[j]), FROM_SEEN_THRESHOLDING) for j in ordered
-        )
-    return rows
 
 
 def k_novel(seen_size: int, novel_size: int, a_size: int) -> int:
@@ -168,15 +205,64 @@ def refine_novel_scores(
     return refined
 
 
-def select_adaptive(
+def _columns(
+    table: ScoreTable, vocab: Vocabulary, model: ThresholdModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adaptive pool (trainable seen columns), its thresholds, novel columns."""
+    pool = sorted(table.tag_index(t) for t in vocab.seen_tags if t in model.tau)
+    tau = np.array([model.tau[table.tags[c]] for c in pool], dtype=np.float64)
+    novel = [table.tag_index(t) for t in vocab.novel_tags]
+    return np.array(pool, dtype=np.intp), tau, np.array(novel, dtype=np.intp)
+
+
+def refine_table(
     table: ScoreTable,
-    image: str,
+    vocab: Vocabulary,
+    model: ThresholdModel,
+    sim: SimilarityMatrix | None,
+    w: float,
+) -> ScoreTable:
+    """The table with ``refine_novel_scores`` applied to every image whose
+    selected seen set is non-empty; other images keep their raw scores.
+    Every pool threshold must be positive, selected or not."""
+    if sim is None:
+        raise TagSelectError("refinement requires a similarity matrix")
+    if not 0.0 <= w <= 1.0:
+        raise TagSelectError(f"refinement weight must lie in [0, 1], got {w!r}")
+    require_finite(table)
+    pool, tau, novel = _columns(table, vocab, model)
+    bad = [repr(table.tags[c]) for c in pool[tau <= 0.0]]
+    if bad:
+        raise TagSelectError(
+            f"thresholds of {', '.join(bad)} are not positive; refinement divides by them"
+        )
+    scores = np.array(table.scores)
+    mask = scores[:, pool] > tau
+    # Pool tags that no image selects take no part in any sum.
+    keep = mask.any(axis=0)
+    pool, tau, mask = pool[keep], tau[keep], mask[:, keep]
+    block = sim.values[np.ix_(
+        [sim.index(table.tags[c]) for c in novel], [sim.index(table.tags[c]) for c in pool]
+    )]
+    ratios = scores[:, pool] / tau - 1.0
+    for i in np.flatnonzero(mask.any(axis=1)):
+        a = np.flatnonzero(mask[i])
+        # One product per image with a C-contiguous (novel x A) block sums
+        # over A in the order refine_novel_scores does; a masked product
+        # over the pool, or a strided block, can move the last bit.
+        additive = block.take(a, axis=1) @ ratios[i, a] / a.size
+        scores[i, novel] = w * scores[i, novel] + (1.0 - w) * additive
+    return ScoreTable(table.images, table.tags, scores)
+
+
+def adaptive_rows(
+    table: ScoreTable,
     vocab: Vocabulary,
     model: ThresholdModel,
     sim: SimilarityMatrix | None,
     cfg: AdaptiveConfig,
-) -> tuple[SelectedTag, ...]:
-    """The adaptive strategy for one image.
+) -> SelectionResult:
+    """The adaptive strategy for every image of the table.
 
     Seen tags with learned thresholds form the candidate pool; those whose
     scores clear their thresholds become A.  When A is empty the image falls
@@ -185,29 +271,24 @@ def select_adaptive(
     appended, ranked by refined scores when refinement is on.  Untrainable
     seen tags count in neither the pool nor the extrapolation.
     """
-    pool = [t for t in vocab.seen_tags if t in model.tau]
-    a_set = select_by_threshold(table, image, model.tau, pool)
-    if not a_set:
-        return select_topk(table, image, cfg.fallback_k)
-    if cfg.refine and sim is None:
-        raise TagSelectError("refinement requires a similarity matrix")
+    pool, tau, novel = _columns(table, vocab, model)
+    ranked = None
+    if cfg.refine:
+        refined = refine_table(table, vocab, model, sim, cfg.w)
+        ranked = refined.scores
+        if cfg.report_refined:
+            # Refinement changes no seen column and no fallback image.
+            table = refined
+    return select_rows(table, pool, tau, novel, cfg.fallback_k, ranked)
 
-    row = table.row(image)
-    k = k_novel(len(pool), len(vocab.novel_tags), len(a_set))
 
-    seen_part = sorted(a_set, key=lambda t: (-row[table.tag_index(t)], t))
-    result = [
-        SelectedTag(t, float(row[table.tag_index(t)]), FROM_SEEN_THRESHOLDING)
-        for t in seen_part
-    ]
-    if k > 0:
-        novel = list(vocab.novel_tags)
-        raw = {t: float(row[table.tag_index(t)]) for t in novel}
-        if cfg.refine:
-            ranking = refine_novel_scores(table, image, vocab, a_set, model, sim, cfg.w)
-        else:
-            ranking = raw
-        picks = sorted(novel, key=lambda t: (-ranking[t], t))[:k]
-        reported = ranking if (cfg.refine and cfg.report_refined) else raw
-        result.extend(SelectedTag(t, reported[t], FROM_NOVEL_TOPK) for t in picks)
-    return tuple(result)
+def select_adaptive(
+    table: ScoreTable,
+    image: str,
+    vocab: Vocabulary,
+    model: ThresholdModel,
+    sim: SimilarityMatrix | None,
+    cfg: AdaptiveConfig,
+) -> tuple[SelectedTag, ...]:
+    """``adaptive_rows`` for one image."""
+    return adaptive_rows(_image_table(table, image), vocab, model, sim, cfg).row(image)

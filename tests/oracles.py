@@ -1,8 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, exhaustive enumeration, library solvers) and shares no code with
-the package internals.
+loops, exhaustive enumeration, library solvers).  Apart from the selection
+oracles at the end, it shares no code with the package; those compose the
+package's per-image scalar references (``select_by_threshold``,
+``k_novel``, ``refine_novel_scores``), which their own tests pin down, with
+``sorted``, to check the batched selection kernel.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from tagselect import k_novel, refine_novel_scores, select_by_threshold
 
 
 def brute_force_threshold(scores, labels):
@@ -123,3 +128,58 @@ def evaluate_corpus(relevant_by_image, predicted_by_image, ranking_by_image):
         fs.append(f)
         aps.append(ap_literal(relevant, ranking_by_image[image]))
     return sum(fs) / len(fs), sum(aps) / len(aps)
+
+
+def _row(table, image):
+    return {t: table.score(image, t) for t in table.tags}
+
+
+def threshold_oracle(table, image, thresholds):
+    """Strict thresholding of every column, picks ordered by sorted()."""
+    row = _row(table, image)
+    chosen = select_by_threshold(table, image, thresholds, table.tags)
+    ordered = sorted(chosen, key=lambda t: (-row[t], t))
+    return [(t, repr(row[t]), "from_seen_thresholding") for t in ordered]
+
+
+def topk_oracle(table, image, k):
+    """The k best tags by sorted(), as the fixed top-k strategy reports them."""
+    row = _row(table, image)
+    return [(t, repr(row[t]), "from_fallback") for t in sorted_tags(row)[:k]]
+
+
+def refined_scores_oracle(table, image, vocab, model, sim, w):
+    """Every tag's score after refinement: the novel tags' scores are
+    replaced by refine_novel_scores when the image's selected seen set is
+    non-empty, otherwise all scores stay raw."""
+    row = _row(table, image)
+    pool = [t for t in vocab.seen_tags if t in model.tau]
+    chosen = select_by_threshold(table, image, model.tau, pool)
+    if chosen:
+        row.update(refine_novel_scores(table, image, vocab, chosen, model, sim, w))
+    return row
+
+
+def adaptive_oracle(
+    table, image, vocab, model, sim, fallback_k=5, refine=False, w=0.5, report_refined=False
+):
+    """The adaptive strategy for one image as (tag, repr(score), provenance)
+    triples: threshold the trainable seen tags, fall back to top-k when none
+    clears, else append the top k_novel novel tags by raw or refined score."""
+    row = _row(table, image)
+    pool = [t for t in vocab.seen_tags if t in model.tau]
+    chosen = select_by_threshold(table, image, model.tau, pool)
+    if not chosen:
+        return topk_oracle(table, image, fallback_k)
+    picks = [
+        (t, repr(row[t]), "from_seen_thresholding")
+        for t in sorted(chosen, key=lambda t: (-row[t], t))
+    ]
+    k = k_novel(len(pool), len(vocab.novel_tags), len(chosen))
+    if k:
+        ranking = {t: row[t] for t in vocab.novel_tags}
+        if refine:
+            ranking = refine_novel_scores(table, image, vocab, chosen, model, sim, w)
+        shown = ranking if report_refined else row
+        picks += [(t, repr(shown[t]), "from_novel_topk") for t in sorted_tags(ranking)[:k]]
+    return picks

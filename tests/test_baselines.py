@@ -1,7 +1,13 @@
 """The six named strategies and their side-by-side comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+import oracles
+import problems
 
 from tagselect import (
     FROM_NOVEL_TOPK,
@@ -12,6 +18,7 @@ from tagselect import (
     TagSelectError,
     Vocabulary,
     compare,
+    predict_threshold,
     run_strategy,
     select_by_threshold,
     similarity_matrix,
@@ -122,14 +129,39 @@ class TestRunStrategy:
         with pytest.raises(TagSelectError):
             run_strategy(strategy("top_k"), shuffled, small_bench.vocab, small_model)
 
-    def test_jobs_do_not_change_results(self, small_bench, small_model):
-        table = small_bench.eval_table
-        vocab = small_bench.vocab
-        serial = run_strategy(strategy("adaptive"), table, vocab, small_model, jobs=1)
-        threaded = run_strategy(strategy("adaptive"), table, vocab, small_model, jobs=4)
-        assert serial.images == threaded.images
-        for x in serial.images:
-            assert serial.row(x) == threaded.row(x)
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems())
+    def test_every_strategy_matches_oracle(self, problem):
+        # Each strategy's rows equal the per-image oracle by (tag, repr(score),
+        # provenance), on tie-heavy tables with shuffled tag strings.
+        vocab, table, model, sim, cfg = problem
+        batch = replace(model, stats=tag_stats(table))
+        mu_sigma = {t: predict_threshold(batch, t, "mu_sigma") for t in vocab.tags}
+        lsq = {t: predict_threshold(batch, t, "lsq") for t in vocab.tags}
+        thresholds = {
+            "mu_sigma": mu_sigma,
+            "lsq": lsq,
+            "hybrid_tau_musigma": {**mu_sigma, **model.tau},
+            "hybrid_tau_lsq": {**lsq, **model.tau},
+        }
+        runs = [(name, cfg) for name in STRATEGY_NAMES[:-1]]
+        runs += [("adaptive", mode) for mode in problems.refine_modes(cfg)]
+        for name, mode in runs:
+            spec = strategy(name, k=cfg.fallback_k)
+            result = run_strategy(spec, table, vocab, model, sim, cfg=mode)
+            assert result.images == table.images
+            for x in table.images:
+                got = [(p.tag, repr(p.score), p.provenance) for p in result.row(x)]
+                if name == "top_k":
+                    want = oracles.topk_oracle(table, x, cfg.fallback_k)
+                elif name == "adaptive":
+                    want = oracles.adaptive_oracle(
+                        table, x, vocab, model, sim, mode.fallback_k, mode.refine, mode.w,
+                        mode.report_refined,
+                    )
+                else:
+                    want = oracles.threshold_oracle(table, x, thresholds[name])
+                assert got == want, (name, mode, x)
 
     def test_adaptive_novel_picks_flagged(self, small_bench, small_model):
         table = small_bench.eval_table

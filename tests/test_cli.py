@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from tagselect import STRATEGY_NAMES
+import oracles
+from tagselect import STRATEGY_NAMES, formats, similarity_matrix
 from tagselect.cli import main
 
 BENCH_ARGS = [
@@ -239,6 +240,67 @@ class TestPipeline:
             for key, value in original.items()
             if key[1].startswith("novel_")
         )
+
+    def test_refine_output_matches_oracle(self, bench_dir, tmp_path):
+        thresholds = tmp_path / "thresholds.tsv"
+        run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        )
+        refined = tmp_path / "refined.tsv"
+        assert run(
+            "refine",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--thresholds", thresholds,
+            "--cooccurrence", bench_dir / "cooccurrence.tsv",
+            "--w", "0.25",
+            "--out", refined,
+        ) == 0
+        vocab = formats.load_vocabulary(bench_dir / "vocabulary.tsv")
+        table = formats.load_scores(bench_dir / "eval_scores.tsv", vocab)
+        model = formats.load_thresholds(thresholds, vocab)
+        sim = similarity_matrix(formats.load_cooccurrence(bench_dir / "cooccurrence.tsv"), vocab)
+        got = formats.load_scores(refined, vocab)
+        assert got.images == table.images
+        for x in table.images:
+            want = oracles.refined_scores_oracle(table, x, vocab, model, sim, 0.25)
+            assert {t: repr(got.score(x, t)) for t in vocab.tags} == {
+                t: repr(v) for t, v in want.items()
+            }
+
+    @pytest.mark.parametrize("command", ["select", "compare", "refine"])
+    def test_non_finite_score_is_rejected(self, bench_dir, tmp_path, capsys, command):
+        thresholds = tmp_path / "thresholds.tsv"
+        run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        )
+        scores = bench_dir / "eval_scores.tsv"
+        lines = scores.read_text().splitlines()
+        for lineno, value in ((40, "inf"), (3, "nan")):
+            image, tag, _ = lines[lineno].split("\t")
+            lines[lineno] = "\t".join([image, tag, value])
+        first = lines[3].split("\t")[:2]
+        scores.write_text("\n".join(lines) + "\n")
+        io = ["--vocab", bench_dir / "vocabulary.tsv", "--scores", scores]
+        model = ["--thresholds", thresholds, "--cooccurrence", bench_dir / "cooccurrence.tsv"]
+        argv = {
+            "select": ["--strategy", "adaptive", "--refine"],
+            "compare": ["--truth", bench_dir / "eval_truth.tsv"],
+            "refine": [],
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, *io, *model, *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error[data]: non-finite score for image {first[0]!r}, tag {first[1]!r}" in err
+        assert not out.exists()
 
     def test_fuse_fixed_and_learned(self, bench_dir, tmp_path, capsys):
         fused = tmp_path / "fused.tsv"

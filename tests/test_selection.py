@@ -1,29 +1,42 @@
 """Selection strategies: top-k, thresholding, the novel-count
 extrapolation, score refinement, and the adaptive method."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import problems
 from tagselect import (
     AdaptiveConfig,
     FROM_FALLBACK,
     FROM_NOVEL_TOPK,
     FROM_SEEN_THRESHOLDING,
+    STRATEGY_NAMES,
     ScoreTable,
     SimilarityMatrix,
+    StrategySpec,
+    SyntheticSpec,
     TagSelectError,
     TagStats,
     ThresholdModel,
     Vocabulary,
+    compare,
+    generate_synthetic,
     k_novel,
+    learn_all_thresholds,
+    rank_all_tags,
     refine_novel_scores,
+    run_strategy,
     select_adaptive,
     select_by_threshold,
     select_topk,
+    similarity_matrix,
 )
+from tagselect.selection import refine_table
 
 
 class TestSelectTopk:
@@ -342,3 +355,90 @@ class TestSelectAdaptive:
             AdaptiveConfig(fallback_k=0)
         with pytest.raises(TagSelectError):
             AdaptiveConfig(w=1.5)
+
+
+def triples(picks):
+    return [(p.tag, repr(p.score), p.provenance) for p in picks]
+
+
+class TestSelectionKernel:
+    """The batched kernel against the per-image oracles in ``oracles``."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems())
+    def test_one_row_adaptive_calls_match_oracle(self, problem):
+        vocab, table, model, sim, cfg = problem
+        for mode, x in itertools.product(problems.refine_modes(cfg), table.images):
+            want = oracles.adaptive_oracle(
+                table, x, vocab, model, sim, mode.fallback_k, mode.refine, mode.w,
+                mode.report_refined,
+            )
+            assert triples(select_adaptive(table, x, vocab, model, sim, mode)) == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems())
+    def test_refined_table_and_rankings_match_oracle(self, problem):
+        vocab, table, model, sim, cfg = problem
+        refined = refine_table(table, vocab, model, sim, cfg.w)
+        for x, ranking in zip(table.images, rank_all_tags(refined)):
+            want = oracles.refined_scores_oracle(table, x, vocab, model, sim, cfg.w)
+            assert {t: repr(refined.score(x, t)) for t in table.tags} == {
+                t: repr(v) for t, v in want.items()
+            }
+            assert ranking == oracles.sorted_tags(want)
+
+    def test_default_spec_refined_scores_match_oracle_bit_for_bit(self):
+        # Refined scores reported on the default benchmark equal the
+        # per-image reference to the last bit.  A masked product over the
+        # whole pool, or a strided (novel x A) block, changes the summation
+        # order and shifts hundreds of them by one ulp.
+        bench = generate_synthetic(SyntheticSpec(), 0)
+        vocab, table = bench.vocab, bench.eval_table
+        model = learn_all_thresholds(bench.train_table, bench.train_truth, vocab)
+        sim = similarity_matrix(bench.cooccurrence, vocab)
+        cfg = AdaptiveConfig(refine=True, report_refined=True)
+        spec = StrategySpec("adaptive", refine=True)
+        result = run_strategy(spec, table, vocab, model, sim, cfg=cfg)
+        mismatched = [
+            x
+            for x in table.images
+            if triples(result.row(x))
+            != oracles.adaptive_oracle(table, x, vocab, model, sim, 5, True, 0.5, True)
+        ]
+        assert mismatched == []
+        picks = {p.tag: p.score for p in result.row("img_00005")}
+        assert repr(picks["novel_063"]) == "0.6217664472615939"
+
+    def test_first_non_finite_score_is_named_before_selection(self):
+        vocab, model, sim = adaptive_fixture()
+        scores = np.full((3, 7), 0.6)
+        scores[2, 0] = np.nan
+        scores[1, 5] = np.inf
+        table = ScoreTable(("x0", "x1", "x2"), vocab.tags, scores)
+        message = "non-finite score for image 'x1', tag 'n3'"
+        for name in STRATEGY_NAMES:
+            with pytest.raises(TagSelectError, match=message):
+                run_strategy(StrategySpec(name, refine=True), table, vocab, model, sim)
+        with pytest.raises(TagSelectError, match=message):
+            refine_table(table, vocab, model, sim, 0.5)
+
+    def test_every_nonpositive_pool_threshold_is_named(self, small_bench):
+        vocab = small_bench.vocab
+        table = small_bench.eval_table
+        sim = similarity_matrix(small_bench.cooccurrence, vocab)
+        seen = vocab.seen_tags
+        tau = {t: 0.5 for t in seen}
+        tau[seen[4]] = -0.25
+        tau[seen[1]] = 0.0
+        model = ThresholdModel(tau=tau, stats=TagStats(vocab.tags, np.zeros(20), np.zeros(20)))
+        message = f"thresholds of {seen[1]!r}, {seen[4]!r} are not positive"
+        refining = StrategySpec("adaptive", refine=True)
+        with pytest.raises(TagSelectError, match=message):
+            run_strategy(refining, table, vocab, model, sim)
+        with pytest.raises(TagSelectError, match=message):
+            refine_table(table, vocab, model, sim, 0.5)
+        with pytest.raises(TagSelectError, match=message):
+            compare([refining], table, small_bench.eval_truth, vocab, model, sim,
+                    refined_rankings=True)
+        # Without refinement nothing divides by the thresholds.
+        run_strategy(StrategySpec("adaptive"), table, vocab, model, sim)
