@@ -50,9 +50,7 @@ from .selection import (
     AdaptiveConfig,
     k_novel,
     refine_novel_scores,
-    select_adaptive,
     select_by_threshold,
-    select_topk,
 )
 from .similarity import (
     CooccurrenceStats,
@@ -129,9 +127,7 @@ __all__ = [
     "refine_novel_scores",
     "run_strategy",
     "search_relevance",
-    "select_adaptive",
     "select_by_threshold",
-    "select_topk",
     "semantic_field",
     "similarity_matrix",
     "table1_strategies",

@@ -76,6 +76,12 @@ def _require_model(spec: StrategySpec, model: ThresholdModel | None) -> Threshol
     return model
 
 
+def _check_table(table: ScoreTable, vocab: Vocabulary) -> None:
+    if table.tags != vocab.tags:
+        raise TagSelectError("score table columns must match the vocabulary order")
+    require_finite(table)
+
+
 def run_strategy(
     spec: StrategySpec,
     table: ScoreTable,
@@ -92,9 +98,7 @@ def run_strategy(
     elsewhere.  ``cfg`` overrides the adaptive knobs derived from ``spec``.
     A non-finite score raises a ``TagSelectError`` before any selection.
     """
-    if table.tags != vocab.tags:
-        raise TagSelectError("score table columns must match the vocabulary order")
-    require_finite(table)
+    _check_table(table, vocab)
     if cfg is None:
         cfg = AdaptiveConfig(fallback_k=spec.k, refine=spec.refine, w=spec.w)
 
@@ -182,17 +186,22 @@ def compare(
     """
     if not strategies:
         raise TagSelectError("compare needs at least one strategy")
+    _check_table(table, vocab)
     raw_rankings = dict(zip(table.images, rank_all_tags(table)))
     rows = []
     shared_maps = []
     for spec in strategies:
-        selections = run_strategy(spec, table, vocab, model, sim)
         uses_refined = refined_rankings and spec.name == "adaptive" and spec.refine
         if uses_refined:
-            # run_strategy has already rejected a missing model or matrix.
-            refined = refine_table(table, vocab, model, sim, spec.w)
+            # Refinement changes no seen column and no fallback image, so the
+            # refined table, selected on without refining again, gives the same
+            # tags.  Knobs and model are checked in run_strategy's order.
+            cfg = AdaptiveConfig(fallback_k=spec.k, w=spec.w)
+            refined = refine_table(table, vocab, _require_model(spec, model), sim, spec.w)
+            selections = run_strategy(spec, refined, vocab, model, sim, cfg)
             rankings = dict(zip(table.images, rank_all_tags(refined)))
         else:
+            selections = run_strategy(spec, table, vocab, model, sim)
             rankings = raw_rankings
         report = evaluate(truth, selections, rankings)
         mean_selected = (

@@ -136,6 +136,9 @@ def cmd_evaluate(args) -> int:
     for x in loaded.images:
         if x not in rankings:
             raise TagSelectError(f"selections name image {x!r}, absent from the score table")
+        for t in loaded.tags(x):
+            if t not in vocab:
+                raise TagSelectError(f"selections give image {x!r} the unknown tag {t!r}")
     # The selections file has no row for an image with an empty selection,
     # so every scored image is evaluated and a missing row counts as empty.
     selections = SelectionResult(
@@ -174,7 +177,7 @@ def cmd_fuse(args) -> int:
     else:
         if not args.weights:
             raise TagSelectError("give --weights or --learn")
-        weights = [float(v) for v in args.weights.split(",")]
+        weights = args.weights
     fused = fuse(tables, weights)
     formats.save_scores(fused, args.out)
     return 0
@@ -224,6 +227,10 @@ def cmd_gen_synth(args) -> int:
     formats.save_cooccurrence(bench.cooccurrence, out / "cooccurrence.tsv")
     print(f"wrote benchmark to {out}")
     return 0
+
+
+def float_list(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
 
 
 def _add_io(parser, scores=True, truth=False, truth_optional=False):
@@ -305,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="weighted sum of several score tables")
     p.add_argument("--vocab", required=True)
     p.add_argument("--scores", action="append", required=True, help="repeat per table")
-    p.add_argument("--weights", help="comma-separated weights summing to 1")
+    p.add_argument("--weights", type=float_list, help="comma-separated weights summing to 1")
     p.add_argument(
         "--learn", action=argparse.BooleanOptionalAction, default=False,
         help="learn weights by coordinate ascent on --truth",

@@ -60,6 +60,13 @@ def _parse_float(path, lineno, text) -> float:
         raise FormatError(path, lineno, f"not a number: {text!r}") from None
 
 
+def _parse_finite(path, lineno, text) -> float:
+    value = _parse_float(path, lineno, text)
+    if not np.isfinite(value):
+        raise FormatError(path, lineno, f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_count(path, lineno, text) -> int:
     try:
         value = int(text)
@@ -229,6 +236,8 @@ def load_selections(path) -> SelectionResult:
     for lineno, fields in _rows(path):
         _need_fields(path, lineno, fields, 4)
         image, tag, text, provenance = fields
+        if not image:
+            raise FormatError(path, lineno, "empty image id")
         if provenance not in PROVENANCES:
             raise FormatError(path, lineno, f"unknown provenance {provenance!r}")
         score = _parse_float(path, lineno, text)
@@ -253,7 +262,8 @@ def save_selections(result: SelectionResult, path) -> None:
 
 def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
     """Rebuild a ThresholdModel.  Statistics must cover exactly the
-    vocabulary; seen tags without a stored threshold are listed untrainable."""
+    vocabulary; seen tags without a stored threshold are listed untrainable.
+    Only seen tags may carry a threshold, and every value must be finite."""
     tags: list[str] = []
     tag_set: set[str] = set()
     mu: list[float] = []
@@ -266,7 +276,7 @@ def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
                 raise FormatError(path, lineno, "duplicate coefficient row")
             if len(fields) not in (3, 4):
                 raise FormatError(path, lineno, "coefficient row needs 2 or 3 values")
-            coeffs = tuple(_parse_float(path, lineno, v) for v in fields[1:])
+            coeffs = tuple(_parse_finite(path, lineno, v) for v in fields[1:])
             continue
         _need_fields(path, lineno, fields, 4)
         tag, tau_text, mu_text, sigma_text = fields
@@ -274,10 +284,12 @@ def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
             raise FormatError(path, lineno, f"duplicate tag {tag!r}")
         tag_set.add(tag)
         tags.append(tag)
-        mu.append(_parse_float(path, lineno, mu_text))
-        sigma.append(_parse_float(path, lineno, sigma_text))
+        mu.append(_parse_finite(path, lineno, mu_text))
+        sigma.append(_parse_finite(path, lineno, sigma_text))
         if tau_text != "-":
-            tau[tag] = _parse_float(path, lineno, tau_text)
+            if vocab.partition.get(tag) != SEEN:
+                raise FormatError(path, lineno, f"threshold given for {tag!r}, not a seen tag")
+            tau[tag] = _parse_finite(path, lineno, tau_text)
     if set(tags) != set(vocab.tags):
         raise FormatError(path, 0, "threshold statistics do not cover the vocabulary")
     untrainable = tuple(t for t in vocab.seen_tags if t not in tau)

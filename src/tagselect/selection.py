@@ -107,16 +107,6 @@ def select_rows(
     )
 
 
-def _image_table(table: ScoreTable, image: str) -> ScoreTable:
-    i = table.image_index(image)
-    return ScoreTable((image,), table.tags, table.scores[i : i + 1])
-
-
-def select_topk(table: ScoreTable, image: str, k: int) -> tuple[SelectedTag, ...]:
-    """The k highest-scoring tags of the image, ties broken by tag string."""
-    return select_rows(_image_table(table, image), fallback_k=k).row(image)
-
-
 def select_by_threshold(
     table: ScoreTable,
     image: str,
@@ -280,15 +270,3 @@ def adaptive_rows(
             # Refinement changes no seen column and no fallback image.
             table = refined
     return select_rows(table, pool, tau, novel, cfg.fallback_k, ranked)
-
-
-def select_adaptive(
-    table: ScoreTable,
-    image: str,
-    vocab: Vocabulary,
-    model: ThresholdModel,
-    sim: SimilarityMatrix | None,
-    cfg: AdaptiveConfig,
-) -> tuple[SelectedTag, ...]:
-    """``adaptive_rows`` for one image."""
-    return adaptive_rows(_image_table(table, image), vocab, model, sim, cfg).row(image)

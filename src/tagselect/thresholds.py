@@ -131,10 +131,6 @@ class ThresholdModel:
                 raise TagSelectError("lsq coefficients must be (a, b) or (a, b, c)")
             object.__setattr__(self, "lsq_coeffs", coeffs)
 
-    @property
-    def trainable_tags(self) -> tuple[str, ...]:
-        return tuple(self.tau)
-
 
 def fit_lsq(model: ThresholdModel, intercept: bool = False) -> tuple[float, ...]:
     """Least-squares reconstruction of the learned thresholds from per-tag

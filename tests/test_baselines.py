@@ -25,6 +25,8 @@ from tagselect import (
     table1_strategies,
     tag_stats,
 )
+from tagselect import baselines, selection
+from tagselect.selection import refine_table
 
 
 def strategy(name, **kw):
@@ -228,6 +230,33 @@ class TestCompare:
         )
         # The refined adaptive row may legitimately differ in MAP.
         assert len(report.rows) == 2
+
+    def test_refined_rankings_refine_once_per_strategy(self, small_bench, small_model,
+                                                       monkeypatch):
+        calls = []
+
+        def counting(table, *args):
+            calls.append(table)
+            return refine_table(table, *args)
+
+        monkeypatch.setattr(baselines, "refine_table", counting)
+        monkeypatch.setattr(selection, "refine_table", counting)
+        sim = similarity_matrix(small_bench.cooccurrence, small_bench.vocab)
+        specs = [
+            strategy("top_k"),
+            strategy("adaptive", refine=True),
+            strategy("adaptive", refine=True, w=0.25),
+        ]
+        compare(specs, small_bench.eval_table, small_bench.eval_truth, small_bench.vocab,
+                small_model, sim, refined_rankings=True)
+        assert calls == [small_bench.eval_table] * 2
+
+    def test_refined_rankings_without_model_name_the_model(self, small_bench):
+        sim = similarity_matrix(small_bench.cooccurrence, small_bench.vocab)
+        with pytest.raises(TagSelectError, match="requires a threshold model"):
+            compare([strategy("adaptive", refine=True)], small_bench.eval_table,
+                    small_bench.eval_truth, small_bench.vocab, None, sim,
+                    refined_rankings=True)
 
     def test_empty_strategy_list_rejected(self, small_bench):
         with pytest.raises(TagSelectError):

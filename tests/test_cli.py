@@ -199,6 +199,24 @@ class TestPipeline:
         assert code == 1
         assert "'ghost'" in capsys.readouterr().err
 
+    def test_evaluate_rejects_selection_of_unknown_tag(self, bench_dir, tmp_path, capsys):
+        image = formats.load_scores(
+            bench_dir / "eval_scores.tsv", formats.load_vocabulary(bench_dir / "vocabulary.tsv")
+        ).images[3]
+        selections = tmp_path / "selections.tsv"
+        selections.write_text(f"{image}\tnot_a_tag\t0.5\tfrom_fallback\n")
+        code = run(
+            "evaluate",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--truth", bench_dir / "eval_truth.tsv",
+            "--selections", selections,
+            "--out", tmp_path / "eval.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error[data]: selections give image {image!r} the unknown tag 'not_a_tag'" in err
+
     def test_refine_rewrites_novel_columns(self, bench_dir, tmp_path):
         thresholds = tmp_path / "thresholds.tsv"
         run(
@@ -300,6 +318,34 @@ class TestPipeline:
         assert run(command, *io, *model, *argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert f"error[data]: non-finite score for image {first[0]!r}, tag {first[1]!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["select", "compare", "refine"])
+    def test_non_finite_threshold_is_a_format_error(self, bench_dir, tmp_path, capsys, command):
+        thresholds = tmp_path / "thresholds.tsv"
+        run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        )
+        lines = thresholds.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines) if line.startswith("seen_0"))
+        fields = lines[lineno].split("\t")
+        lines[lineno] = "\t".join([fields[0], "nan", *fields[2:]])
+        thresholds.write_text("\n".join(lines) + "\n")
+        io = ["--vocab", bench_dir / "vocabulary.tsv", "--scores", bench_dir / "eval_scores.tsv"]
+        model = ["--thresholds", thresholds, "--cooccurrence", bench_dir / "cooccurrence.tsv"]
+        argv = {
+            "select": ["--strategy", "adaptive", "--refine"],
+            "compare": ["--truth", bench_dir / "eval_truth.tsv"],
+            "refine": [],
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, *io, *model, *argv, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error[format]: {thresholds}:{lineno + 1}: not a finite number: 'nan'" in err
         assert not out.exists()
 
     def test_fuse_fixed_and_learned(self, bench_dir, tmp_path, capsys):
@@ -447,6 +493,19 @@ class TestUsageErrors:
                 "--out", tmp_path / "sel.tsv",
             )
         assert exc.value.code == 2
+
+    def test_non_numeric_fuse_weight_is_an_argparse_error(self, bench_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "fuse",
+                "--vocab", bench_dir / "vocabulary.tsv",
+                "--scores", bench_dir / "eval_scores.tsv",
+                "--scores", bench_dir / "eval_scores.tsv",
+                "--weights", "0.5,abc",
+                "--out", tmp_path / "fused.tsv",
+            )
+        assert exc.value.code == 2
+        assert "argument --weights: invalid float_list value: '0.5,abc'" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,13 +7,13 @@ import oracles
 from tagselect import (
     GroundTruth,
     ScoreTable,
+    StrategySpec,
     TagSelectError,
     Vocabulary,
     fuse,
     learn_weights,
-    select_topk,
+    run_strategy,
 )
-from tagselect.core import SelectionResult
 
 
 def tables_and_vocab(seed, n_images=10, n_seen=4, n_novel=2, m=2):
@@ -142,8 +142,7 @@ class TestLearnWeights:
         truth = full_truth(vocab, tables[0].images, rng)
 
         def top2(table):
-            rows = {x: select_topk(table, x, 2) for x in table.images}
-            return SelectionResult(table.images, rows)
+            return run_strategy(StrategySpec("top_k", k=2), table, vocab)
 
         model = learn_weights(
             tables, truth, vocab, selection_strategy=top2,

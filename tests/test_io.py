@@ -261,6 +261,12 @@ class TestSelectionsFormat:
             load_selections(path)
         assert err.value.lineno == 2
 
+    def test_empty_image_id_rejected(self, tmp_path):
+        path = tmp_path / "sel.tsv"
+        path.write_text("im0\talpha\t0.5\tfrom_fallback\n\talpha\t0.5\tfrom_fallback\n")
+        with pytest.raises(FormatError, match=r"sel\.tsv:2: empty image id"):
+            load_selections(path)
+
 
 class TestThresholdsFormat:
     @staticmethod
@@ -319,6 +325,29 @@ class TestThresholdsFormat:
         with pytest.raises(FormatError) as err:
             load_thresholds(path, vocab)
         assert err.value.lineno == 2
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "alpha\tnan\t0.2\t0.1",
+            "alpha\tinf\t0.2\t0.1",
+            "alpha\t0.5\t-inf\t0.1",
+            "alpha\t0.5\t0.2\tnan",
+            "lsq\t0.9\tinf",
+            "lsq\t0.9\t1.1\tnan",
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, vocab, line):
+        path = tmp_path / "thr.tsv"
+        path.write_text(f"beta\t-\t0.3\t0.0\n{line}\ngamma\t-\t0.4\t0.1\n")
+        with pytest.raises(FormatError, match=r"thr\.tsv:2: not a finite number"):
+            load_thresholds(path, vocab)
+
+    def test_threshold_on_novel_tag_rejected(self, tmp_path, vocab):
+        path = tmp_path / "thr.tsv"
+        path.write_text("alpha\t0.5\t0.2\t0.1\nbeta\t-\t0.3\t0.0\ngamma\t0.4\t0.4\t0.1\n")
+        with pytest.raises(FormatError, match=r"thr\.tsv:3: threshold given for 'gamma'"):
+            load_thresholds(path, vocab)
 
     def test_reserved_tag_name_refused_on_save(self, tmp_path):
         vocab = Vocabulary.from_partition(["lsq"], ["other"])

@@ -1,8 +1,6 @@
 """Selection strategies: top-k, thresholding, the novel-count
 extrapolation, score refinement, and the adaptive method."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,39 +29,43 @@ from tagselect import (
     rank_all_tags,
     refine_novel_scores,
     run_strategy,
-    select_adaptive,
     select_by_threshold,
-    select_topk,
     similarity_matrix,
 )
 from tagselect.selection import refine_table
 
+ADAPTIVE = StrategySpec("adaptive")
+
+
+def top_k(k):
+    return StrategySpec("top_k", k=k)
+
 
 class TestSelectTopk:
-    def test_picks_highest_scores(self, tiny_table):
-        picks = select_topk(tiny_table, "im0", 2)
+    def test_picks_highest_scores(self, tiny_table, tiny_vocab):
+        picks = run_strategy(top_k(2), tiny_table, tiny_vocab).row("im0")
         assert [p.tag for p in picks] == ["apple", "cat"]
         assert [p.score for p in picks] == [0.9, 0.7]
         assert all(p.provenance == FROM_FALLBACK for p in picks)
 
-    def test_k_equal_to_vocabulary(self, tiny_table):
-        picks = select_topk(tiny_table, "im2", 5)
+    def test_k_equal_to_vocabulary(self, tiny_table, tiny_vocab):
+        picks = run_strategy(top_k(5), tiny_table, tiny_vocab).row("im2")
         # All-equal scores: alphabetical order.
         assert [p.tag for p in picks] == ["apple", "boat", "cat", "dune", "echo"]
 
-    def test_k_out_of_range(self, tiny_table):
+    def test_k_out_of_range(self, tiny_table, tiny_vocab):
         with pytest.raises(TagSelectError):
-            select_topk(tiny_table, "im0", 0)
+            run_strategy(top_k(0), tiny_table, tiny_vocab)
         with pytest.raises(TagSelectError):
-            select_topk(tiny_table, "im0", 6)
+            run_strategy(top_k(6), tiny_table, tiny_vocab)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(19)
-        tags = tuple(f"t{i:02d}" for i in range(40))
+        vocab = Vocabulary.from_partition([f"t{i:02d}" for i in range(40)], [])
         scores = rng.integers(0, 5, size=(1, 40)) / 2.0
-        table = ScoreTable(("x",), tags, scores)
-        expected = oracles.sorted_tags({t: table.score("x", t) for t in tags})[:7]
-        assert [p.tag for p in select_topk(table, "x", 7)] == expected
+        table = ScoreTable(("x",), vocab.tags, scores)
+        expected = oracles.sorted_tags({t: table.score("x", t) for t in vocab.tags})[:7]
+        assert [p.tag for p in run_strategy(top_k(7), table, vocab).row("x")] == expected
 
 
 class TestSelectByThreshold:
@@ -248,7 +250,7 @@ class TestSelectAdaptive:
         vocab, model, sim = adaptive_fixture()
         row = np.array([[0.9, 0.1, 0.9, 0.6, 0.2, 0.8, 0.4]])
         table = ScoreTable(("x",), vocab.tags, row)
-        picks = select_adaptive(table, "x", vocab, model, sim, AdaptiveConfig())
+        picks = run_strategy(ADAPTIVE, table, vocab, model, sim).row("x")
         # A = {s1}; pool size 2 (s3 untrainable), so k_novel = rhu(4*1/2) = 2.
         seen_part = [p for p in picks if p.provenance == FROM_SEEN_THRESHOLDING]
         novel_part = [p for p in picks if p.provenance == FROM_NOVEL_TOPK]
@@ -261,7 +263,7 @@ class TestSelectAdaptive:
         # s3 has the top score but no threshold: never selected, never counted.
         row = np.array([[0.6, 0.6, 99.0, 0.0, 0.0, 0.0, 0.0]])
         table = ScoreTable(("x",), vocab.tags, row)
-        picks = select_adaptive(table, "x", vocab, model, sim, AdaptiveConfig())
+        picks = run_strategy(ADAPTIVE, table, vocab, model, sim).row("x")
         tags = [p.tag for p in picks]
         assert "s3" not in tags
         assert tags[:2] == ["s1", "s2"]
@@ -272,9 +274,7 @@ class TestSelectAdaptive:
         vocab, model, sim = adaptive_fixture()
         row = np.array([[0.1, 0.2, 0.9, 0.8, 0.7, 0.6, 0.5]])
         table = ScoreTable(("x",), vocab.tags, row)
-        picks = select_adaptive(
-            table, "x", vocab, model, sim, AdaptiveConfig(fallback_k=3)
-        )
+        picks = run_strategy(StrategySpec("adaptive", k=3), table, vocab, model, sim).row("x")
         assert [p.tag for p in picks] == ["s3", "n1", "n2"]
         assert all(p.provenance == FROM_FALLBACK for p in picks)
 
@@ -282,7 +282,7 @@ class TestSelectAdaptive:
         vocab, model, sim = adaptive_fixture()
         row = np.array([[0.7, 0.9, 0.0, 0.0, 0.0, 0.0, 0.0]])
         table = ScoreTable(("x",), vocab.tags, row)
-        picks = select_adaptive(table, "x", vocab, model, sim, AdaptiveConfig())
+        picks = run_strategy(ADAPTIVE, table, vocab, model, sim).row("x")
         seen_part = [p.tag for p in picks if p.provenance == FROM_SEEN_THRESHOLDING]
         assert seen_part == ["s2", "s1"]
 
@@ -303,25 +303,18 @@ class TestSelectAdaptive:
         )
         sim = SimilarityMatrix(vocab.tags, values, ())
 
-        raw = select_adaptive(table, "x", vocab, model, sim, AdaptiveConfig())
+        raw = run_strategy(ADAPTIVE, table, vocab, model, sim).row("x")
         assert [p.tag for p in raw if p.provenance == FROM_NOVEL_TOPK] == ["n2"]
 
-        refined = select_adaptive(
-            table, "x", vocab, model, sim, AdaptiveConfig(refine=True, w=0.5)
-        )
+        refining = StrategySpec("adaptive", refine=True, w=0.5)
+        refined = run_strategy(refining, table, vocab, model, sim).row("x")
         novel = [p for p in refined if p.provenance == FROM_NOVEL_TOPK]
         # Refinement hoists n1 past n2, but the reported score stays raw.
         assert [p.tag for p in novel] == ["n1"]
         assert novel[0].score == 0.5
 
-        reported = select_adaptive(
-            table,
-            "x",
-            vocab,
-            model,
-            sim,
-            AdaptiveConfig(refine=True, w=0.5, report_refined=True),
-        )
+        cfg = AdaptiveConfig(refine=True, w=0.5, report_refined=True)
+        reported = run_strategy(refining, table, vocab, model, sim, cfg).row("x")
         novel = [p for p in reported if p.provenance == FROM_NOVEL_TOPK]
         # 0.5*0.5 + 0.5 * 0.9 * (1.0/0.5 - 1) = 0.25 + 0.45 = 0.70
         assert novel[0].score == pytest.approx(0.7, abs=1e-15)
@@ -331,15 +324,15 @@ class TestSelectAdaptive:
         row = np.array([[0.9, 0.1, 0.0, 0.6, 0.2, 0.8, 0.4]])
         table = ScoreTable(("x",), vocab.tags, row)
         with pytest.raises(TagSelectError):
-            select_adaptive(table, "x", vocab, model, None, AdaptiveConfig(refine=True))
+            run_strategy(StrategySpec("adaptive", refine=True), table, vocab, model, None)
 
     def test_count_law_on_benchmark(self, small_bench, small_model):
         vocab = small_bench.vocab
         table = small_bench.eval_table
         pool = [t for t in vocab.seen_tags if t in small_model.tau]
-        cfg = AdaptiveConfig(fallback_k=5)
+        result = run_strategy(StrategySpec("adaptive", k=5), table, vocab, small_model)
         for image in table.images:
-            picks = select_adaptive(table, image, vocab, small_model, None, cfg)
+            picks = result.row(image)
             a = select_by_threshold(table, image, small_model.tau, pool)
             if not a:
                 assert len(picks) == 5
@@ -363,17 +356,6 @@ def triples(picks):
 
 class TestSelectionKernel:
     """The batched kernel against the per-image oracles in ``oracles``."""
-
-    @settings(deadline=None, max_examples=200)
-    @given(problems.selection_problems())
-    def test_one_row_adaptive_calls_match_oracle(self, problem):
-        vocab, table, model, sim, cfg = problem
-        for mode, x in itertools.product(problems.refine_modes(cfg), table.images):
-            want = oracles.adaptive_oracle(
-                table, x, vocab, model, sim, mode.fallback_k, mode.refine, mode.w,
-                mode.report_refined,
-            )
-            assert triples(select_adaptive(table, x, vocab, model, sim, mode)) == want
 
     @settings(deadline=None, max_examples=200)
     @given(problems.selection_problems())

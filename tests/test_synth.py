@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tagselect import (
-    AdaptiveConfig,
     SyntheticSpec,
     TagSelectError,
     compare,
@@ -15,7 +14,6 @@ from tagselect import (
     learn_all_thresholds,
     rank_tags,
     run_strategy,
-    select_adaptive,
     similarity_matrix,
     table1_strategies,
 )
@@ -153,10 +151,9 @@ class TestNoiselessRecovery:
         )
         bench = generate_synthetic(spec, seed=9)
         model = learn_all_thresholds(bench.train_table, bench.train_truth, bench.vocab)
-        cfg = AdaptiveConfig()
+        result = run_strategy(table1_strategies()[5], bench.eval_table, bench.vocab, model)
         for x in bench.eval_table.images:
-            picks = select_adaptive(bench.eval_table, x, bench.vocab, model, None, cfg)
-            assert {p.tag for p in picks} == bench.eval_truth.relevant_set(x)
+            assert result.tag_set(x) == bench.eval_truth.relevant_set(x)
 
 
 class TestComparisonOnBenchmark:
