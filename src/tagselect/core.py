@@ -274,11 +274,6 @@ class GroundTruth:
         row = self.labels[i]
         return frozenset(self.coverage[j] for j in np.flatnonzero(row == 1))
 
-    def defined_tags(self, image: str) -> frozenset[str]:
-        i = self.image_index(image)
-        row = self.labels[i]
-        return frozenset(self.coverage[j] for j in np.flatnonzero(row >= 0))
-
     def has_full_coverage(self, image: str, tags: Iterable[str]) -> bool:
         """True when every listed tag carries a defined label for the image."""
         i = self.image_index(image)

@@ -120,6 +120,8 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
     for lineno, fields in _rows(path):
         _need_fields(path, lineno, fields, 3)
         image, tag, text = fields
+        if not image:
+            raise FormatError(path, lineno, "empty image id")
         if tag not in vocab:
             raise FormatError(path, lineno, f"unknown tag {tag!r}")
         score = _parse_float(path, lineno, text)
@@ -162,6 +164,10 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
     for lineno, fields in _rows(path):
         _need_fields(path, lineno, fields, 3)
         image, tag, label = fields
+        if not image:
+            raise FormatError(path, lineno, "empty image id")
+        if not tag:
+            raise FormatError(path, lineno, "empty tag")
         if vocab is not None and tag not in vocab:
             raise FormatError(path, lineno, f"unknown tag {tag!r}")
         if label not in ("0", "1"):
@@ -185,47 +191,86 @@ def save_truth(truth: GroundTruth, path) -> None:
 # ------------------------------------------------------------- cooccurrence
 
 def load_cooccurrence(path) -> CooccurrenceStats:
-    single: dict[str, int] = {}
-    pair: dict[tuple[str, str], int] = {}
+    """Counts straight into the matrix.  Checks that need every single count
+    and the total (a single count above the total, a pair naming an unknown
+    tag or above one of its single counts) run once the file is read, and
+    name the first bad row in file order."""
+    single: dict[str, tuple[int, int]] = {}
+    pair: dict[tuple[str, str], tuple[int, int]] = {}
     total: int | None = None
     for lineno, fields in _rows(path):
         kind = fields[0]
         if kind == "1":
             _need_fields(path, lineno, fields, 3)
             tag, count = fields[1], _parse_count(path, lineno, fields[2])
+            if not tag:
+                raise FormatError(path, lineno, "empty tag")
             if tag in single:
                 raise FormatError(path, lineno, f"duplicate singleton count for {tag!r}")
-            single[tag] = count
+            single[tag] = (count, lineno)
         elif kind == "2":
             _need_fields(path, lineno, fields, 4)
             a, b = fields[1], fields[2]
+            if not a or not b:
+                raise FormatError(path, lineno, "empty tag")
             if not a < b:
                 raise FormatError(
                     path, lineno, f"pair rows need tag_a < tag_b, got {a!r}, {b!r}"
                 )
             if (a, b) in pair:
                 raise FormatError(path, lineno, f"duplicate pair count for ({a!r}, {b!r})")
-            pair[(a, b)] = _parse_count(path, lineno, fields[3])
+            pair[(a, b)] = (_parse_count(path, lineno, fields[3]), lineno)
         elif kind == "N":
             _need_fields(path, lineno, fields, 2)
             if total is not None:
                 raise FormatError(path, lineno, "duplicate total row")
             total = _parse_count(path, lineno, fields[1])
+            if not 0 < total <= np.iinfo(np.int64).max:
+                raise FormatError(
+                    path, lineno, f"collection size must be in [1, 2**63), got {total}"
+                )
         else:
             raise FormatError(path, lineno, f"unknown row kind {kind!r} (need 1, 2 or N)")
     if total is None:
         raise FormatError(path, 0, "missing total row 'N<TAB>count'")
-    return CooccurrenceStats(single, pair, total)
+    bad: list[tuple[int, str]] = [
+        (lineno, f"occurrence count for {tag!r} exceeds collection size {total}")
+        for tag, (count, lineno) in single.items()
+        if count > total
+    ]
+    for (a, b), (count, lineno) in pair.items():
+        fa = single.get(a)
+        fb = single.get(b)
+        if fa is None or fb is None:
+            unknown = a if fa is None else b
+            bad.append((lineno, f"pair count references unknown tag {unknown!r}"))
+        elif count > fa[0] or count > fb[0]:
+            bad.append((lineno, f"pair count for {(a, b)!r} exceeds one of its single counts"))
+    if bad:
+        raise FormatError(path, *min(bad))
+    tags = sorted(single)
+    index = {t: i for i, t in enumerate(tags)}
+    counts = np.zeros((len(tags), len(tags)), dtype=np.int64)
+    np.fill_diagonal(counts, [single[t][0] for t in tags])
+    if pair:
+        rows = np.array([index[a] for a, _ in pair])
+        cols = np.array([index[b] for _, b in pair])
+        values = np.array([c for c, _ in pair.values()], dtype=np.int64)
+        counts[rows, cols] = values
+        counts[cols, rows] = values
+    return CooccurrenceStats.from_counts(tags, counts, total)
 
 
 def save_cooccurrence(stats: CooccurrenceStats, path) -> None:
+    """Singles and pairs in ascending tag order; pairs that never co-occur
+    are not written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# 1\ttag\tcount | 2\ttag_a\ttag_b\tcount | N\tcount\n")
         fh.write(f"N\t{stats.total}\n")
-        for tag in sorted(stats.single):
-            fh.write(f"1\t{tag}\t{stats.single[tag]}\n")
-        for a, b in sorted(stats.pair):
-            fh.write(f"2\t{a}\t{b}\t{stats.pair[(a, b)]}\n")
+        for tag, count in stats.single.items():
+            fh.write(f"1\t{tag}\t{count}\n")
+        for (a, b), count in stats.pair.items():
+            fh.write(f"2\t{a}\t{b}\t{count}\n")
 
 
 # ---------------------------------------------------------------- selections
@@ -238,6 +283,8 @@ def load_selections(path) -> SelectionResult:
         image, tag, text, provenance = fields
         if not image:
             raise FormatError(path, lineno, "empty image id")
+        if not tag:
+            raise FormatError(path, lineno, "empty tag")
         if provenance not in PROVENANCES:
             raise FormatError(path, lineno, f"unknown provenance {provenance!r}")
         score = _parse_float(path, lineno, text)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -18,39 +20,60 @@ from .core import Vocabulary
 from .errors import TagSelectError
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True, eq=False)
+def _check_total(total) -> None:
+    if not isinstance(total, int) or total < 1:
+        raise TagSelectError(f"collection size must be a positive integer, got {total!r}")
+    if total > _INT64_MAX:
+        raise TagSelectError(f"collection size {total} exceeds the int64 range")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class CooccurrenceStats:
     """Occurrence counts over a reference collection.
 
-    ``single[t]`` counts images carrying tag t, ``pair[(a, b)]`` (keys stored
-    with a <= b) counts images carrying both, and ``total`` is the collection
-    size.  A missing pair key means the tags never co-occur; a missing
-    diagonal key defaults to the single count.
+    ``tags`` is sorted, and ``counts`` is a read-only, symmetric int64
+    matrix over them: ``counts[i, i]`` counts the images carrying tag i,
+    ``counts[i, j]`` the images carrying both i and j.  ``total`` is the
+    collection size.
+
+    ``CooccurrenceStats(single, pair, total)`` builds the matrix from
+    mappings: ``single[t]`` per tag and ``pair[(a, b)]`` in either key
+    order.  A missing pair key means the tags never co-occur; a diagonal key
+    must equal the single count.  ``from_counts`` takes the matrix itself.
     """
 
-    single: Mapping[str, int]
-    pair: Mapping[tuple[str, str], int]
+    tags: tuple[str, ...]
+    counts: np.ndarray
     total: int
 
-    def __post_init__(self):
-        if not isinstance(self.total, int) or self.total < 1:
-            raise TagSelectError(f"collection size must be a positive integer, got {self.total!r}")
-        single = dict(self.single)
+    def __init__(
+        self, single: Mapping[str, int], pair: Mapping[tuple[str, str], int], total: int
+    ):
+        _check_total(total)
+        single = dict(single)
         for t, c in single.items():
             if not isinstance(c, int) or c < 0:
                 raise TagSelectError(f"occurrence count for {t!r} must be a non-negative integer")
-            if c > self.total:
+            if c > total:
                 raise TagSelectError(f"occurrence count for {t!r} exceeds collection size")
-        pair: dict[tuple[str, str], int] = {}
-        for key, c in self.pair.items():
+        tags = tuple(sorted(single))
+        index = {t: i for i, t in enumerate(tags)}
+        counts = np.zeros((len(tags), len(tags)), dtype=np.int64)
+        np.fill_diagonal(counts, [single[t] for t in tags])
+        keys: set[tuple[str, str]] = set()
+        for key, c in pair.items():
             a, b = key
             norm = _pair_key(a, b)
-            if norm in pair:
+            if norm in keys:
                 raise TagSelectError(f"duplicate pair count for {norm!r}")
+            keys.add(norm)
             if not isinstance(c, int) or c < 0:
                 raise TagSelectError(f"pair count for {norm!r} must be a non-negative integer")
             for t in norm:
@@ -61,24 +84,100 @@ class CooccurrenceStats:
                     raise TagSelectError(
                         f"diagonal pair count for {a!r} disagrees with its single count"
                     )
-            elif c > min(single[a], single[b]):
+                continue
+            if c > min(single[a], single[b]):
                 raise TagSelectError(
                     f"pair count for {norm!r} exceeds one of its single counts"
                 )
-            pair[norm] = c
-        object.__setattr__(self, "single", single)
-        object.__setattr__(self, "pair", pair)
+            counts[index[a], index[b]] = counts[index[b], index[a]] = c
+        self._init(tags, counts, total)
+
+    @classmethod
+    def from_counts(
+        cls, tags: Sequence[str], counts: np.ndarray, total: int
+    ) -> "CooccurrenceStats":
+        """Build from an integer count matrix over ``tags`` (in any order)
+        whose diagonal holds the single counts, checked with array
+        operations under the constructor's rules and messages."""
+        _check_total(total)
+        tags = tuple(tags)
+        n = len(tags)
+        if len(set(tags)) != n:
+            raise TagSelectError("co-occurrence tags contain duplicates")
+        arr = np.asarray(counts)
+        if arr.shape != (n, n):
+            raise TagSelectError(f"count matrix shape {arr.shape} is not {n}x{n}")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise TagSelectError(f"count matrix must hold integers, got dtype {arr.dtype}")
+        order = sorted(range(n), key=tags.__getitem__)
+        tags = tuple(tags[i] for i in order)
+        arr = arr[np.ix_(order, order)]
+        diag = arr.diagonal()
+
+        def first_pair(mask):
+            i, j = np.argwhere(mask)[0]
+            return (tags[i], tags[j])
+
+        asymmetric = arr != arr.T
+        if asymmetric.any():
+            raise TagSelectError(f"count matrix is not symmetric at {first_pair(asymmetric)!r}")
+        for bad, message in (
+            (diag < 0, "occurrence count for {!r} must be a non-negative integer"),
+            (diag > total, "occurrence count for {!r} exceeds collection size"),
+        ):
+            if bad.any():
+                raise TagSelectError(message.format(tags[int(np.argmax(bad))]))
+        # With the diagonal valid, a cell above its smaller single count is
+        # never on the diagonal; by symmetry the first bad cell has i < j.
+        for bad, message in (
+            (arr < 0, "pair count for {!r} must be a non-negative integer"),
+            (
+                arr > np.minimum.outer(diag, diag),
+                "pair count for {!r} exceeds one of its single counts",
+            ),
+        ):
+            if bad.any():
+                raise TagSelectError(message.format(first_pair(bad)))
+        stats = cls.__new__(cls)
+        stats._init(tags, arr.astype(np.int64, copy=False), total)
+        return stats
+
+    def _init(self, tags: tuple[str, ...], counts: np.ndarray, total: int) -> None:
+        counts.setflags(write=False)
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tags)})
+
+    @cached_property
+    def single(self) -> Mapping[str, int]:
+        """Read-only tag -> occurrence count, in sorted tag order."""
+        return MappingProxyType(dict(zip(self.tags, self.counts.diagonal().tolist())))
+
+    @cached_property
+    def pair(self) -> Mapping[tuple[str, str], int]:
+        """Read-only (a, b) -> count of the co-occurring pairs, a < b, in
+        ascending key order."""
+        rows, cols = np.nonzero(np.triu(self.counts, 1))
+        t = self.tags
+        values = self.counts[rows, cols].tolist()
+        return MappingProxyType(
+            {(t[i], t[j]): c for i, j, c in zip(rows.tolist(), cols.tolist(), values)}
+        )
 
     def single_count(self, tag: str) -> int:
-        return self.single.get(tag, 0)
+        i = self._index.get(tag)
+        return 0 if i is None else int(self.counts[i, i])
 
     def pair_count(self, a: str, b: str) -> int:
         if a == b:
-            return self.pair.get((a, a), self.single_count(a))
-        return self.pair.get(_pair_key(a, b), 0)
+            return self.single_count(a)
+        i = self._index.get(a)
+        j = self._index.get(b)
+        return 0 if i is None or j is None else int(self.counts[i, j])
 
     def has_tag(self, tag: str) -> bool:
-        return self.single.get(tag, 0) > 0
+        return self.single_count(tag) > 0
 
 
 def ngd(stats: CooccurrenceStats, a: str, b: str) -> float:
@@ -165,19 +264,47 @@ def similarity_matrix(stats: CooccurrenceStats, vocab: Vocabulary) -> Similarity
     """Dense pairwise similarity for all vocabulary tags.
 
     The diagonal is exactly 1.  Tags without occurrence counts are reported
-    in ``missing`` and get 0 against every other tag.
+    in ``missing`` and get 0 against every other tag.  Every other value is
+    ``fcs`` bit for bit, computed once per unordered pair on the upper
+    triangle and mirrored, so the matrix is exactly symmetric.  The logs and
+    exponentials are libm's ``math.log`` and ``math.exp`` (numpy's differ in
+    the last bit); the rest is IEEE arithmetic that numpy rounds as Python
+    does.
     """
     tags = vocab.tags
     n = len(tags)
-    values = np.zeros((n, n), dtype=np.float64)
-    np.fill_diagonal(values, 1.0)
-    present = [i for i, t in enumerate(tags) if stats.has_tag(t)]
-    missing = tuple(t for t in tags if not stats.has_tag(t))
-    for pos, i in enumerate(present):
-        for j in present[pos + 1:]:
-            # One computation per unordered pair keeps the matrix exactly
-            # symmetric at the bit level.
-            v = fcs(stats, tags[i], tags[j])
-            values[i, j] = v
-            values[j, i] = v
+    col = np.array([stats._index.get(t, -1) for t in tags], dtype=np.intp)
+    known = col >= 0
+    f = np.zeros(n, dtype=np.int64)
+    f[known] = stats.counts.diagonal()[col[known]]
+    present = np.flatnonzero(f > 0)
+    missing = tuple(tags[i] for i in np.flatnonzero(f <= 0))
+    values = np.eye(n)
+    m = len(present)
+    if m > 1:
+        if stats.total < 2:
+            raise TagSelectError("collection must hold at least two images")
+        cols = col[present]
+        i, j = np.triu_indices(m, 1)
+        fab = stats.counts[cols[i], cols[j]]
+        distinct, inverse = np.unique(
+            np.concatenate((f[present], fab, [stats.total])), return_inverse=True
+        )
+        # log 0 is never used: pairs with fab == 0 are masked below.
+        logs = np.array([math.log(c) if c else 0.0 for c in distinct.tolist()])[inverse]
+        log_f, log_fab, log_total = logs[:m], logs[m:-1], logs[-1]
+        log_fa, log_fb = log_f[i], log_f[j]
+        num = np.maximum(log_fa, log_fb) - log_fab
+        den = log_total - np.minimum(log_fa, log_fb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist = num / den
+        # ngd's branches, lowest precedence first.
+        dist[den <= 0.0] = math.inf
+        dist[num <= 0.0] = 0.0
+        dist[fab == 0] = math.inf
+        sims = np.array(list(map(math.exp, (-dist).tolist())))
+        block = np.eye(m)
+        block[i, j] = sims
+        block[j, i] = sims
+        values[np.ix_(present, present)] = block
     return SimilarityMatrix(tags, values, missing)

@@ -116,13 +116,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticBenchmark:
     eval_truth = GroundTruth(eval_images, vocab.tags, rel_eval.astype(np.int8))
 
     rel_all = np.vstack([rel_train, rel_eval]).astype(np.float64)
-    joint = rel_all.T @ rel_all
-    single = {t: int(joint[i, i]) for i, t in enumerate(vocab.tags)}
-    pair: dict[tuple[str, str], int] = {}
-    for i in range(len(vocab.tags)):
-        for j in range(i + 1, len(vocab.tags)):
-            c = int(joint[i, j])
-            if c:
-                pair[(vocab.tags[i], vocab.tags[j])] = c
-    stats = CooccurrenceStats(single, pair, spec.n_train + spec.n_images)
+    # Integer-valued float sums are exact far beyond these collection sizes.
+    joint = (rel_all.T @ rel_all).astype(np.int64)
+    stats = CooccurrenceStats.from_counts(vocab.tags, joint, spec.n_train + spec.n_images)
     return SyntheticBenchmark(vocab, train_table, train_truth, eval_table, eval_truth, stats)

@@ -1,11 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, exhaustive enumeration, library solvers).  Apart from the selection
-oracles at the end, it shares no code with the package; those compose the
-package's per-image scalar references (``select_by_threshold``,
-``k_novel``, ``refine_novel_scores``), which their own tests pin down, with
-``sorted``, to check the batched selection kernel.
+loops, exhaustive enumeration, library solvers).  Apart from the similarity
+and selection oracles at the end, it shares no code with the package; those
+compose the package's scalar references (``fcs``, ``select_by_threshold``,
+``k_novel``, ``refine_novel_scores``), which their own tests pin down, to
+check the array passes built on them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from tagselect import k_novel, refine_novel_scores, select_by_threshold
+from tagselect import (
+    SimilarityMatrix,
+    fcs,
+    k_novel,
+    refine_novel_scores,
+    select_by_threshold,
+)
 
 
 def brute_force_threshold(scores, labels):
@@ -128,6 +134,23 @@ def evaluate_corpus(relevant_by_image, predicted_by_image, ranking_by_image):
         fs.append(f)
         aps.append(ap_literal(relevant, ranking_by_image[image]))
     return sum(fs) / len(fs), sum(aps) / len(aps)
+
+
+def similarity_matrix_oracle(stats, vocab):
+    """The similarity matrix from one scalar ``fcs`` call per unordered
+    pair of present tags, mirrored."""
+    tags = vocab.tags
+    n = len(tags)
+    values = np.zeros((n, n), dtype=np.float64)
+    np.fill_diagonal(values, 1.0)
+    present = [i for i, t in enumerate(tags) if stats.has_tag(t)]
+    missing = tuple(t for t in tags if not stats.has_tag(t))
+    for pos, i in enumerate(present):
+        for j in present[pos + 1:]:
+            v = fcs(stats, tags[i], tags[j])
+            values[i, j] = v
+            values[j, i] = v
+    return SimilarityMatrix(tags, values, missing)
 
 
 def _row(table, image):

@@ -81,6 +81,15 @@ class TestValidate:
         assert code == 1
         assert "error[format]" in capsys.readouterr().err
 
+    def test_empty_image_id_is_a_format_error(self, bench_dir, capsys):
+        scores = bench_dir / "eval_scores.tsv"
+        lines = scores.read_text().splitlines()
+        lines[1] = "\t".join(["", *lines[1].split("\t")[1:]])
+        scores.write_text("\n".join(lines) + "\n")
+        code = run("validate", "--vocab", bench_dir / "vocabulary.tsv", "--scores", scores)
+        assert code == 1
+        assert f"error[format]: {scores}:2: empty image id" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_learn_select_evaluate_compare(self, bench_dir, tmp_path, capsys):

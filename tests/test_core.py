@@ -123,7 +123,6 @@ class TestGroundTruth:
 
     def test_relevant_and_defined_sets(self, tiny_truth):
         assert tiny_truth.relevant_set("im0") == {"apple", "cat"}
-        assert tiny_truth.defined_tags("im0") == {"apple", "boat", "cat"}
 
     def test_full_coverage(self, tiny_truth):
         assert tiny_truth.has_full_coverage("im0", ["apple", "boat"])

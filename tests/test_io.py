@@ -125,6 +125,12 @@ class TestScoresFormat:
         with pytest.raises(FormatError):
             load_scores(path, vocab)
 
+    def test_empty_image_id_rejected(self, tmp_path, vocab):
+        path = tmp_path / "scores.tsv"
+        path.write_text("im0\talpha\t0.5\n\talpha\t0.5\n")
+        with pytest.raises(FormatError, match=r"scores\.tsv:2: empty image id"):
+            load_scores(path, vocab)
+
     def test_double_save_is_byte_identical(self, tmp_path, vocab):
         rng = np.random.default_rng(71)
         table = ScoreTable(("im0",), vocab.tags, rng.normal(size=(1, 3)))
@@ -171,6 +177,16 @@ class TestTruthFormat:
         path = tmp_path / "truth.tsv"
         path.write_text("")
         with pytest.raises(FormatError):
+            load_truth(path)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("\talpha\t1", "empty image id"), ("im1\t\t1", "empty tag")],
+    )
+    def test_empty_identifier_rejected(self, tmp_path, line, message):
+        path = tmp_path / "truth.tsv"
+        path.write_text(f"im0\talpha\t1\n{line}\n")
+        with pytest.raises(FormatError, match=rf"truth\.tsv:2: {message}"):
             load_truth(path)
 
 
@@ -222,8 +238,59 @@ class TestCooccurrenceFormat:
     def test_pair_exceeding_single_rejected_at_build(self, tmp_path):
         path = tmp_path / "cooc.tsv"
         path.write_text("N\t100\n1\talpha\t2\n1\tbeta\t5\n2\talpha\tbeta\t4\n")
-        with pytest.raises(TagSelectError):
+        with pytest.raises(TagSelectError) as err:
             load_cooccurrence(path)
+        assert isinstance(err.value, FormatError)
+        assert err.value.lineno == 4
+
+    @pytest.mark.parametrize(
+        "line", ["1\t\t5", "2\t\talpha\t1", "2\talpha\t\t1"]
+    )
+    def test_empty_tag_rejected(self, tmp_path, line):
+        path = tmp_path / "cooc.tsv"
+        path.write_text(f"N\t100\n1\talpha\t10\n{line}\n")
+        with pytest.raises(FormatError, match=r"cooc\.tsv:3: empty tag"):
+            load_cooccurrence(path)
+
+    def test_pair_naming_unknown_tag_rejected(self, tmp_path):
+        path = tmp_path / "cooc.tsv"
+        path.write_text("N\t100\n1\talpha\t10\n2\talpha\tzeta\t1\n1\tbeta\t5\n")
+        with pytest.raises(FormatError, match=r"cooc\.tsv:3: .*unknown tag 'zeta'"):
+            load_cooccurrence(path)
+
+    def test_single_exceeding_total_rejected(self, tmp_path):
+        path = tmp_path / "cooc.tsv"
+        path.write_text("1\talpha\t10\n1\tbeta\t500\nN\t100\n")
+        with pytest.raises(FormatError) as err:
+            load_cooccurrence(path)
+        assert err.value.lineno == 2
+
+    def test_first_bad_row_in_file_order(self, tmp_path):
+        # Pair rows may precede the singles they name; each keeps its line.
+        path = tmp_path / "cooc.tsv"
+        path.write_text(
+            "2\talpha\tbeta\t9\n2\talpha\tzeta\t1\nN\t100\n1\talpha\t10\n1\tbeta\t5\n"
+        )
+        with pytest.raises(FormatError, match="exceeds one of its single counts") as err:
+            load_cooccurrence(path)
+        assert err.value.lineno == 1
+
+    def test_zero_pair_rows_are_checked_but_not_kept(self, tmp_path):
+        path = tmp_path / "cooc.tsv"
+        path.write_text("N\t100\n1\talpha\t10\n1\tbeta\t5\n2\talpha\tbeta\t0\n")
+        stats = load_cooccurrence(path)
+        assert stats.pair == {}
+        assert stats.pair_count("alpha", "beta") == 0
+        path.write_text("N\t100\n1\talpha\t10\n2\talpha\tbeta\t0\n")
+        with pytest.raises(FormatError, match="unknown tag 'beta'"):
+            load_cooccurrence(path)
+
+    def test_non_positive_total_rejected(self, tmp_path):
+        path = tmp_path / "cooc.tsv"
+        path.write_text("1\talpha\t0\nN\t0\n")
+        with pytest.raises(FormatError) as err:
+            load_cooccurrence(path)
+        assert err.value.lineno == 2
 
 
 class TestSelectionsFormat:
@@ -265,6 +332,12 @@ class TestSelectionsFormat:
         path = tmp_path / "sel.tsv"
         path.write_text("im0\talpha\t0.5\tfrom_fallback\n\talpha\t0.5\tfrom_fallback\n")
         with pytest.raises(FormatError, match=r"sel\.tsv:2: empty image id"):
+            load_selections(path)
+
+    def test_empty_tag_rejected(self, tmp_path):
+        path = tmp_path / "sel.tsv"
+        path.write_text("im0\talpha\t0.5\tfrom_fallback\nim0\t\t0.5\tfrom_fallback\n")
+        with pytest.raises(FormatError, match=r"sel\.tsv:2: empty tag"):
             load_selections(path)
 
 

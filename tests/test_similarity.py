@@ -211,3 +211,160 @@ class TestSimilarityMatrix:
         sim = similarity_matrix(make_stats(10, 10, 0, 100), vocab)
         with pytest.raises(TagSelectError):
             sim.value("a", "zzz")
+
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def cooccurrence_problems(draw):
+    """A vocabulary and statistics over overlapping tag sets, with counts
+    drawn from a small palette so that ties and extremes are common: zero
+    counts, tags on every image, and pairs equal to both singles."""
+    vocab_tags = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=6, unique=True))
+    n_seen = draw(st.integers(0, len(vocab_tags)))
+    vocab = Vocabulary.from_partition(vocab_tags[:n_seen], vocab_tags[n_seen:])
+    total = draw(st.one_of(st.just(1), st.integers(2, 12), st.integers(2, 10**6)))
+    palette = [0, total] + draw(st.lists(st.integers(0, total), min_size=1, max_size=3))
+    stats_tags = draw(st.lists(st.sampled_from(NAMES), max_size=6, unique=True))
+    single = {t: draw(st.sampled_from(palette)) for t in stats_tags}
+    pair = {}
+    for pos, a in enumerate(stats_tags):
+        for b in stats_tags[pos + 1:]:
+            cap = min(single[a], single[b])
+            key = (a, b) if draw(st.booleans()) else (b, a)
+            pair[key] = draw(st.sampled_from([0, cap, draw(st.integers(0, cap))]))
+    return vocab, CooccurrenceStats(single, pair, total)
+
+
+def outcome(build):
+    try:
+        return build()
+    except TagSelectError as exc:
+        return str(exc)
+
+
+class TestSimilarityMatrixParity:
+    @settings(deadline=None, max_examples=400)
+    @given(cooccurrence_problems())
+    def test_bit_identical_to_pairwise_loop(self, problem):
+        vocab, stats = problem
+        got = outcome(lambda: similarity_matrix(stats, vocab))
+        want = outcome(lambda: oracles.similarity_matrix_oracle(stats, vocab))
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.tags == want.tags
+        assert got.missing == want.missing
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    def test_every_branch_of_the_distance(self):
+        # a, b: fab == fa == fb (num <= 0); c, d: on every image with
+        # 0 < fab < total (den <= 0); e never co-occurs; ghost is absent.
+        vocab = Vocabulary.from_partition(["a", "b", "c", "d"], ["e", "f", "ghost"])
+        stats = CooccurrenceStats(
+            {"a": 7, "b": 7, "c": 50, "d": 50, "e": 3, "f": 20, "out": 9},
+            {("a", "b"): 7, ("c", "d"): 20, ("a", "f"): 4, ("c", "f"): 20, ("f", "out"): 2},
+            50,
+        )
+        got = similarity_matrix(stats, vocab)
+        want = oracles.similarity_matrix_oracle(stats, vocab)
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        assert got.missing == ("ghost",)
+        assert got.value("a", "b") == 1.0
+        assert got.value("c", "d") == 0.0
+        assert got.value("a", "e") == 0.0
+        assert 0.0 < got.value("a", "f") < 1.0
+
+    def test_counts_whose_numpy_log_differs_from_libm(self):
+        # np.log(9170), np.log(19143), np.log(94869) and np.log(102327) are
+        # one ulp off math.log on numpy 2.4.6; the values must still be
+        # libm's.
+        vocab = Vocabulary.from_partition(["a", "b"], ["c", "d"])
+        stats = CooccurrenceStats(
+            {"a": 9170, "b": 19143, "c": 94869, "d": 102327},
+            {("a", "b"): 9170, ("b", "c"): 19143, ("c", "d"): 94869, ("a", "d"): 5000},
+            136085,
+        )
+        got = similarity_matrix(stats, vocab)
+        want = oracles.similarity_matrix_oracle(stats, vocab)
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    def test_tiny_collection_rejected_like_the_loop(self):
+        vocab = Vocabulary.from_partition(["a", "b"], [])
+        stats = CooccurrenceStats({"a": 1, "b": 1}, {}, 1)
+        with pytest.raises(TagSelectError, match="at least two images"):
+            similarity_matrix(stats, vocab)
+        # With a single present tag there is no pair to compute.
+        one = CooccurrenceStats({"a": 1, "b": 0}, {}, 1)
+        assert similarity_matrix(one, vocab).missing == ("b",)
+
+
+def count_matrix(stats, order):
+    """The count matrix of ``stats`` with rows and columns in ``order``."""
+    counts = [[stats.pair_count(a, b) for b in order] for a in order]
+    return np.array(counts, dtype=np.int64).reshape(len(order), len(order))
+
+
+class TestFromCounts:
+    @settings(deadline=None, max_examples=200)
+    @given(cooccurrence_problems(), st.randoms(use_true_random=False))
+    def test_same_views_as_the_mapping_constructor(self, problem, rnd):
+        _, stats = problem
+        order = list(stats.tags)
+        rnd.shuffle(order)
+        built = CooccurrenceStats.from_counts(order, count_matrix(stats, order), stats.total)
+        assert built.tags == stats.tags == tuple(sorted(stats.tags))
+        assert np.array_equal(built.counts, stats.counts)
+        assert built.counts.dtype == np.int64 and not built.counts.flags.writeable
+        assert built.total == stats.total
+        assert built.single == stats.single
+        assert built.pair == stats.pair
+        assert list(built.pair) == sorted(built.pair)
+        assert all(a < b and c > 0 for (a, b), c in built.pair.items())
+        for a in (*order, "ghost"):
+            assert built.has_tag(a) == stats.has_tag(a)
+            assert built.single_count(a) == stats.single_count(a)
+            for b in (*order, "ghost"):
+                assert built.pair_count(a, b) == stats.pair_count(a, b)
+
+    @pytest.mark.parametrize(
+        "single, pair, total",
+        [
+            ({"a": 11, "b": 2}, {}, 10),
+            ({"a": -1, "b": 2}, {}, 10),
+            ({"a": 3, "b": 2}, {("a", "b"): 3}, 10),
+            ({"a": 3, "b": 2}, {("a", "b"): -1}, 10),
+            ({"a": 3, "b": 2}, {}, 0),
+        ],
+    )
+    def test_rejects_what_the_mapping_constructor_rejects(self, single, pair, total):
+        with pytest.raises(TagSelectError) as mapped:
+            CooccurrenceStats(single, pair, total)
+        counts = np.diag(list(single.values()))
+        for (a, b), c in pair.items():
+            counts[0, 1] = counts[1, 0] = c
+        with pytest.raises(TagSelectError) as matrix:
+            CooccurrenceStats.from_counts(list(single), counts, total)
+        assert str(matrix.value) == str(mapped.value)
+
+    @pytest.mark.parametrize(
+        "tags, counts, message",
+        [
+            (["a", "b"], [[3, 1], [0, 2]], "not symmetric"),
+            (["a", "b"], [[3.0, 1.0], [1.0, 2.0]], "integers"),
+            (["a", "b"], [[3]], "shape"),
+            (["a", "a"], [[3, 1], [1, 2]], "duplicates"),
+        ],
+    )
+    def test_rejects_malformed_matrices(self, tags, counts, message):
+        with pytest.raises(TagSelectError, match=message):
+            CooccurrenceStats.from_counts(tags, np.array(counts), 10)
+
+    def test_views_are_read_only(self):
+        stats = CooccurrenceStats({"a": 3, "b": 2}, {("b", "a"): 1, ("a", "a"): 3}, 10)
+        assert stats.pair == {("a", "b"): 1}
+        with pytest.raises(TypeError):
+            stats.single["a"] = 4
+        with pytest.raises(ValueError):
+            stats.counts[0, 0] = 4
