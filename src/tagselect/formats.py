@@ -89,6 +89,8 @@ def load_vocabulary(path) -> Vocabulary:
     for lineno, fields in _rows(path):
         _need_fields(path, lineno, fields, 2)
         tag, side = fields
+        if not tag:
+            raise FormatError(path, lineno, "empty tag")
         if side not in (SEEN, NOVEL):
             raise FormatError(path, lineno, f"partition must be 'seen' or 'novel', got {side!r}")
         if tag in partition:
@@ -327,14 +329,18 @@ def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
             continue
         _need_fields(path, lineno, fields, 4)
         tag, tau_text, mu_text, sigma_text = fields
+        if tag not in vocab:
+            raise FormatError(path, lineno, f"unknown tag {tag!r}")
         if tag in tag_set:
             raise FormatError(path, lineno, f"duplicate tag {tag!r}")
         tag_set.add(tag)
         tags.append(tag)
         mu.append(_parse_finite(path, lineno, mu_text))
         sigma.append(_parse_finite(path, lineno, sigma_text))
+        if sigma[-1] < 0:
+            raise FormatError(path, lineno, f"negative standard deviation: {sigma_text!r}")
         if tau_text != "-":
-            if vocab.partition.get(tag) != SEEN:
+            if vocab.partition[tag] != SEEN:
                 raise FormatError(path, lineno, f"threshold given for {tag!r}, not a seen tag")
             tau[tag] = _parse_finite(path, lineno, tau_text)
     if set(tags) != set(vocab.tags):

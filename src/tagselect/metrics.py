@@ -156,31 +156,27 @@ def _score_images(
 ) -> list[tuple[int, tuple[float, float, float, float]]]:
     """(position, (precision, recall, F, AP)) of every included image.
 
-    Tags are encoded as cells ``image * width + column`` of a flat grid over
-    the images and the truth coverage, plus one last column that stands for
-    every tag outside the coverage and is never labeled.
+    Each image's ranking and prediction become one row of truth-coverage
+    columns, padded on the right with one more column that stands for every
+    tag outside the coverage and is never labeled.
     """
     n = len(images)
     n_cov = len(truth.coverage)
-    width = n_cov + 1
-    index_dtype = np.int32 if n * width < 2**31 else np.int64
     column = {t: j for j, t in enumerate(truth.coverage)}
-    labels = np.full((n, width), -1, dtype=np.int8)
+    labels = np.full((n, n_cov + 1), -1, dtype=np.int8)
     labels[:, :n_cov] = truth.labels[[truth.image_index(x) for x in images]]
-    labels = labels.ravel()
+    rows = np.arange(n)[:, None]
 
-    # Ranked positions, image-major and in rank order.
     lengths = np.fromiter(map(len, universes), dtype=np.intp, count=n)
-    cells = _cells(column, n_cov, chain.from_iterable(universes), lengths, index_dtype)
-    owner = cells // width
-    label = labels[cells]
-    ranked = np.zeros(n * width, dtype=bool)
-    ranked[cells] = True
+    ranked = _column_rows(column, n_cov, chain.from_iterable(universes), lengths)
+    label = labels[rows, ranked]
     is_judged = label >= 0
-    n_judged = np.bincount(owner[is_judged], minlength=n)
-    n_distinct = np.count_nonzero((ranked & (labels >= 0)).reshape(n, width), axis=1)
-    relevant = ranked & (labels == 1)
-    n_relevant = np.count_nonzero(relevant.reshape(n, width), axis=1)
+    n_judged = np.count_nonzero(is_judged, axis=1)
+    in_ranking = np.zeros(labels.shape, dtype=bool)
+    in_ranking[rows, ranked] = True
+    n_distinct = np.count_nonzero(in_ranking & (labels >= 0), axis=1)
+    relevant = in_ranking & (labels == 1)
+    n_relevant = np.count_nonzero(relevant, axis=1)
     included = n_relevant > 0
     if require_full_coverage:
         included &= n_judged == lengths
@@ -191,35 +187,23 @@ def _score_images(
         ap_image(truth.relevant_set(images[i]), order)  # raises on the duplicate
 
     # AP: at the k-th relevant tag of an image, judged at position i, the
-    # precision is k / i; each image adds its precisions in rank order.
-    judged_pos = np.cumsum(is_judged, dtype=index_dtype)
-    del is_judged
-    hit_at = np.flatnonzero(label == 1)
-    del label
-    hit_owner = owner[hit_at]
-    del owner
-    n_hits = np.bincount(hit_owner, minlength=n)
-    hit_start = np.cumsum(n_hits) - n_hits
-    judged_start = np.cumsum(n_judged) - n_judged
-    k = np.arange(hit_at.size, dtype=index_dtype) - hit_start[hit_owner]
-    precision_at = (k + 1) / (judged_pos[hit_at] - judged_start[hit_owner])
-    del judged_pos, hit_at
-    acc = np.zeros(n)
-    by_depth = np.argsort(k, kind="stable")
-    bounds = np.searchsorted(k[by_depth], np.arange(int(n_hits.max(initial=0)) + 1))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        at = by_depth[lo:hi]  # the (depth+1)-th hit of distinct images
-        acc[hit_owner[at]] += precision_at[at]
+    # precision is k / i.  Column k of an image's row holds that precision,
+    # after a zero column; the row-wise cumsum adds them left to right, in
+    # rank order, as ``ap_image`` does.  The hits come row by row, so k
+    # counts from each row's first hit.
+    r, c = np.nonzero(label == 1)
+    n_hits = np.bincount(r, minlength=n)
+    k = np.arange(1, r.size + 1) - (np.cumsum(n_hits) - n_hits)[r]
+    precisions = np.zeros((n, int(n_hits.max(initial=0)) + 1))
+    precisions[r, k] = k / np.cumsum(is_judged, axis=1)[r, c]
+    acc = np.cumsum(precisions, axis=1)[:, -1]
 
     # F from |P| and the hits among the predictions.
     n_pred = np.fromiter(map(len, selected), dtype=np.intp, count=n)
-    pred = _cells(
-        column, n_cov, (st.tag for row in selected for st in row), n_pred, index_dtype
-    )
-    pred_owner = pred // width
-    hits = np.bincount(pred_owner[relevant[pred]], minlength=n)
+    pred = _column_rows(column, n_cov, (st.tag for row in selected for st in row), n_pred)
+    hits = np.count_nonzero(relevant[rows, pred], axis=1)
     if not require_full_coverage:
-        n_pred = np.bincount(pred_owner[labels[pred] >= 0], minlength=n)
+        n_pred = np.count_nonzero(labels[rows, pred] >= 0, axis=1)
 
     keep = np.flatnonzero(included)
     hits, n_pred, n_rel = hits[keep], n_pred[keep], n_relevant[keep]
@@ -234,16 +218,14 @@ def _score_images(
     ))
 
 
-def _cells(
-    column: Mapping[str, int],
-    outside: int,
-    tags: Iterable[str],
-    lengths: np.ndarray,
-    dtype: type,
+def _column_rows(
+    column: Mapping[str, int], outside: int, tags: Iterable[str], lengths: np.ndarray
 ) -> np.ndarray:
-    """Flat grid cells of consecutive per-image tag lists of the given lengths."""
+    """Coverage columns of consecutive per-image tag lists of the given
+    lengths, one row per image, padded on the right with ``outside``."""
     cols = np.fromiter(
-        map(column.get, tags, repeat(outside)), dtype=dtype, count=int(lengths.sum())
+        map(column.get, tags, repeat(outside)), dtype=np.intp, count=int(lengths.sum())
     )
-    owner = np.repeat(np.arange(lengths.size, dtype=dtype), lengths)
-    return owner * (outside + 1) + cols
+    grid = np.full((lengths.size, int(lengths.max(initial=0))), outside, dtype=np.intp)
+    grid[np.arange(grid.shape[1]) < lengths[:, None]] = cols
+    return grid

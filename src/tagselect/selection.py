@@ -66,8 +66,13 @@ def select_rows(
     images.  The ``pool`` columns (ascending) whose scores strictly exceed
     ``tau`` form each image's set A, by descending score; the top
     k_novel(|pool|, |novel|, |A|) ``novel`` columns by ``ranked`` (default:
-    the scores) follow.  With ``fallback_k``, an image whose A is empty gets
-    the top ``fallback_k`` columns instead.  Ties go to the lexically smaller tag."""
+    the scores) follow.  With ``fallback_k``, which must lie in [1, n_tags]
+    whether or not any image falls back, an image whose A is empty gets the
+    top ``fallback_k`` columns instead.  Ties go to the lexically smaller tag."""
+    if fallback_k is not None and (
+        not isinstance(fallback_k, int) or not 1 <= fallback_k <= table.n_tags
+    ):
+        raise TagSelectError(f"k must lie in [1, {table.n_tags}], got {fallback_k!r}")
     require_finite(table)
     scores = table.scores
     tag_rank = table._tag_rank
@@ -86,8 +91,6 @@ def select_rows(
     i, j = np.nonzero(np.arange(novel.size) < k[take, None])
     parts.append((take[i], novel[order_rows(key, tag_rank[novel])[i, j]], np.full(i.size, 1)))
     if fallback_k is not None and not a_size.all():
-        if not isinstance(fallback_k, int) or not 1 <= fallback_k <= table.n_tags:
-            raise TagSelectError(f"k must lie in [1, {table.n_tags}], got {fallback_k!r}")
         fallback = np.flatnonzero(a_size == 0)
         c = order_rows(scores[fallback], tag_rank)[:, :fallback_k].ravel()
         parts.append((np.repeat(fallback, fallback_k), c, np.full(c.size, 2)))

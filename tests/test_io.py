@@ -16,6 +16,7 @@ from tagselect import (
     ThresholdModel,
     Vocabulary,
 )
+from tagselect.cli import main
 from tagselect.core import FROM_FALLBACK, FROM_SEEN_THRESHOLDING
 from tagselect.formats import (
     load_cooccurrence,
@@ -459,3 +460,152 @@ class TestErrorMessage:
         assert err.value.lineno == 2
         assert str(path) in str(err.value)
         assert err.value.category == "format"
+
+
+# One valid file per loader, then one corrupted line per rejection rule.
+VALID = {
+    "vocabulary": "# tag\tseen|novel\nalpha\tseen\nbeta\tseen\ngamma\tnovel\n",
+    "scores": (
+        "# image_id\ttag\tscore\n"
+        "x1\talpha\t0.9\nx1\tbeta\t0.2\nx1\tgamma\t0.5\n"
+        "x2\talpha\t0.1\nx2\tbeta\t0.7\nx2\tgamma\t0.3\n"
+    ),
+    "truth": "# image_id\ttag\t0|1\nx1\talpha\t1\nx1\tbeta\t0\nx2\tgamma\t1\n",
+    "cooccurrence": (
+        "# 1\ttag\tcount | 2\ttag_a\ttag_b\tcount | N\tcount\n"
+        "N\t10\n1\talpha\t5\n1\tbeta\t4\n1\tgamma\t3\n2\talpha\tbeta\t2\n2\talpha\tgamma\t1\n"
+    ),
+    "selections": (
+        "# image_id\ttag\tscore\tprovenance\n"
+        "x1\talpha\t0.9\tfrom_seen_thresholding\n"
+        "x1\tgamma\t0.5\tfrom_novel_topk\n"
+        "x2\tbeta\t0.7\tfrom_fallback\n"
+    ),
+    "thresholds": (
+        "# tag\ttau\tmu\tsigma\n"
+        "lsq\t0.9\t1.1\nalpha\t0.61\t0.2\t0.05\nbeta\t-\t0.3\t0.0\ngamma\t-\t0.4\t0.15\n"
+    ),
+}
+LOADERS = {
+    "vocabulary": lambda path, vocab: load_vocabulary(path),
+    "scores": load_scores,
+    "truth": load_truth,
+    "cooccurrence": lambda path, vocab: load_cooccurrence(path),
+    "selections": lambda path, vocab: load_selections(path),
+    "thresholds": load_thresholds,
+}
+# Commenting a line out drops it, which file-level checks report at line 0.
+CASE_FIELDS = "kind, line, text, lineno, message"
+REJECTIONS = [
+    ("vocabulary", 3, "\tseen", 3, "empty tag"),
+    ("vocabulary", 2, "alpha", 2, "expected 2 tab-separated fields, got 1"),
+    ("vocabulary", 4, "gamma\tboth", 4, "partition must be 'seen' or 'novel', got 'both'"),
+    ("vocabulary", 3, "alpha\tnovel", 3, "duplicate tag 'alpha'"),
+    ("scores", 3, "\tbeta\t0.2", 3, "empty image id"),
+    ("scores", 2, "x1\talpha", 2, "expected 3 tab-separated fields, got 2"),
+    ("scores", 4, "x1\tdelta\t0.5", 4, "unknown tag 'delta'"),
+    ("scores", 5, "x2\talpha\tlow", 5, "not a number: 'low'"),
+    ("scores", 3, "x1\talpha\t0.4", 3, "duplicate score for ('x1', 'alpha')"),
+    ("scores", 6, "# x2\tbeta\t0.7", 0, "image 'x2' lacks a score for tag 'beta'"),
+    ("truth", 2, "\talpha\t1", 2, "empty image id"),
+    ("truth", 3, "x1\tbeta", 3, "expected 3 tab-separated fields, got 2"),
+    ("truth", 3, "x1\t\t0", 3, "empty tag"),
+    ("truth", 4, "x2\tdelta\t1", 4, "unknown tag 'delta'"),
+    ("truth", 4, "x2\tgamma\t2", 4, "label must be 0 or 1, got '2'"),
+    ("truth", 3, "x1\talpha\t0", 3, "duplicate label for ('x1', 'alpha')"),
+    ("cooccurrence", 6, "2\talpha\tbeta\t9", 6,
+     "pair count for ('alpha', 'beta') exceeds one of its single counts"),
+    ("cooccurrence", 3, "3\talpha\t5", 3, "unknown row kind '3' (need 1, 2 or N)"),
+    ("cooccurrence", 3, "1\talpha", 3, "expected 3 tab-separated fields, got 2"),
+    ("cooccurrence", 3, "1\talpha\tfive", 3, "not an integer: 'five'"),
+    ("cooccurrence", 4, "1\tbeta\t-4", 4, "count must be non-negative: '-4'"),
+    ("cooccurrence", 4, "1\t\t4", 4, "empty tag"),
+    ("cooccurrence", 4, "1\talpha\t4", 4, "duplicate singleton count for 'alpha'"),
+    ("cooccurrence", 6, "2\t\tbeta\t2", 6, "empty tag"),
+    ("cooccurrence", 6, "2\tbeta\talpha\t2", 6,
+     "pair rows need tag_a < tag_b, got 'beta', 'alpha'"),
+    ("cooccurrence", 7, "2\talpha\tbeta\t1", 7, "duplicate pair count for ('alpha', 'beta')"),
+    ("cooccurrence", 7, "2\talpha\tdelta\t1", 7, "pair count references unknown tag 'delta'"),
+    ("cooccurrence", 3, "1\talpha\t11", 3,
+     "occurrence count for 'alpha' exceeds collection size 10"),
+    ("cooccurrence", 2, "N\t0", 2, "collection size must be in [1, 2**63), got 0"),
+    ("cooccurrence", 3, "N\t10", 3, "duplicate total row"),
+    ("cooccurrence", 2, "# N\t10", 0, "missing total row 'N<TAB>count'"),
+    ("selections", 3, "x1\t\t0.5\tfrom_novel_topk", 3, "empty tag"),
+    ("selections", 2, "x1\talpha\t0.9", 2, "expected 4 tab-separated fields, got 3"),
+    ("selections", 4, "\tbeta\t0.7\tfrom_fallback", 4, "empty image id"),
+    ("selections", 4, "x2\tbeta\t0.7\tguessed", 4, "unknown provenance 'guessed'"),
+    ("selections", 4, "x2\tbeta\thigh\tfrom_fallback", 4, "not a number: 'high'"),
+    ("selections", 3, "x1\talpha\t0.5\tfrom_novel_topk", 3, "duplicate selection ('x1', 'alpha')"),
+    ("thresholds", 4, "beta\t-\t0.3\t-0.1", 4, "negative standard deviation: '-0.1'"),
+    ("thresholds", 5, "\t-\t0.4\t0.15", 5, "unknown tag ''"),
+    ("thresholds", 5, "delta\t-\t0.4\t0.15", 5, "unknown tag 'delta'"),
+    ("thresholds", 2, "lsq\t0.9", 2, "coefficient row needs 2 or 3 values"),
+    ("thresholds", 3, "lsq\t0.9\t1.1", 3, "duplicate coefficient row"),
+    ("thresholds", 2, "lsq\t0.9\tinf", 2, "not a finite number: 'inf'"),
+    ("thresholds", 3, "alpha\t0.61\t0.2", 3, "expected 4 tab-separated fields, got 3"),
+    ("thresholds", 4, "alpha\t-\t0.3\t0.0", 4, "duplicate tag 'alpha'"),
+    ("thresholds", 3, "alpha\tmid\t0.2\t0.05", 3, "not a number: 'mid'"),
+    ("thresholds", 3, "alpha\t0.61\tnan\t0.05", 3, "not a finite number: 'nan'"),
+    ("thresholds", 5, "gamma\t0.5\t0.4\t0.15", 5, "threshold given for 'gamma', not a seen tag"),
+    ("thresholds", 5, "# gamma\t-\t0.4\t0.15", 0,
+     "threshold statistics do not cover the vocabulary"),
+]
+# The first case of each file also runs through a command that reads it.
+CLI_ARGS = {
+    "vocabulary": ["validate", "--vocab", "{vocabulary}", "--scores", "{scores}"],
+    "scores": ["validate", "--vocab", "{vocabulary}", "--scores", "{scores}"],
+    "truth": ["validate", "--vocab", "{vocabulary}", "--scores", "{scores}", "--truth", "{truth}"],
+    "cooccurrence": [
+        "refine", "--vocab", "{vocabulary}", "--scores", "{scores}",
+        "--thresholds", "{thresholds}", "--cooccurrence", "{cooccurrence}", "--out", "{out}",
+    ],
+    "selections": [
+        "evaluate", "--vocab", "{vocabulary}", "--scores", "{scores}", "--truth", "{truth}",
+        "--selections", "{selections}", "--out", "{out}",
+    ],
+    "thresholds": [
+        "select", "--vocab", "{vocabulary}", "--scores", "{scores}", "--strategy", "adaptive",
+        "--thresholds", "{thresholds}", "--out", "{out}",
+    ],
+}
+CLI_CASES = [next(case for case in REJECTIONS if case[0] == kind) for kind in CLI_ARGS]
+
+
+def case_ids(cases) -> list[str]:
+    return [f"{kind}: {message}" for kind, *_, message in cases]
+
+
+def corrupted_files(tmp_path, kind, line, text) -> dict[str, str]:
+    """Every valid file, with ``line`` of the ``kind`` file replaced by ``text``."""
+    paths = {"out": str(tmp_path / "out")}
+    for name, content in VALID.items():
+        lines = content.splitlines()
+        if name == kind:
+            lines[line - 1] = text
+        paths[name] = str(tmp_path / f"{name}.tsv")
+        (tmp_path / f"{name}.tsv").write_text("\n".join(lines) + "\n")
+    return paths
+
+
+class TestLoaderRejections:
+    def test_valid_files_load(self, tmp_path, vocab):
+        paths = corrupted_files(tmp_path, None, 0, "")
+        for kind, load in LOADERS.items():
+            load(paths[kind], vocab)
+
+    @pytest.mark.parametrize(CASE_FIELDS, REJECTIONS, ids=case_ids(REJECTIONS))
+    def test_corrupt_line_is_named(self, tmp_path, vocab, kind, line, text, lineno, message):
+        path = corrupted_files(tmp_path, kind, line, text)[kind]
+        with pytest.raises(FormatError) as err:
+            LOADERS[kind](path, vocab)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+
+    @pytest.mark.parametrize(CASE_FIELDS, CLI_CASES, ids=case_ids(CLI_CASES))
+    def test_cli_exits_with_file_and_line(
+        self, tmp_path, capsys, kind, line, text, lineno, message
+    ):
+        paths = corrupted_files(tmp_path, kind, line, text)
+        assert main([arg.format(**paths) for arg in CLI_ARGS[kind]]) == 1
+        assert capsys.readouterr().err.startswith(f"error[format]: {paths[kind]}:{lineno}:")

@@ -303,17 +303,18 @@ class TestSelectAdaptive:
         )
         sim = SimilarityMatrix(vocab.tags, values, ())
 
-        raw = run_strategy(ADAPTIVE, table, vocab, model, sim).row("x")
+        # Four tags: the fallback k must not exceed the vocabulary size.
+        raw = run_strategy(StrategySpec("adaptive", k=2), table, vocab, model, sim).row("x")
         assert [p.tag for p in raw if p.provenance == FROM_NOVEL_TOPK] == ["n2"]
 
-        refining = StrategySpec("adaptive", refine=True, w=0.5)
+        refining = StrategySpec("adaptive", k=2, refine=True, w=0.5)
         refined = run_strategy(refining, table, vocab, model, sim).row("x")
         novel = [p for p in refined if p.provenance == FROM_NOVEL_TOPK]
         # Refinement hoists n1 past n2, but the reported score stays raw.
         assert [p.tag for p in novel] == ["n1"]
         assert novel[0].score == 0.5
 
-        cfg = AdaptiveConfig(refine=True, w=0.5, report_refined=True)
+        cfg = AdaptiveConfig(fallback_k=2, refine=True, w=0.5, report_refined=True)
         reported = run_strategy(refining, table, vocab, model, sim, cfg).row("x")
         novel = [p for p in reported if p.provenance == FROM_NOVEL_TOPK]
         # 0.5*0.5 + 0.5 * 0.9 * (1.0/0.5 - 1) = 0.25 + 0.45 = 0.70
@@ -342,6 +343,17 @@ class TestSelectAdaptive:
                 assert len(picks) == expected
                 seen_part = {p.tag for p in picks if p.provenance == FROM_SEEN_THRESHOLDING}
                 assert seen_part == a
+
+    def test_fallback_k_above_vocabulary_rejected_whether_or_not_used(self):
+        vocab = Vocabulary.from_partition(["s1", "s2"], ["n1"])
+        model = ThresholdModel(
+            tau={"s1": 0.5, "s2": 0.5}, stats=TagStats(vocab.tags, np.zeros(3), np.zeros(3))
+        )
+        # No image falls back in the first table; the one image does in the second.
+        for row in ([0.9, 0.9, 0.1], [0.1, 0.1, 0.1]):
+            table = ScoreTable(("x",), vocab.tags, np.array([row]))
+            with pytest.raises(TagSelectError, match=r"k must lie in \[1, 3\], got 50"):
+                run_strategy(StrategySpec("adaptive", k=50), table, vocab, model)
 
     def test_config_validation(self):
         with pytest.raises(TagSelectError):
