@@ -32,28 +32,23 @@ def _config_args(path: str) -> list[str]:
     toggle boolean flags, anything else is passed as the option argument.
     """
     args: list[str] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise TagSelectError(f"cannot read config file {path!r}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(path, lineno, "expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("_", "-")
-            value = value.strip()
-            if not key:
-                raise FormatError(path, lineno, "empty key")
-            if value.lower() == "true":
-                args.append(f"--{key}")
-            elif value.lower() == "false":
-                args.append(f"--no-{key}")
-            else:
-                args.extend([f"--{key}", value])
+    for lineno, fields in formats.tsv_lines(path, "config"):
+        line = "\t".join(fields).strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(path, lineno, "expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("_", "-")
+        value = value.strip()
+        if not key:
+            raise FormatError(path, lineno, "empty key")
+        if value.lower() == "true":
+            args.append(f"--{key}")
+        elif value.lower() == "false":
+            args.append(f"--no-{key}")
+        else:
+            args.extend([f"--{key}", value])
     return args
 
 

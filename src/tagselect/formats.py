@@ -1,6 +1,6 @@
-"""File formats: line-oriented TSV with '#' comment lines, UTF-8, LF line
-endings.  Floats are serialized with repr(), the shortest representation
-that round-trips exactly.
+"""File formats: line-oriented TSV with '#' comment lines, UTF-8, written
+with LF line endings and read with LF, CRLF or CR.  Floats are serialized
+with repr(), the shortest representation that round-trips exactly.
 
 Formats:
     scores       image_id<TAB>tag<TAB>score
@@ -18,7 +18,9 @@ Formats:
 from __future__ import annotations
 
 import json
-from typing import Iterator
+import operator
+from itertools import islice, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,25 +34,218 @@ from .core import (
     SelectionResult,
     Vocabulary,
 )
-from .errors import FormatError
+from .errors import FormatError, TagSelectError
 from .similarity import CooccurrenceStats
 from .thresholds import TagStats, ThresholdModel
 
 _LSQ_ROW = "lsq"
+_LABELS = {"0": False, "1": True}
+_ROW_FIELDS = {"1": 3, "2": 4, "N": 2}  # co-occurrence row kind -> fields
 
 
-def _rows(path) -> Iterator[tuple[int, list[str]]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split("\t")
+#: Physical lines read, checked and converted at a time.  The score, truth
+#: and co-occurrence loaders keep only arrays across blocks, so a large file
+#: never sits in memory whole, as text or as strings.
+BLOCK_LINES = 1 << 16
+
+_NL, _TAB, _HASH = ord("\n"), ord("\t"), ord("#")
+
+
+class _Block(NamedTuple):
+    """The data lines of one block: neither blank nor a '#' comment."""
+
+    linenos: np.ndarray  # 1-based line number of each data line
+    ntabs: np.ndarray  # tabs on each data line
+    fields: list[str]  # every data line's tab-separated fields, flat
+
+
+def _open(path, kind):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise TagSelectError(f"cannot read {kind} file {str(path)!r}: {exc}") from None
+
+
+def _blocks(path, kind) -> Iterator[_Block]:
+    """Read a UTF-8 file ``BLOCK_LINES`` lines at a time.  Line endings are
+    universal (LF, CRLF or a lone CR) and lines are numbered from 1, as in
+    text mode; blocks are counted in LF-terminated lines, so a file whose
+    lines all end in a lone CR is read as one block.  A block that holds an
+    invalid byte yields the lines before that byte's line, then raises a
+    FormatError naming it."""
+    with _open(path, kind) as fh:
+        first = 1
+        while raw := b"".join(islice(fh, BLOCK_LINES)):
+            if b"\r" in raw:
+                raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            error = None
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raw = raw[: raw.rfind(b"\n", 0, exc.start) + 1]
+                byte = exc.object[exc.start]
+                error = FormatError(
+                    path, first + raw.count(b"\n"),
+                    f"not valid UTF-8 (byte {byte:#04x}: {exc.reason})",
+                )
+                text = raw.decode("utf-8")
+            if raw:
+                block, n_lines = _split_block(raw, text, first)
+                if len(block.linenos):
+                    yield block
+                first += n_lines
+            if error is not None:
+                raise error
+
+
+def _split_block(raw: bytes, text: str, first: int) -> tuple[_Block, int]:
+    """Find the data lines of ``raw`` (``text`` decoded) by array operations
+    on its bytes and split them into flat fields; returns the block and its
+    number of lines."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == _NL)
+    if raw[-1] != _NL:
+        ends = np.append(ends, len(raw))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    data = (ends > starts) & (buf[starts] != _HASH)
+    tabs = np.flatnonzero(buf == _TAB)
+    ntabs = np.searchsorted(tabs, ends) - np.searchsorted(tabs, starts)
+    fields: list[str] = []
+    if data.any():
+        if not data.all():
+            kept = np.repeat(data, np.diff(starts, append=len(raw)))
+            text = buf[kept].tobytes().decode("utf-8")
+        fields = text.removesuffix("\n").replace("\n", "\t").split("\t")
+    return _Block(first + np.flatnonzero(data), ntabs[data], fields), len(ends)
+
+
+def _columns(path, kind, width) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
+    """Blocks of data lines as ``width`` field columns, with their line
+    numbers.  A line with another number of fields ends the stream: the lines
+    before it are yielded, then its FormatError is raised."""
+    for block in _blocks(path, kind):
+        wrong = np.flatnonzero(block.ntabs != width - 1)
+        n = int(wrong[0]) if len(wrong) else len(block.linenos)
+        if n:
+            flat = block.fields[: n * width]
+            yield block.linenos[:n], [flat[j::width] for j in range(width)]
+        if len(wrong):
+            raise _field_count_error(path, block.linenos[n], width, block.ntabs[n] + 1)
+
+
+def tsv_lines(path, kind) -> Iterator[tuple[int, list[str]]]:
+    """The lines of a file that are neither blank nor a '#' comment, one at
+    a time, as (line number, tab-separated fields).  ``kind`` names the file
+    in the error raised when it cannot be opened."""
+    for block in _blocks(path, kind):
+        stops = np.cumsum(block.ntabs + 1).tolist()
+        for lineno, start, stop in zip(block.linenos.tolist(), [0, *stops], stops):
+            yield lineno, block.fields[start:stop]
+
+
+def _find(values: list, value) -> int | None:
+    """Index of the first occurrence of ``value``, or None."""
+    try:
+        return values.index(value)
+    except ValueError:
+        return None
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
+def _parse_all(parse, texts: list[str]) -> tuple[list, int | None]:
+    """``parse`` over ``texts`` up to the first text it rejects: the values
+    before that text and its index (None when every text parses)."""
+    try:
+        return list(map(parse, texts)), None
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(parse(text))
+            except ValueError:
+                return values, len(values)
+        raise
+
+
+def _indices(index: dict[str, int], keys: list[str]) -> np.ndarray:
+    """Each key's position in ``index``; keys not yet in it are added in
+    order of first appearance."""
+    for key in dict.fromkeys(keys):
+        index.setdefault(key, len(index))
+    return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+def _at(rows: np.ndarray, i: int | None) -> int | None:
+    """Block index of position ``i`` among ``rows``; None stays None."""
+    return None if i is None else int(rows[i])
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """int64, or Python ints (object) when one is out of the int64 range."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _first_error(path, linenos, *rules) -> tuple[int, FormatError | None]:
+    """The index of the earliest failing line and its error, or
+    ``(len(linenos), None)`` when no line fails.  ``rules`` are (index of the
+    first line the rule rejects or None, message for a line index) in rule
+    order: on one line, the earlier rule wins."""
+    failing = [(i, rank, message) for rank, (i, message) in enumerate(rules) if i is not None]
+    if not failing:
+        return len(linenos), None
+    i, _, message = min(failing, key=lambda f: f[:2])
+    return i, FormatError(path, int(linenos[i]), message(i))
+
+
+def _grow(array: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``array``, zero-padded to at least ``rows`` x ``cols``; a dimension
+    that must grow at least doubles, so filling costs amortized linear
+    copying."""
+    have_rows, have_cols = array.shape
+    if rows <= have_rows and cols <= have_cols:
+        return array
+    grown = np.zeros(
+        (max(rows, 2 * have_rows) if rows > have_rows else have_rows,
+         max(cols, 2 * have_cols) if cols > have_cols else have_cols),
+        dtype=array.dtype,
+    )
+    grown[:have_rows, :have_cols] = array
+    return grown
+
+
+def _mark_new(filled: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int | None:
+    """Mark the cells (rows[i], cols[i]) of ``filled``.  Returns the first i
+    whose cell an earlier block or an earlier line had marked, else None."""
+    if not len(rows):
+        return None
+    flat = filled.reshape(-1)  # a view: ``_grow`` builds C-contiguous arrays
+    codes = rows * filled.shape[1] + cols
+    lo, hi = int(codes.min()), int(codes.max()) + 1
+    before = np.count_nonzero(flat[lo:hi])
+    taken = flat[codes]
+    flat[codes] = True
+    if np.count_nonzero(flat[lo:hi]) == before + len(codes):
+        return None
+    _, first = np.unique(codes, return_index=True)
+    repeat = np.ones(len(codes), dtype=bool)
+    repeat[first] = False
+    return _first_true(taken | repeat)
+
+
+def _field_count_error(path, lineno, want, got) -> FormatError:
+    return FormatError(path, int(lineno), f"expected {want} tab-separated fields, got {got}")
 
 
 def _need_fields(path, lineno, fields, n) -> None:
     if len(fields) != n:
-        raise FormatError(path, lineno, f"expected {n} tab-separated fields, got {len(fields)}")
+        raise _field_count_error(path, lineno, n, len(fields))
 
 
 def _parse_float(path, lineno, text) -> float:
@@ -67,14 +262,20 @@ def _parse_finite(path, lineno, text) -> float:
     return value
 
 
-def _parse_count(path, lineno, text) -> int:
+def _total_count(text, total) -> tuple[int | None, str | None]:
+    """The collection size a total row gives, or None and why the row is
+    rejected; ``total`` is the size an earlier total row gave, if any."""
+    if total is not None:
+        return None, "duplicate total row"
     try:
         value = int(text)
     except ValueError:
-        raise FormatError(path, lineno, f"not an integer: {text!r}") from None
+        return None, f"not an integer: {text!r}"
     if value < 0:
-        raise FormatError(path, lineno, f"count must be non-negative: {text!r}")
-    return value
+        return None, f"count must be non-negative: {text!r}"
+    if not 0 < value <= np.iinfo(np.int64).max:
+        return None, f"collection size must be in [1, 2**63), got {value}"
+    return value, None
 
 
 def _fmt(value: float) -> str:
@@ -86,7 +287,7 @@ def _fmt(value: float) -> str:
 def load_vocabulary(path) -> Vocabulary:
     tags: list[str] = []
     partition: dict[str, str] = {}
-    for lineno, fields in _rows(path):
+    for lineno, fields in tsv_lines(path, "vocabulary"):
         _need_fields(path, lineno, fields, 2)
         tag, side = fields
         if not tag:
@@ -113,40 +314,42 @@ def save_vocabulary(vocab: Vocabulary, path) -> None:
 
 def load_scores(path, vocab: Vocabulary) -> ScoreTable:
     """Dense score table; every image must carry a score for every
-    vocabulary tag.  Column order follows the vocabulary."""
-    images: list[str] = []
-    img_index: dict[str, int] = {}
-    chunks: list[np.ndarray] = []
-    filled: list[np.ndarray] = []
+    vocabulary tag.  Column order follows the vocabulary, image order first
+    appearance."""
     n = len(vocab.tags)
-    for lineno, fields in _rows(path):
-        _need_fields(path, lineno, fields, 3)
-        image, tag, text = fields
-        if not image:
-            raise FormatError(path, lineno, "empty image id")
-        if tag not in vocab:
-            raise FormatError(path, lineno, f"unknown tag {tag!r}")
-        score = _parse_float(path, lineno, text)
-        i = img_index.get(image)
-        if i is None:
-            i = len(images)
-            img_index[image] = i
-            images.append(image)
-            chunks.append(np.zeros(n, dtype=np.float64))
-            filled.append(np.zeros(n, dtype=bool))
-        j = vocab.index(tag)
-        if filled[i][j]:
-            raise FormatError(path, lineno, f"duplicate score for ({image!r}, {tag!r})")
-        chunks[i][j] = score
-        filled[i][j] = True
-    for i, image in enumerate(images):
-        if not filled[i].all():
-            missing = vocab.tags[int(np.flatnonzero(~filled[i])[0])]
+    column = {t: j for j, t in enumerate(vocab.tags)}
+    img_index: dict[str, int] = {}
+    scores = np.zeros((0, n), dtype=np.float64)
+    filled = np.zeros((0, n), dtype=bool)
+    for linenos, (images, tags, texts) in _columns(path, "scores", 3):
+        cols = np.fromiter(map(column.get, tags, repeat(-1)), dtype=np.intp, count=len(tags))
+        values, bad_value = _parse_all(float, texts)
+        ok, error = _first_error(
+            path, linenos,
+            (_find(images, ""), lambda i: "empty image id"),
+            (_first_true(cols < 0), lambda i: f"unknown tag {tags[i]!r}"),
+            (bad_value, lambda i: f"not a number: {texts[i]!r}"),
+        )
+        rows, cols = _indices(img_index, images[:ok]), cols[:ok]
+        filled = _grow(filled, len(img_index), n)
+        repeated = _mark_new(filled, rows, cols)
+        if repeated is not None:
             raise FormatError(
-                path, 0, f"image {image!r} lacks a score for tag {missing!r}"
+                path, int(linenos[repeated]),
+                f"duplicate score for ({images[repeated]!r}, {tags[repeated]!r})",
             )
-    scores = np.vstack(chunks) if chunks else np.zeros((0, n), dtype=np.float64)
-    return ScoreTable(tuple(images), vocab.tags, scores)
+        if error is not None:
+            raise error
+        scores = _grow(scores, len(img_index), n)
+        scores[rows, cols] = values
+    images = tuple(img_index)
+    incomplete = _first_true(~filled[: len(images)].all(axis=1))
+    if incomplete is not None:
+        missing = vocab.tags[int(np.flatnonzero(~filled[incomplete])[0])]
+        raise FormatError(
+            path, 0, f"image {images[incomplete]!r} lacks a score for tag {missing!r}"
+        )
+    return ScoreTable(images, vocab.tags, scores[: len(images)])
 
 
 def save_scores(table: ScoreTable, path) -> None:
@@ -161,26 +364,42 @@ def save_scores(table: ScoreTable, path) -> None:
 # --------------------------------------------------------------------- truth
 
 def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
-    pairs: list[tuple[str, str, int]] = []
-    seen_cells: set[tuple[str, str]] = set()
-    for lineno, fields in _rows(path):
-        _need_fields(path, lineno, fields, 3)
-        image, tag, label = fields
-        if not image:
-            raise FormatError(path, lineno, "empty image id")
-        if not tag:
-            raise FormatError(path, lineno, "empty tag")
-        if vocab is not None and tag not in vocab:
-            raise FormatError(path, lineno, f"unknown tag {tag!r}")
-        if label not in ("0", "1"):
-            raise FormatError(path, lineno, f"label must be 0 or 1, got {label!r}")
-        if (image, tag) in seen_cells:
-            raise FormatError(path, lineno, f"duplicate label for ({image!r}, {tag!r})")
-        seen_cells.add((image, tag))
-        pairs.append((image, tag, int(label)))
-    if not pairs:
+    """Labels over the tags the file names; image and coverage order follow
+    first appearance.  With ``vocab``, every tag must be a vocabulary tag."""
+    img_index: dict[str, int] = {}
+    tag_index: dict[str, int] = {}
+    filled = np.zeros((0, 0), dtype=bool)
+    relevant = np.zeros((0, 0), dtype=bool)
+    for linenos, (images, tags, labels) in _columns(path, "truth", 3):
+        unknown = None
+        if vocab is not None:
+            outside = [t for t in dict.fromkeys(tags) if t not in vocab]
+            unknown = tags.index(outside[0]) if outside else None
+        values = list(map(_LABELS.get, labels))
+        ok, error = _first_error(
+            path, linenos,
+            (_find(images, ""), lambda i: "empty image id"),
+            (_find(tags, ""), lambda i: "empty tag"),
+            (unknown, lambda i: f"unknown tag {tags[i]!r}"),
+            (_find(values, None), lambda i: f"label must be 0 or 1, got {labels[i]!r}"),
+        )
+        rows, cols = _indices(img_index, images[:ok]), _indices(tag_index, tags[:ok])
+        filled = _grow(filled, len(img_index), len(tag_index))
+        repeated = _mark_new(filled, rows, cols)
+        if repeated is not None:
+            raise FormatError(
+                path, int(linenos[repeated]),
+                f"duplicate label for ({images[repeated]!r}, {tags[repeated]!r})",
+            )
+        if error is not None:
+            raise error
+        relevant = _grow(relevant, len(img_index), len(tag_index))
+        relevant[rows, cols] = values[:ok]
+    if not img_index:
         raise FormatError(path, 0, "ground truth file holds no labels")
-    return GroundTruth.from_pairs(pairs)
+    shape = (slice(len(img_index)), slice(len(tag_index)))
+    labels = np.where(filled[shape], relevant[shape], -1).astype(np.int8)
+    return GroundTruth(tuple(img_index), tuple(tag_index), labels)
 
 
 def save_truth(truth: GroundTruth, path) -> None:
@@ -197,70 +416,113 @@ def load_cooccurrence(path) -> CooccurrenceStats:
     and the total (a single count above the total, a pair naming an unknown
     tag or above one of its single counts) run once the file is read, and
     name the first bad row in file order."""
-    single: dict[str, tuple[int, int]] = {}
-    pair: dict[tuple[str, str], tuple[int, int]] = {}
+    tag_id: dict[str, int] = {}  # every tag a row names, by first appearance
+    # Per block and row kind: tag ids, counts and line numbers.
+    singles: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    pairs: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    singles_seen = np.zeros((0, 1), dtype=bool)  # by tag id
+    pairs_seen = np.zeros((0, 0), dtype=bool)  # by (tag_a id, tag_b id)
     total: int | None = None
-    for lineno, fields in _rows(path):
-        kind = fields[0]
-        if kind == "1":
-            _need_fields(path, lineno, fields, 3)
-            tag, count = fields[1], _parse_count(path, lineno, fields[2])
-            if not tag:
-                raise FormatError(path, lineno, "empty tag")
-            if tag in single:
-                raise FormatError(path, lineno, f"duplicate singleton count for {tag!r}")
-            single[tag] = (count, lineno)
-        elif kind == "2":
-            _need_fields(path, lineno, fields, 4)
-            a, b = fields[1], fields[2]
-            if not a or not b:
-                raise FormatError(path, lineno, "empty tag")
-            if not a < b:
+    for block in _blocks(path, "co-occurrence"):
+        fields, linenos = block.fields, block.linenos
+        starts = np.cumsum(block.ntabs + 1) - (block.ntabs + 1)
+        kinds = list(map(fields.__getitem__, starts.tolist()))
+        width = np.fromiter(map(_ROW_FIELDS.get, kinds, repeat(0)), dtype=np.intp, count=len(kinds))
+        wrong = _first_true(width != block.ntabs + 1)
+        width = width[:wrong]
+
+        def cell(i, k):
+            return fields[starts[i] + k]
+
+        def column(rows, k):
+            return list(map(fields.__getitem__, (starts[rows] + k).tolist()))
+
+        s = np.flatnonzero(width == 3)
+        tags, s_counts = column(s, 1), column(s, 2)
+        s_counts, s_bad = _parse_all(int, s_counts)
+        p = np.flatnonzero(width == 4)
+        a, b, p_counts = column(p, 1), column(p, 2), column(p, 3)
+        p_counts, p_bad = _parse_all(int, p_counts)
+        ids, ia, ib = _indices(tag_id, tags), _indices(tag_id, a), _indices(tag_id, b)
+        singles_seen = _grow(singles_seen, len(tag_id), 1)
+        pairs_seen = _grow(pairs_seen, len(tag_id), len(tag_id))
+        empty = [i for i in (_find(a, ""), _find(b, "")) if i is not None]
+        t_bad = t_why = None
+        for i in np.flatnonzero(width == 2).tolist():
+            value, t_why = _total_count(cell(i, 1), total)
+            if t_why is not None:
+                t_bad = i
+                break
+            total = value
+        # Rules in order per row kind; rows of different kinds never share a
+        # line, so only the order within a kind matters.
+        _, error = _first_error(
+            path, linenos,
+            (_at(s, s_bad), lambda i: f"not an integer: {cell(i, 2)!r}"),
+            (_at(s, _first_true(_int_array(s_counts) < 0)),
+             lambda i: f"count must be non-negative: {cell(i, 2)!r}"),
+            (_at(s, _find(tags, "")), lambda i: "empty tag"),
+            (_at(s, _mark_new(singles_seen, ids, np.zeros_like(ids))),
+             lambda i: f"duplicate singleton count for {cell(i, 1)!r}"),
+            (_at(p, min(empty, default=None)), lambda i: "empty tag"),
+            (_at(p, _find(list(map(operator.lt, a, b)), False)),
+             lambda i: f"pair rows need tag_a < tag_b, got {cell(i, 1)!r}, {cell(i, 2)!r}"),
+            (_at(p, _mark_new(pairs_seen, ia, ib)),
+             lambda i: f"duplicate pair count for ({cell(i, 1)!r}, {cell(i, 2)!r})"),
+            (_at(p, p_bad), lambda i: f"not an integer: {cell(i, 3)!r}"),
+            (_at(p, _first_true(_int_array(p_counts) < 0)),
+             lambda i: f"count must be non-negative: {cell(i, 3)!r}"),
+            (t_bad, lambda i: t_why),
+        )
+        if error is not None:
+            raise error
+        if wrong is not None:
+            kind = kinds[wrong]
+            if kind not in _ROW_FIELDS:
                 raise FormatError(
-                    path, lineno, f"pair rows need tag_a < tag_b, got {a!r}, {b!r}"
+                    path, int(linenos[wrong]), f"unknown row kind {kind!r} (need 1, 2 or N)"
                 )
-            if (a, b) in pair:
-                raise FormatError(path, lineno, f"duplicate pair count for ({a!r}, {b!r})")
-            pair[(a, b)] = (_parse_count(path, lineno, fields[3]), lineno)
-        elif kind == "N":
-            _need_fields(path, lineno, fields, 2)
-            if total is not None:
-                raise FormatError(path, lineno, "duplicate total row")
-            total = _parse_count(path, lineno, fields[1])
-            if not 0 < total <= np.iinfo(np.int64).max:
-                raise FormatError(
-                    path, lineno, f"collection size must be in [1, 2**63), got {total}"
-                )
-        else:
-            raise FormatError(path, lineno, f"unknown row kind {kind!r} (need 1, 2 or N)")
+            raise _field_count_error(
+                path, linenos[wrong], _ROW_FIELDS[kind], block.ntabs[wrong] + 1
+            )
+        singles.append((ids, _int_array(s_counts), linenos[s]))
+        pairs.append((ia, ib, _int_array(p_counts), linenos[p]))
     if total is None:
         raise FormatError(path, 0, "missing total row 'N<TAB>count'")
-    bad: list[tuple[int, str]] = [
-        (lineno, f"occurrence count for {tag!r} exceeds collection size {total}")
-        for tag, (count, lineno) in single.items()
-        if count > total
-    ]
-    for (a, b), (count, lineno) in pair.items():
-        fa = single.get(a)
-        fb = single.get(b)
-        if fa is None or fb is None:
-            unknown = a if fa is None else b
-            bad.append((lineno, f"pair count references unknown tag {unknown!r}"))
-        elif count > fa[0] or count > fb[0]:
-            bad.append((lineno, f"pair count for {(a, b)!r} exceeds one of its single counts"))
+    # A total row was read, so there is at least one block.
+    ids, counts_of, s_lineno = map(np.concatenate, zip(*singles))
+    ia, ib, pair_count, p_lineno = map(np.concatenate, zip(*pairs))
+    names = list(tag_id)
+    bad: list[tuple[int, str]] = []
+    k = _first_true(counts_of > total)
+    if k is not None:
+        bad.append((int(s_lineno[k]),
+                    f"occurrence count for {names[ids[k]]!r} exceeds collection size {total}"))
+    known = np.zeros(len(names), dtype=bool)
+    known[ids] = True
+    single_count = np.zeros(len(names), dtype=counts_of.dtype)
+    single_count[ids] = counts_of
+    unknown = ~(known[ia] & known[ib])
+    exceeds = ~unknown & ((pair_count > single_count[ia]) | (pair_count > single_count[ib]))
+    k = _first_true(unknown | exceeds)
+    if k is not None:
+        tag_a, tag_b = names[ia[k]], names[ib[k]]
+        bad.append((int(p_lineno[k]), (
+            f"pair count references unknown tag {tag_b if known[ia[k]] else tag_a!r}"
+            if unknown[k]
+            else f"pair count for {(tag_a, tag_b)!r} exceeds one of its single counts"
+        )))
     if bad:
         raise FormatError(path, *min(bad))
-    tags = sorted(single)
-    index = {t: i for i, t in enumerate(tags)}
-    counts = np.zeros((len(tags), len(tags)), dtype=np.int64)
-    np.fill_diagonal(counts, [single[t][0] for t in tags])
-    if pair:
-        rows = np.array([index[a] for a, _ in pair])
-        cols = np.array([index[b] for _, b in pair])
-        values = np.array([c for c, _ in pair.values()], dtype=np.int64)
-        counts[rows, cols] = values
-        counts[cols, rows] = values
-    return CooccurrenceStats.from_counts(tags, counts, total)
+    order = sorted(range(len(ids)), key=lambda k: names[ids[k]])
+    position = np.zeros(len(names), dtype=np.intp)
+    position[ids[order]] = np.arange(len(order))
+    counts = np.zeros((len(order), len(order)), dtype=np.int64)
+    np.fill_diagonal(counts, counts_of[order])
+    rows, cols = position[ia], position[ib]
+    counts[rows, cols] = pair_count
+    counts[cols, rows] = pair_count
+    return CooccurrenceStats.from_counts([names[i] for i in ids[order]], counts, total)
 
 
 def save_cooccurrence(stats: CooccurrenceStats, path) -> None:
@@ -278,9 +540,9 @@ def save_cooccurrence(stats: CooccurrenceStats, path) -> None:
 # ---------------------------------------------------------------- selections
 
 def load_selections(path) -> SelectionResult:
-    images: list[str] = []
     rows: dict[str, list[SelectedTag]] = {}
-    for lineno, fields in _rows(path):
+    picked: dict[str, set[str]] = {}
+    for lineno, fields in tsv_lines(path, "selections"):
         _need_fields(path, lineno, fields, 4)
         image, tag, text, provenance = fields
         if not image:
@@ -290,13 +552,11 @@ def load_selections(path) -> SelectionResult:
         if provenance not in PROVENANCES:
             raise FormatError(path, lineno, f"unknown provenance {provenance!r}")
         score = _parse_float(path, lineno, text)
-        if image not in rows:
-            images.append(image)
-            rows[image] = []
-        if any(st.tag == tag for st in rows[image]):
+        if tag in picked.setdefault(image, set()):
             raise FormatError(path, lineno, f"duplicate selection ({image!r}, {tag!r})")
-        rows[image].append(SelectedTag(tag, score, provenance))
-    return SelectionResult(tuple(images), {x: tuple(r) for x, r in rows.items()})
+        picked[image].add(tag)
+        rows.setdefault(image, []).append(SelectedTag(tag, score, provenance))
+    return SelectionResult(tuple(rows), {x: tuple(r) for x, r in rows.items()})
 
 
 def save_selections(result: SelectionResult, path) -> None:
@@ -319,7 +579,7 @@ def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
     sigma: list[float] = []
     tau: dict[str, float] = {}
     coeffs: tuple[float, ...] | None = None
-    for lineno, fields in _rows(path):
+    for lineno, fields in tsv_lines(path, "thresholds"):
         if fields[0] == _LSQ_ROW:
             if coeffs is not None:
                 raise FormatError(path, lineno, "duplicate coefficient row")

@@ -2,21 +2,28 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, exhaustive enumeration, library solvers).  Apart from the similarity
-and selection oracles at the end, it shares no code with the package; those
-compose the package's scalar references (``fcs``, ``select_by_threshold``,
-``k_novel``, ``refine_novel_scores``), which their own tests pin down, to
-check the array passes built on them.
+and selection oracles and the line-at-a-time loaders at the end, it shares no
+code with the package; those compose the package's scalar references
+(``fcs``, ``select_by_threshold``, ``k_novel``, ``refine_novel_scores``),
+which their own tests pin down, or build its data classes, to check the
+array passes built on them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from tagselect import (
+    CooccurrenceStats,
+    FormatError,
+    GroundTruth,
+    ScoreTable,
     SimilarityMatrix,
+    Vocabulary,
     fcs,
     k_novel,
     refine_novel_scores,
@@ -206,3 +213,170 @@ def adaptive_oracle(
         shown = ranking if report_refined else row
         picks += [(t, repr(shown[t]), "from_novel_topk") for t in sorted_tags(ranking)[:k]]
     return picks
+
+
+# The score, truth and co-occurrence loaders as they read one line at a
+# time, kept verbatim (only renamed) as the reference for the block-wise
+# codec of ``tagselect.formats``.
+
+def _rows(path) -> Iterator[tuple[int, list[str]]]:
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
+                continue
+            yield lineno, line.split("\t")
+
+
+def _need_fields(path, lineno, fields, n) -> None:
+    if len(fields) != n:
+        raise FormatError(path, lineno, f"expected {n} tab-separated fields, got {len(fields)}")
+
+
+def _parse_float(path, lineno, text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise FormatError(path, lineno, f"not a number: {text!r}") from None
+
+
+def _parse_count(path, lineno, text) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise FormatError(path, lineno, f"not an integer: {text!r}") from None
+    if value < 0:
+        raise FormatError(path, lineno, f"count must be non-negative: {text!r}")
+    return value
+
+
+def load_scores_oracle(path, vocab: Vocabulary) -> ScoreTable:
+    """Dense score table; every image must carry a score for every
+    vocabulary tag.  Column order follows the vocabulary."""
+    images: list[str] = []
+    img_index: dict[str, int] = {}
+    chunks: list[np.ndarray] = []
+    filled: list[np.ndarray] = []
+    n = len(vocab.tags)
+    for lineno, fields in _rows(path):
+        _need_fields(path, lineno, fields, 3)
+        image, tag, text = fields
+        if not image:
+            raise FormatError(path, lineno, "empty image id")
+        if tag not in vocab:
+            raise FormatError(path, lineno, f"unknown tag {tag!r}")
+        score = _parse_float(path, lineno, text)
+        i = img_index.get(image)
+        if i is None:
+            i = len(images)
+            img_index[image] = i
+            images.append(image)
+            chunks.append(np.zeros(n, dtype=np.float64))
+            filled.append(np.zeros(n, dtype=bool))
+        j = vocab.index(tag)
+        if filled[i][j]:
+            raise FormatError(path, lineno, f"duplicate score for ({image!r}, {tag!r})")
+        chunks[i][j] = score
+        filled[i][j] = True
+    for i, image in enumerate(images):
+        if not filled[i].all():
+            missing = vocab.tags[int(np.flatnonzero(~filled[i])[0])]
+            raise FormatError(
+                path, 0, f"image {image!r} lacks a score for tag {missing!r}"
+            )
+    scores = np.vstack(chunks) if chunks else np.zeros((0, n), dtype=np.float64)
+    return ScoreTable(tuple(images), vocab.tags, scores)
+
+
+def load_truth_oracle(path, vocab: Vocabulary | None = None) -> GroundTruth:
+    pairs: list[tuple[str, str, int]] = []
+    seen_cells: set[tuple[str, str]] = set()
+    for lineno, fields in _rows(path):
+        _need_fields(path, lineno, fields, 3)
+        image, tag, label = fields
+        if not image:
+            raise FormatError(path, lineno, "empty image id")
+        if not tag:
+            raise FormatError(path, lineno, "empty tag")
+        if vocab is not None and tag not in vocab:
+            raise FormatError(path, lineno, f"unknown tag {tag!r}")
+        if label not in ("0", "1"):
+            raise FormatError(path, lineno, f"label must be 0 or 1, got {label!r}")
+        if (image, tag) in seen_cells:
+            raise FormatError(path, lineno, f"duplicate label for ({image!r}, {tag!r})")
+        seen_cells.add((image, tag))
+        pairs.append((image, tag, int(label)))
+    if not pairs:
+        raise FormatError(path, 0, "ground truth file holds no labels")
+    return GroundTruth.from_pairs(pairs)
+
+
+def load_cooccurrence_oracle(path) -> CooccurrenceStats:
+    """Counts straight into the matrix.  Checks that need every single count
+    and the total (a single count above the total, a pair naming an unknown
+    tag or above one of its single counts) run once the file is read, and
+    name the first bad row in file order."""
+    single: dict[str, tuple[int, int]] = {}
+    pair: dict[tuple[str, str], tuple[int, int]] = {}
+    total: int | None = None
+    for lineno, fields in _rows(path):
+        kind = fields[0]
+        if kind == "1":
+            _need_fields(path, lineno, fields, 3)
+            tag, count = fields[1], _parse_count(path, lineno, fields[2])
+            if not tag:
+                raise FormatError(path, lineno, "empty tag")
+            if tag in single:
+                raise FormatError(path, lineno, f"duplicate singleton count for {tag!r}")
+            single[tag] = (count, lineno)
+        elif kind == "2":
+            _need_fields(path, lineno, fields, 4)
+            a, b = fields[1], fields[2]
+            if not a or not b:
+                raise FormatError(path, lineno, "empty tag")
+            if not a < b:
+                raise FormatError(
+                    path, lineno, f"pair rows need tag_a < tag_b, got {a!r}, {b!r}"
+                )
+            if (a, b) in pair:
+                raise FormatError(path, lineno, f"duplicate pair count for ({a!r}, {b!r})")
+            pair[(a, b)] = (_parse_count(path, lineno, fields[3]), lineno)
+        elif kind == "N":
+            _need_fields(path, lineno, fields, 2)
+            if total is not None:
+                raise FormatError(path, lineno, "duplicate total row")
+            total = _parse_count(path, lineno, fields[1])
+            if not 0 < total <= np.iinfo(np.int64).max:
+                raise FormatError(
+                    path, lineno, f"collection size must be in [1, 2**63), got {total}"
+                )
+        else:
+            raise FormatError(path, lineno, f"unknown row kind {kind!r} (need 1, 2 or N)")
+    if total is None:
+        raise FormatError(path, 0, "missing total row 'N<TAB>count'")
+    bad: list[tuple[int, str]] = [
+        (lineno, f"occurrence count for {tag!r} exceeds collection size {total}")
+        for tag, (count, lineno) in single.items()
+        if count > total
+    ]
+    for (a, b), (count, lineno) in pair.items():
+        fa = single.get(a)
+        fb = single.get(b)
+        if fa is None or fb is None:
+            unknown = a if fa is None else b
+            bad.append((lineno, f"pair count references unknown tag {unknown!r}"))
+        elif count > fa[0] or count > fb[0]:
+            bad.append((lineno, f"pair count for {(a, b)!r} exceeds one of its single counts"))
+    if bad:
+        raise FormatError(path, *min(bad))
+    tags = sorted(single)
+    index = {t: i for i, t in enumerate(tags)}
+    counts = np.zeros((len(tags), len(tags)), dtype=np.int64)
+    np.fill_diagonal(counts, [single[t][0] for t in tags])
+    if pair:
+        rows = np.array([index[a] for a, _ in pair])
+        cols = np.array([index[b] for _, b in pair])
+        values = np.array([c for c, _ in pair.values()], dtype=np.int64)
+        counts[rows, cols] = values
+        counts[cols, rows] = values
+    return CooccurrenceStats.from_counts(tags, counts, total)

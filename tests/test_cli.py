@@ -90,6 +90,26 @@ class TestValidate:
         assert code == 1
         assert f"error[format]: {scores}:2: empty image id" in capsys.readouterr().err
 
+    def test_undecodable_file_is_a_format_error_naming_the_line(self, bench_dir, capsys):
+        scores = bench_dir / "eval_scores.tsv"
+        lines = scores.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        scores.write_bytes(b"\n".join(lines))
+        code = run("validate", "--vocab", bench_dir / "vocabulary.tsv", "--scores", scores)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error[format]: {scores}:3: not valid UTF-8 (byte 0xff: invalid start byte)\n"
+        )
+
+    def test_unreadable_file_is_reported_without_a_traceback(self, bench_dir, tmp_path, capsys):
+        missing = tmp_path / "nosuch.tsv"
+        code = run("validate", "--vocab", bench_dir / "vocabulary.tsv", "--scores", missing)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error[data]: cannot read scores file {str(missing)!r}: "
+            f"[Errno 2] No such file or directory: {str(missing)!r}\n"
+        )
+
 
 class TestPipeline:
     def test_learn_select_evaluate_compare(self, bench_dir, tmp_path, capsys):
@@ -489,6 +509,15 @@ class TestConfigExpansion:
         err = capsys.readouterr().err
         assert "error[format]" in err
         assert ":1:" in err
+
+    def test_undecodable_config_line_reports_position(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# options\r\nstrategy = top_k\r\nk = \xff\r\n")
+        code = main(["select", "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error[format]: {cfg}:3: not valid UTF-8 (byte 0xff: invalid start byte)\n"
+        )
 
 
 class TestUsageErrors:

@@ -1,0 +1,388 @@
+"""The block-wise TSV codec of ``tagselect.formats`` against the
+line-at-a-time loaders in ``oracles``: the same objects, or the same error,
+on random files with comment and blank lines, mixed line endings, shuffled
+rows and injected corruptions, at any block size; then fixed files longer
+than one block at the module's own block size."""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from tagselect import FormatError, Vocabulary, formats
+
+VOCAB = Vocabulary.from_partition(["alpha", "beta", "é字"], ["#hash", "g a"])
+# Identifiers include a non-ASCII tag, a space, a form feed and a line
+# separator (neither ends a line) and a leading '#', which makes a line a
+# comment.
+IDS = ["x1", "x 2", "ü", "a\x0cb", "p\u2028q", "#x"]
+NUMBERS = ["0.5", "-1e-3", "1e308", " 2 ", "+3", "1_0", "١", "inf", "nan", "-0"]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+def oracle_and_codec(path, load, oracle, *args):
+    """Load with both; each side is the loaded object or the FormatError."""
+    results = []
+    for fn in (oracle, load):
+        try:
+            results.append(fn(path, *args))
+        except FormatError as exc:
+            results.append(exc)
+    return results
+
+
+def same_result(got, want, fields):
+    if isinstance(want, FormatError):
+        assert isinstance(got, FormatError), got
+        assert (str(got), got.lineno) == (str(want), want.lineno)
+        return
+    assert not isinstance(got, FormatError), got
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
+        if hasattr(b, "tobytes"):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert a == b
+
+
+@contextmanager
+def block_lines(n):
+    with mock.patch.object(formats, "BLOCK_LINES", n):
+        yield
+
+
+def render(draw, lines: list[str]) -> bytes:
+    """Interleave comment and blank lines, end each line with a drawn line
+    ending and maybe leave the last one open."""
+    out = []
+    for line in lines:
+        for _ in range(draw(st.integers(0, 1))):
+            out.append(draw(st.sampled_from(["", "# comment", "#", "#\tx\ty\tz"])))
+        out.append(line)
+    text = "".join(line + draw(st.sampled_from(ENDINGS)) for line in out)
+    if out and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+def corrupt(draw, lines: list[str], rules) -> list[str]:
+    """Apply one or two corruptions, each drawn from ``rules``: a function
+    of (fields of one line, fields of another line) giving the new line, or
+    None to delete it.  The second may hit the same line, where the rule
+    order decides which error is reported."""
+    lines = list(lines)
+    i = None
+    for _ in range(draw(st.integers(1, 2))):
+        if not lines:
+            break
+        if i is None or i >= len(lines) or draw(st.booleans()):
+            i = draw(st.integers(0, len(lines) - 1))
+        other = lines[draw(st.integers(0, len(lines) - 1))].split("\t")
+        new = draw(st.sampled_from(rules))(lines[i].split("\t"), other)
+        if new is None:
+            del lines[i]
+        else:
+            lines[i] = new
+    return lines
+
+
+COMMON_RULES = [
+    lambda f, o: "\t".join(f[:-1]),  # a field short
+    lambda f, o: "\t".join([*f, "extra"]),  # a field too many
+    lambda f, o: "\t".join(["", *f[1:]]),  # empty image id
+    lambda f, o: "\t".join([f[0], "delta", *f[2:]]),  # unknown tag
+    lambda f, o: "\t".join([*o[:2], *f[2:]]),  # another line's cell
+    lambda f, o: None,  # deleted
+    lambda f, o: "# " + "\t".join(f),  # commented out
+    lambda f, o: "",  # blanked
+]
+SCORE_RULES = COMMON_RULES + [
+    lambda f, o: "\t".join([*f[:2], "low"]),  # not a number
+]
+TRUTH_RULES = COMMON_RULES + [
+    lambda f, o: "\t".join([f[0], "", *f[2:]]),  # empty tag
+    lambda f, o: "\t".join([*f[:2], "2"]),  # bad label
+    lambda f, o: "\t".join([*f[:2], " 1"]),  # bad label
+]
+
+
+@st.composite
+def score_files(draw):
+    images = draw(st.lists(st.sampled_from(IDS), max_size=4, unique=True))
+    lines = [
+        f"{image}\t{tag}\t{draw(st.sampled_from(NUMBERS))}"
+        for image in images for tag in VOCAB.tags
+    ]
+    lines = draw(st.permutations(lines))
+    if draw(st.booleans()):
+        lines = corrupt(draw, lines, SCORE_RULES)
+    return render(draw, lines)
+
+
+@st.composite
+def truth_files(draw):
+    cells = draw(st.lists(
+        st.tuples(st.sampled_from(IDS), st.sampled_from(VOCAB.tags), st.sampled_from("01")),
+        max_size=12, unique_by=lambda c: c[:2],
+    ))
+    lines = ["\t".join(cell) for cell in cells]
+    if draw(st.booleans()):
+        lines = corrupt(draw, lines, TRUTH_RULES)
+    return render(draw, lines)
+
+
+COOC_LINES = [
+    "N\t10", "1\talpha\t5", "1\tbeta\t4", "1\tgamma\t3",
+    "2\talpha\tbeta\t2", "2\talpha\tgamma\t1", "2\tbeta\tgamma\t0",
+]
+COOC_RULES = [
+    lambda f, o: "\t".join(f[:-1]),  # a field short
+    lambda f, o: "\t".join(["3", *f[1:]]),  # unknown row kind
+    lambda f, o: "\t".join([*o[:-1], f[-1]]),  # another row's kind and tags
+    lambda f, o: "\t".join([*f[:-1], "many"]),  # not an integer
+    lambda f, o: "\t".join([*f[:-1], "-1"]),  # negative
+    lambda f, o: "\t".join([*f[:-1], "11"]),  # above the total or a single
+    lambda f, o: "\t".join([*f[:-1], str(2**70)]),  # beyond int64
+    lambda f, o: "\t".join([f[0], "", *f[2:]]),  # empty tag
+    lambda f, o: "\t".join([f[0], "delta", *f[2:]]),  # unknown tag in a pair
+    lambda f, o: "\t".join([f[0], *f[1:-1][::-1], f[-1]]),  # unordered pair
+    lambda f, o: "\t".join([f[0], "0"]) if f[0] == "N" else "\t".join(f),  # bad total
+    lambda f, o: None,  # deleted
+]
+
+
+@st.composite
+def cooccurrence_files(draw):
+    lines = draw(st.permutations(COOC_LINES))
+    if draw(st.booleans()):
+        lines = corrupt(draw, lines, COOC_RULES)
+    return render(draw, lines)
+
+
+BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, formats.BLOCK_LINES])
+
+
+class TestAgainstLineOracle:
+    @settings(deadline=None, max_examples=200)
+    @given(content=score_files(), block=BLOCK_SIZES)
+    def test_scores(self, tmp_path_factory, content, block):
+        path = tmp_path_factory.mktemp("codec") / "scores.tsv"
+        path.write_bytes(content)
+        with block_lines(block):
+            want, got = oracle_and_codec(
+                path, formats.load_scores, oracles.load_scores_oracle, VOCAB)
+        same_result(got, want, ("images", "tags", "scores"))
+
+    @settings(deadline=None, max_examples=200)
+    @given(content=truth_files(), block=BLOCK_SIZES, vocab=st.sampled_from([VOCAB, None]))
+    def test_truth(self, tmp_path_factory, content, block, vocab):
+        path = tmp_path_factory.mktemp("codec") / "truth.tsv"
+        path.write_bytes(content)
+        with block_lines(block):
+            want, got = oracle_and_codec(
+                path, formats.load_truth, oracles.load_truth_oracle, vocab)
+        same_result(got, want, ("images", "coverage", "labels"))
+
+    @settings(deadline=None, max_examples=200)
+    @given(content=cooccurrence_files(), block=BLOCK_SIZES)
+    def test_cooccurrence(self, tmp_path_factory, content, block):
+        path = tmp_path_factory.mktemp("codec") / "cooccurrence.tsv"
+        path.write_bytes(content)
+        with block_lines(block):
+            want, got = oracle_and_codec(
+                path, formats.load_cooccurrence, oracles.load_cooccurrence_oracle)
+        same_result(got, want, ("tags", "counts", "total"))
+
+
+SCORE_LINES = [f"{image}\t{tag}\t0.5" for image in IDS[:2] for tag in VOCAB.tags]
+TRUTH_LINES = [line[:-3] + f"\t{k % 2}" for k, line in enumerate(SCORE_LINES)]
+LOADERS = [
+    ("scores", SCORE_LINES, SCORE_RULES, formats.load_scores, oracles.load_scores_oracle,
+     (VOCAB,), ("images", "tags", "scores")),
+    ("truth", TRUTH_LINES, TRUTH_RULES, formats.load_truth, oracles.load_truth_oracle,
+     (VOCAB,), ("images", "coverage", "labels")),
+    ("cooccurrence", COOC_LINES, COOC_RULES, formats.load_cooccurrence,
+     oracles.load_cooccurrence_oracle, (), ("tags", "counts", "total")),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, rules, load, oracle, args, fields", [case[1:] for case in LOADERS],
+    ids=[case[0] for case in LOADERS],
+)
+def test_every_pair_of_rules_on_one_line(tmp_path, lines, rules, load, oracle, args, fields):
+    """Both corruptions of each ordered pair hit the same line, so the rule
+    order decides the error; the line is the first, a middle or the last,
+    and a rule that copies takes the line before it (or the second)."""
+    path = tmp_path / "file.tsv"
+    for i in (0, len(lines) // 2, len(lines) - 1):
+        other = lines[i - 1 if i else 1].split("\t")
+        for first in rules:
+            for second in rules:
+                changed = list(lines)
+                line = first(lines[i].split("\t"), other)
+                if line is not None:
+                    line = second(line.split("\t"), other)
+                changed[i: i + 1] = [] if line is None else [line]
+                path.write_bytes(("\n".join(changed) + "\n").encode())
+                want, got = oracle_and_codec(path, load, oracle, *args)
+                same_result(got, want, fields)
+
+
+# Files longer than two blocks at the module's block size.  Line 1 is a
+# comment, so data line k (from 0) is file line k + 2.
+B = formats.BLOCK_LINES
+WIDE_VOCAB = Vocabulary.from_partition([f"t{j:03d}" for j in range(100)], [])
+N_IMAGES = (2 * B + 300) // 100
+BOUNDARY = ["last line of a block", "first of the next"]
+
+
+@pytest.fixture(scope="module")
+def score_lines():
+    return [
+        f"im{i}\t{tag}\t{(i * 7 + j) % 101 / 100!r}"
+        for i in range(N_IMAGES) for j, tag in enumerate(WIDE_VOCAB.tags)
+    ]
+
+
+@pytest.fixture(scope="module")
+def truth_lines(score_lines):
+    return [line.rsplit("\t", 1)[0] + f"\t{k % 3 % 2}" for k, line in enumerate(score_lines)]
+
+
+def write(path, lines, newline="\n"):
+    path.write_bytes(("# header" + newline + newline.join(lines) + newline).encode())
+    return path
+
+
+def replace_fields(lines, lineno, **fields):
+    """``lines`` with file line ``lineno`` given new image, tag or value."""
+    lines = list(lines)
+    image, tag, value = lines[lineno - 2].split("\t")
+    new = {"image": image, "tag": tag, "value": value, **fields}
+    lines[lineno - 2] = "\t".join([new["image"], new["tag"], new["value"]])
+    return lines
+
+
+class TestBeyondOneBlock:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_valid_files_load_as_the_oracle_does(
+        self, tmp_path, score_lines, truth_lines, newline
+    ):
+        lines = list(score_lines)
+        lines[B + 7:B + 7] = ["# a comment inside the second block", ""]
+        path = write(tmp_path / "scores.tsv", lines, newline)
+        want, got = oracle_and_codec(
+            path, formats.load_scores, oracles.load_scores_oracle, WIDE_VOCAB)
+        same_result(got, want, ("images", "tags", "scores"))
+        path = write(tmp_path / "truth.tsv", truth_lines, newline)
+        want, got = oracle_and_codec(
+            path, formats.load_truth, oracles.load_truth_oracle, WIDE_VOCAB)
+        same_result(got, want, ("images", "coverage", "labels"))
+
+    @pytest.mark.parametrize("lineno", [B, B + 1], ids=BOUNDARY)
+    @pytest.mark.parametrize("fields, message", [
+        ({"value": "low"}, "not a number: 'low'"),
+        ({"tag": "t000\tt001"}, "expected 3 tab-separated fields, got 4"),
+        ({"image": ""}, "empty image id"),
+    ])
+    def test_score_corruption_at_a_block_boundary(
+        self, tmp_path, score_lines, lineno, fields, message
+    ):
+        path = write(tmp_path / "scores.tsv", replace_fields(score_lines, lineno, **fields))
+        with pytest.raises(FormatError) as err:
+            formats.load_scores(path, WIDE_VOCAB)
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+        want, got = oracle_and_codec(
+            path, formats.load_scores, oracles.load_scores_oracle, WIDE_VOCAB)
+        same_result(got, want, ())
+
+    @pytest.mark.parametrize("lineno", [B, B + 1], ids=BOUNDARY)
+    def test_truth_corruption_at_a_block_boundary(self, tmp_path, truth_lines, lineno):
+        path = write(tmp_path / "truth.tsv", replace_fields(truth_lines, lineno, value="yes"))
+        with pytest.raises(FormatError) as err:
+            formats.load_truth(path, WIDE_VOCAB)
+        assert str(err.value) == f"{path}:{lineno}: label must be 0 or 1, got 'yes'"
+
+    def test_duplicate_of_an_earlier_block_wins_over_a_later_error(
+        self, tmp_path, score_lines, truth_lines
+    ):
+        """Line 10's cell repeats in the second block; the third block has
+        an unknown tag."""
+        image, tag, _ = score_lines[10 - 2].split("\t")
+        for name, lines, load, oracle, what in [
+            ("scores", score_lines, formats.load_scores, oracles.load_scores_oracle, "score"),
+            ("truth", truth_lines, formats.load_truth, oracles.load_truth_oracle, "label"),
+        ]:
+            lines = replace_fields(lines, B + 5, image=image, tag=tag)
+            lines = replace_fields(lines, 2 * B + 3, tag="delta")
+            path = write(tmp_path / f"{name}.tsv", lines)
+            with pytest.raises(FormatError) as err:
+                load(path, WIDE_VOCAB)
+            assert str(err.value) == (
+                f"{path}:{B + 5}: duplicate {what} for ({image!r}, {tag!r})"
+            )
+            want, got = oracle_and_codec(path, load, oracle, WIDE_VOCAB)
+            same_result(got, want, ())
+
+
+class TestUndecodableInput:
+    SCORES = "x1\talpha\t0.5\nx1\tbeta\t0.2\nx1\té字\t0.1\nx1\t#hash\t0.3\nx1\tg a\t0.9\n"
+
+    def lines_with_bad_byte(self, lineno, text=SCORES):
+        lines = text.encode().split(b"\n")
+        lines[lineno - 1] = lines[lineno - 1][:2] + b"\xff" + lines[lineno - 1][2:]
+        return b"\n".join(lines)
+
+    @pytest.mark.parametrize("block", [1, 2, formats.BLOCK_LINES])
+    def test_names_the_line_of_the_first_bad_byte(self, tmp_path, block):
+        path = tmp_path / "scores.tsv"
+        path.write_bytes(self.lines_with_bad_byte(3))
+        with block_lines(block), pytest.raises(FormatError) as err:
+            formats.load_scores(path, VOCAB)
+        assert str(err.value) == f"{path}:3: not valid UTF-8 (byte 0xff: invalid start byte)"
+
+    @pytest.mark.parametrize("block", [1, 2, formats.BLOCK_LINES])
+    def test_an_earlier_bad_line_wins(self, tmp_path, block):
+        path = tmp_path / "scores.tsv"
+        text = self.SCORES.replace("beta\t0.2", "beta\tlow")
+        path.write_bytes(self.lines_with_bad_byte(3, text))
+        with block_lines(block), pytest.raises(FormatError) as err:
+            formats.load_scores(path, VOCAB)
+        assert str(err.value) == f"{path}:2: not a number: 'low'"
+
+    def test_a_comment_line_must_decode_too(self, tmp_path):
+        path = tmp_path / "vocabulary.tsv"
+        path.write_bytes(b"alpha\tseen\r\n# caf\xe9\r\nbeta\tnovel\r\n")
+        with pytest.raises(FormatError) as err:
+            formats.load_vocabulary(path)
+        assert str(err.value) == (
+            f"{path}:2: not valid UTF-8 (byte 0xe9: invalid continuation byte)"
+        )
+
+    def test_a_cut_sequence_at_the_end(self, tmp_path):
+        path = tmp_path / "truth.tsv"
+        path.write_bytes("x1\talpha\t1\n\nx2\tbeta\t0\xe5\xad".encode("latin-1"))
+        with pytest.raises(FormatError) as err:
+            formats.load_truth(path)
+        assert err.value.lineno == 3
+        assert "not valid UTF-8" in str(err.value)
+
+
+@pytest.mark.parametrize("load, args, kind", [
+    (formats.load_vocabulary, (), "vocabulary"),
+    (formats.load_scores, (VOCAB,), "scores"),
+    (formats.load_truth, (), "truth"),
+    (formats.load_cooccurrence, (), "co-occurrence"),
+    (formats.load_selections, (), "selections"),
+    (formats.load_thresholds, (VOCAB,), "thresholds"),
+])
+def test_unreadable_file_names_kind_and_path(tmp_path, load, args, kind):
+    path = tmp_path / "nosuch.tsv"
+    with pytest.raises(Exception) as err:
+        load(path, *args)
+    assert type(err.value).__name__ == "TagSelectError"
+    assert str(err.value).startswith(f"cannot read {kind} file {str(path)!r}: [Errno 2] ")
