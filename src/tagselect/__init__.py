@@ -22,12 +22,15 @@ from .core import (
     FROM_FALLBACK,
     FROM_NOVEL_TOPK,
     FROM_SEEN_THRESHOLDING,
+    PROVENANCE_ORDER,
     GroundTruth,
     ScoreTable,
     SelectedTag,
     SelectionResult,
+    TagRankings,
     Vocabulary,
     rank_all_tags,
+    rank_columns,
     rank_tags,
     validate_inputs,
 )
@@ -88,6 +91,7 @@ __all__ = [
     "FusionModel",
     "GroundTruth",
     "ImageEval",
+    "PROVENANCE_ORDER",
     "STRATEGY_NAMES",
     "ScoreTable",
     "SearchHit",
@@ -100,6 +104,7 @@ __all__ = [
     "SyntheticBenchmark",
     "SyntheticSpec",
     "TagSelectError",
+    "TagRankings",
     "TagStats",
     "TaggedImage",
     "ThresholdModel",
@@ -123,6 +128,7 @@ __all__ = [
     "pair_similarity",
     "predict_threshold",
     "rank_all_tags",
+    "rank_columns",
     "rank_tags",
     "refine_novel_scores",
     "run_strategy",

@@ -20,7 +20,7 @@ from .core import (
     ScoreTable,
     SelectionResult,
     Vocabulary,
-    rank_all_tags,
+    rank_columns,
     require_finite,
 )
 from .errors import TagSelectError
@@ -187,7 +187,7 @@ def compare(
     if not strategies:
         raise TagSelectError("compare needs at least one strategy")
     _check_table(table, vocab)
-    raw_rankings = dict(zip(table.images, rank_all_tags(table)))
+    raw_rankings = rank_columns(table)
     rows = []
     shared_maps = []
     for spec in strategies:
@@ -199,14 +199,12 @@ def compare(
             cfg = AdaptiveConfig(fallback_k=spec.k, w=spec.w)
             refined = refine_table(table, vocab, _require_model(spec, model), sim, spec.w)
             selections = run_strategy(spec, refined, vocab, model, sim, cfg)
-            rankings = dict(zip(table.images, rank_all_tags(refined)))
+            rankings = rank_columns(refined)
         else:
             selections = run_strategy(spec, table, vocab, model, sim)
             rankings = raw_rankings
         report = evaluate(truth, selections, rankings)
-        mean_selected = (
-            sum(len(selections.row(x)) for x in selections.images) / len(selections.images)
-        )
+        mean_selected = int(selections.offsets[-1]) / len(selections.images)
         rows.append(
             StrategyRow(spec, report.mf, report.map, mean_selected, report.n_excluded)
         )

@@ -13,9 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import formats
 from .baselines import STRATEGY_NAMES, StrategySpec, compare, run_strategy, table1_strategies
-from .core import SelectionResult, rank_all_tags, validate_inputs
+from .core import rank_columns, validate_inputs
 from .errors import FormatError, TagSelectError
 from .fusion import fuse, learn_weights
 from .metrics import evaluate
@@ -126,21 +128,24 @@ def cmd_refine(args) -> int:
 def cmd_evaluate(args) -> int:
     vocab, table = _load_common(args)
     truth = formats.load_truth(args.truth, vocab)
-    rankings = dict(zip(table.images, rank_all_tags(table)))
     loaded = formats.load_selections(args.selections)
-    for x in loaded.images:
-        if x not in rankings:
+    # Images are checked in file order: first whether the score table has
+    # the image, then whether the vocabulary has each of its tags.
+    known = np.array([t in vocab for t in loaded.column_tags], dtype=bool)
+    unknown = np.flatnonzero(~known[loaded.columns])
+    first = int(unknown[0]) if unknown.size else len(loaded.columns)
+    scored = set(table.images)
+    for x, end in zip(loaded.images, loaded.offsets[1:].tolist()):
+        if x not in scored:
             raise TagSelectError(f"selections name image {x!r}, absent from the score table")
-        for t in loaded.tags(x):
-            if t not in vocab:
-                raise TagSelectError(f"selections give image {x!r} the unknown tag {t!r}")
+        if first < end:
+            t = loaded.column_tags[loaded.columns[first]]
+            raise TagSelectError(f"selections give image {x!r} the unknown tag {t!r}")
     # The selections file has no row for an image with an empty selection,
     # so every scored image is evaluated and a missing row counts as empty.
-    selections = SelectionResult(
-        table.images, {x: loaded.rows.get(x, ()) for x in table.images}
-    )
     report = evaluate(
-        truth, selections, rankings, require_full_coverage=not args.partial_coverage
+        truth, loaded.reindex(table.images), rank_columns(table),
+        require_full_coverage=not args.partial_coverage,
     )
     formats.save_report(report.to_dict(per_image=args.per_image), args.out)
     print(

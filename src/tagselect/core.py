@@ -12,7 +12,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +26,9 @@ NOVEL = "novel"
 FROM_SEEN_THRESHOLDING = "from_seen_thresholding"
 FROM_NOVEL_TOPK = "from_novel_topk"
 FROM_FALLBACK = "from_fallback"
-PROVENANCES = frozenset({FROM_SEEN_THRESHOLDING, FROM_NOVEL_TOPK, FROM_FALLBACK})
+#: A selection's provenance codes index this tuple.
+PROVENANCE_ORDER = (FROM_SEEN_THRESHOLDING, FROM_NOVEL_TOPK, FROM_FALLBACK)
+PROVENANCE_CODE = {p: i for i, p in enumerate(PROVENANCE_ORDER)}
 
 
 def _check_identifier(value: str, kind: str) -> None:
@@ -254,6 +257,12 @@ class GroundTruth:
     def covers(self, tag: str) -> bool:
         return tag in self._tag_index
 
+    def columns(self, tags: Iterable[str]) -> np.ndarray:
+        """The coverage column of each tag, and ``len(coverage)`` for a tag
+        outside the coverage."""
+        outside = repeat(len(self.coverage))
+        return np.fromiter(map(self._tag_index.get, tags, outside), dtype=np.intp)
+
     def image_index(self, image: str) -> int:
         try:
             return self._img_index[image]
@@ -310,24 +319,35 @@ class SelectedTag:
 
     def __post_init__(self):
         _check_identifier(self.tag, "tag")
-        if self.provenance not in PROVENANCES:
+        if self.provenance not in PROVENANCE_CODE:
             raise TagSelectError(f"invalid provenance {self.provenance!r}")
         object.__setattr__(self, "score", float(self.score))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SelectionResult:
-    """Per-image ordered tag selections."""
+    """Per-image ordered tag selections, held as compressed sparse rows.
+
+    The picks of ``images[i]`` are entries ``offsets[i]:offsets[i + 1]`` of
+    three read-only arrays: ``columns`` indexes ``column_tags``, ``scores``
+    is float64 and ``provenance`` holds int8 codes into
+    ``PROVENANCE_ORDER``.  ``SelectionResult(images, rows)`` builds them
+    from ``SelectedTag`` rows and checks them; ``row``, ``tags`` and
+    ``tag_set`` build their objects on each call.
+    """
 
     images: tuple[str, ...]
-    rows: Mapping[str, tuple[SelectedTag, ...]]
+    column_tags: tuple[str, ...]
+    offsets: np.ndarray
+    columns: np.ndarray
+    scores: np.ndarray
+    provenance: np.ndarray
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: Iterable[str], rows: Mapping[str, Iterable[SelectedTag]]):
+        images = tuple(images)
         if len(set(images)) != len(images):
             raise TagSelectError("selection result contains duplicate image ids")
-        rows = dict(self.rows)
+        rows = dict(rows)
         if set(rows) != set(images):
             raise TagSelectError("selection rows must cover exactly the listed images")
         for image, row in rows.items():
@@ -336,19 +356,80 @@ class SelectionResult:
             tags = [st.tag for st in row]
             if len(set(tags)) != len(tags):
                 raise TagSelectError(f"image {image!r} has duplicate selected tags")
-        object.__setattr__(self, "rows", rows)
+        picks = [st for x in images for st in rows[x]]
+        column: dict[str, int] = {}
+        columns = [column.setdefault(st.tag, len(column)) for st in picks]
+        self._init(
+            images,
+            tuple(column),
+            np.cumsum([0, *(len(rows[x]) for x in images)]),
+            np.array(columns, dtype=np.intp),
+            np.array([st.score for st in picks], dtype=np.float64),
+            np.array([PROVENANCE_CODE[st.provenance] for st in picks], dtype=np.int8),
+        )
 
-    def row(self, image: str) -> tuple[SelectedTag, ...]:
+    @classmethod
+    def _from_arrays(
+        cls,
+        images: tuple[str, ...],
+        column_tags: tuple[str, ...],
+        offsets: np.ndarray,
+        columns: np.ndarray,
+        scores: np.ndarray,
+        provenance: np.ndarray,
+    ) -> "SelectionResult":
+        """Wrap arrays built by the selection kernel or a loader, unchecked."""
+        result = cls.__new__(cls)
+        result._init(images, column_tags, offsets, columns, scores, provenance)
+        return result
+
+    def _init(self, images, column_tags, offsets, columns, scores, provenance) -> None:
+        for array in (offsets, columns, scores, provenance):
+            array.setflags(write=False)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "column_tags", column_tags)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(images)})
+
+    def _picks(self, image: str) -> slice:
         try:
-            return self.rows[image]
+            i = self._index[image]
         except KeyError:
             raise TagSelectError(f"image {image!r} not present in selections") from None
+        return slice(self.offsets[i], self.offsets[i + 1])
+
+    def row(self, image: str) -> tuple[SelectedTag, ...]:
+        picks = self._picks(image)
+        return tuple(
+            SelectedTag(self.column_tags[j], s, PROVENANCE_ORDER[p])
+            for j, s, p in zip(
+                self.columns[picks].tolist(),
+                self.scores[picks].tolist(),
+                self.provenance[picks].tolist(),
+            )
+        )
 
     def tags(self, image: str) -> tuple[str, ...]:
-        return tuple(st.tag for st in self.row(image))
+        return tuple(self.column_tags[j] for j in self.columns[self._picks(image)].tolist())
 
     def tag_set(self, image: str) -> frozenset[str]:
-        return frozenset(st.tag for st in self.row(image))
+        return frozenset(self.tags(image))
+
+    def reindex(self, images: Sequence[str]) -> "SelectionResult":
+        """The selections of ``images`` (distinct ids), in that order; an
+        image this result lacks gets an empty selection."""
+        # An absent image maps to one past the last row, whose size is 0.
+        rows = np.array([self._index.get(x, len(self.images)) for x in images], dtype=np.intp)
+        sizes = np.append(np.diff(self.offsets), 0)[rows]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        take = np.repeat(self.offsets[rows] - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return SelectionResult._from_arrays(
+            tuple(images), self.column_tags, offsets,
+            self.columns[take], self.scores[take], self.provenance[take],
+        )
 
 
 def validate_inputs(
@@ -412,6 +493,21 @@ def order_rows(scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
     """Column order of each row of ``scores`` by descending score, ties
     broken by ascending ``tag_rank``: one 2-D lexsort."""
     return np.lexsort((np.broadcast_to(tag_rank, scores.shape), -scores), axis=-1)
+
+
+class TagRankings(NamedTuple):
+    """Every image's ranking as column indices, best first: row i of
+    ``order`` ranks the tags of ``tags`` for ``images[i]``."""
+
+    images: tuple[str, ...]
+    tags: tuple[str, ...]
+    order: np.ndarray
+
+
+def rank_columns(table: ScoreTable) -> TagRankings:
+    """``rank_tags`` for every image, as columns of the table, from one 2-D
+    lexsort."""
+    return TagRankings(table.images, table.tags, order_rows(table.scores, table._tag_rank))
 
 
 def rank_all_tags(table: ScoreTable) -> list[list[str]]:

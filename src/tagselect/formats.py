@@ -26,11 +26,11 @@ import numpy as np
 
 from .core import (
     NOVEL,
-    PROVENANCES,
+    PROVENANCE_CODE,
+    PROVENANCE_ORDER,
     SEEN,
     GroundTruth,
     ScoreTable,
-    SelectedTag,
     SelectionResult,
     Vocabulary,
 )
@@ -64,6 +64,13 @@ def _open(path, kind):
         return open(path, "rb")
     except OSError as exc:
         raise TagSelectError(f"cannot read {kind} file {str(path)!r}: {exc}") from None
+
+
+def _create(path, kind):
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise TagSelectError(f"cannot write {kind} file {str(path)!r}: {exc}") from None
 
 
 def _blocks(path, kind) -> Iterator[_Block]:
@@ -304,7 +311,7 @@ def load_vocabulary(path) -> Vocabulary:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path, "vocabulary") as fh:
         fh.write("# tag\tseen|novel\n")
         for t in vocab.tags:
             fh.write(f"{t}\t{vocab.partition[t]}\n")
@@ -342,6 +349,9 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
             raise error
         scores = _grow(scores, len(img_index), n)
         scores[rows, cols] = values
+        # Drop this block's columns before the next block is read, so that
+        # they do not sit in memory beside it; this sets the peak.
+        del images, tags, texts, values, rows, cols
     images = tuple(img_index)
     incomplete = _first_true(~filled[: len(images)].all(axis=1))
     if incomplete is not None:
@@ -353,7 +363,7 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
 
 
 def save_scores(table: ScoreTable, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path, "scores") as fh:
         fh.write("# image_id\ttag\tscore\n")
         for i, image in enumerate(table.images):
             row = table.scores[i]
@@ -403,7 +413,7 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
 
 
 def save_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path, "truth") as fh:
         fh.write("# image_id\ttag\t0|1\n")
         for image, tag, label in truth.iter_pairs():
             fh.write(f"{image}\t{tag}\t{label}\n")
@@ -528,7 +538,7 @@ def load_cooccurrence(path) -> CooccurrenceStats:
 def save_cooccurrence(stats: CooccurrenceStats, path) -> None:
     """Singles and pairs in ascending tag order; pairs that never co-occur
     are not written."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path, "co-occurrence") as fh:
         fh.write("# 1\ttag\tcount | 2\ttag_a\ttag_b\tcount | N\tcount\n")
         fh.write(f"N\t{stats.total}\n")
         for tag, count in stats.single.items():
@@ -540,8 +550,14 @@ def save_cooccurrence(stats: CooccurrenceStats, path) -> None:
 # ---------------------------------------------------------------- selections
 
 def load_selections(path) -> SelectionResult:
-    rows: dict[str, list[SelectedTag]] = {}
-    picked: dict[str, set[str]] = {}
+    """Images in order of first appearance, each with its rows in file order."""
+    image_index: dict[str, int] = {}
+    tag_index: dict[str, int] = {}
+    picked: set[tuple[int, int]] = set()
+    rows: list[int] = []
+    cols: list[int] = []
+    scores: list[float] = []
+    codes: list[int] = []
     for lineno, fields in tsv_lines(path, "selections"):
         _need_fields(path, lineno, fields, 4)
         image, tag, text, provenance = fields
@@ -549,22 +565,42 @@ def load_selections(path) -> SelectionResult:
             raise FormatError(path, lineno, "empty image id")
         if not tag:
             raise FormatError(path, lineno, "empty tag")
-        if provenance not in PROVENANCES:
+        if provenance not in PROVENANCE_CODE:
             raise FormatError(path, lineno, f"unknown provenance {provenance!r}")
         score = _parse_float(path, lineno, text)
-        if tag in picked.setdefault(image, set()):
+        cell = (image_index.setdefault(image, len(image_index)),
+                tag_index.setdefault(tag, len(tag_index)))
+        if cell in picked:
             raise FormatError(path, lineno, f"duplicate selection ({image!r}, {tag!r})")
-        picked[image].add(tag)
-        rows.setdefault(image, []).append(SelectedTag(tag, score, provenance))
-    return SelectionResult(tuple(rows), {x: tuple(r) for x, r in rows.items()})
+        picked.add(cell)
+        rows.append(cell[0])
+        cols.append(cell[1])
+        scores.append(score)
+        codes.append(PROVENANCE_CODE[provenance])
+    image_of = np.array(rows, dtype=np.intp)
+    order = np.argsort(image_of, kind="stable")
+    sizes = np.bincount(image_of, minlength=len(image_index))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return SelectionResult._from_arrays(
+        tuple(image_index), tuple(tag_index), offsets,
+        np.array(cols, dtype=np.intp)[order],
+        np.array(scores, dtype=np.float64)[order],
+        np.array(codes, dtype=np.int8)[order],
+    )
 
 
 def save_selections(result: SelectionResult, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    tags = result.column_tags
+    images = np.repeat(np.array(result.images, dtype=object), np.diff(result.offsets))
+    with _create(path, "selections") as fh:
         fh.write("# image_id\ttag\tscore\tprovenance\n")
-        for image in result.images:
-            for st in result.row(image):
-                fh.write(f"{image}\t{st.tag}\t{_fmt(st.score)}\t{st.provenance}\n")
+        fh.writelines(
+            f"{image}\t{tags[j]}\t{score!r}\t{PROVENANCE_ORDER[p]}\n"
+            for image, j, score, p in zip(
+                images.tolist(), result.columns.tolist(),
+                result.scores.tolist(), result.provenance.tolist(),
+            )
+        )
 
 
 # ---------------------------------------------------------------- thresholds
@@ -611,7 +647,7 @@ def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
 
 
 def save_thresholds(model: ThresholdModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path, "thresholds") as fh:
         fh.write("# tag\ttau\tmu\tsigma ('-' = no learned threshold)\n")
         if model.lsq_coeffs is not None:
             values = "\t".join(_fmt(c) for c in model.lsq_coeffs)
@@ -628,7 +664,7 @@ def save_thresholds(model: ThresholdModel, path) -> None:
 
 def save_report(report, path) -> None:
     obj = report.to_dict() if hasattr(report, "to_dict") else report
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path, "report") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

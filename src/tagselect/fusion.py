@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, ScoreTable, SelectionResult, Vocabulary, rank_all_tags
+from .core import GroundTruth, ScoreTable, SelectionResult, Vocabulary, rank_columns
 from .errors import TagSelectError
 from .metrics import evaluate
 from .selection import select_rows
@@ -98,8 +98,7 @@ def _objective(
 ) -> float:
     fused = fuse(tables, weights)
     selections = strategy(fused)
-    judged = fused.restrict(coverage)
-    rankings = dict(zip(judged.images, rank_all_tags(judged)))
+    rankings = rank_columns(fused.restrict(coverage))
     # Training labels are typically incomplete, so the objective masks each
     # image down to its defined labels instead of demanding full coverage.
     report = evaluate(truth, selections, rankings, require_full_coverage=False)

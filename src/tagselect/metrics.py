@@ -4,12 +4,12 @@ precision of the tag ranking, and their corpus means."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, takewhile
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, SelectedTag, SelectionResult
+from .core import GroundTruth, SelectionResult, TagRankings
 from .errors import TagSelectError
 
 
@@ -101,7 +101,7 @@ def ap_image(relevant: Iterable[str], ranked: Sequence[str]) -> float:
 def evaluate(
     truth: GroundTruth,
     selections: SelectionResult,
-    rankings: Mapping[str, Sequence[str]],
+    rankings: Mapping[str, Sequence[str]] | TagRankings,
     require_full_coverage: bool = True,
 ) -> EvaluationReport:
     """Score per-image selections and rankings against ground truth.
@@ -114,31 +114,54 @@ def evaluate(
     and the prediction set instead.  Images with an empty relevant set are
     always excluded.  Corpus means run over included images.
 
+    ``rankings`` maps each image to its ranked tags, or is a ``TagRankings``
+    (from ``rank_columns``), which ranks every image over the same tags and
+    is used without per-image strings.
+
     Every image is scored in one array pass, and the floats equal those of
     ``f_image`` and ``ap_image`` bit for bit: an image's AP adds its
     precisions left to right in rank order, and ``mf``/``map`` add the
     per-image values left to right in image order, as the scalar loop does.
     """
     images = selections.images
-    universes: list[Sequence[str]] = []
-    for x in images:
-        try:
-            universes.append(rankings[x])
-        except KeyError:
-            break
-    missing = images[len(universes)] if len(universes) < len(images) else None
+    if isinstance(rankings, TagRankings):
+        position = {x: i for i, x in enumerate(rankings.images)}
+        found = list(takewhile(lambda i: i is not None, map(position.get, images)))
+    else:
+        universes: list[Sequence[str]] = []
+        for x in images:
+            try:
+                universes.append(rankings[x])
+            except KeyError:
+                break
+        found = range(len(universes))
+    missing = images[len(found)] if len(found) < len(images) else None
     # Images up to the first one without a ranking are scored, so that an
     # error in one of them is raised before the missing ranking, in image
     # order, as a per-image loop would.
-    in_truth = [i for i, x in enumerate(images[: len(universes)]) if truth.has_image(x)]
-    names = [images[i] for i in in_truth]
+    in_truth = [i for i, x in enumerate(images[: len(found)]) if truth.has_image(x)]
+    n_cov = len(truth.coverage)
+    if isinstance(rankings, TagRankings):
+        rows = [found[i] for i in in_truth]
+        ranked = truth.columns(rankings.tags)[rankings.order[rows]]
+        lengths = np.full(len(rows), len(rankings.tags))
+    else:
+        chosen = [universes[i] for i in in_truth]
+        lengths = np.fromiter(map(len, chosen), dtype=np.intp, count=len(chosen))
+        ranked = _pad_rows(truth.columns(chain.from_iterable(chosen)), lengths, n_cov)
+    # Predictions as coverage columns, through one map of the selection's tags.
+    n_pred = np.diff(selections.offsets)
+    kept = np.zeros(len(images), dtype=bool)
+    kept[in_truth] = True
+    picks = truth.columns(selections.column_tags)[selections.columns]
+    pred = _pad_rows(picks[np.repeat(kept, n_pred)], n_pred[kept], n_cov)
+    truth_rows = [truth.image_index(images[i]) for i in in_truth]
     scored = _score_images(
-        truth, names, [universes[i] for i in in_truth],
-        [selections.row(x) for x in names], require_full_coverage,
+        truth, truth_rows, ranked, lengths, pred, n_pred[kept], require_full_coverage
     )
     if missing is not None:
         raise TagSelectError(f"no ranking given for image {missing!r}")
-    per_image = {names[i]: ImageEval(*values) for i, values in scored}
+    per_image = {images[in_truth[i]]: ImageEval(*values) for i, values in scored}
     if not per_image:
         raise TagSelectError("no evaluable image: every image lacks usable ground truth")
     excluded = tuple(x for x in images if x not in per_image)
@@ -149,26 +172,27 @@ def evaluate(
 
 def _score_images(
     truth: GroundTruth,
-    images: list[str],
-    universes: list[Sequence[str]],
-    selected: list[tuple[SelectedTag, ...]],
+    truth_rows: list[int],
+    ranked: np.ndarray,
+    lengths: np.ndarray,
+    pred: np.ndarray,
+    n_pred: np.ndarray,
     require_full_coverage: bool,
 ) -> list[tuple[int, tuple[float, float, float, float]]]:
     """(position, (precision, recall, F, AP)) of every included image.
 
-    Each image's ranking and prediction become one row of truth-coverage
-    columns, padded on the right with one more column that stands for every
+    Row i of ``ranked`` holds the first ``lengths[i]`` ranked tags of the
+    image of truth row ``truth_rows[i]``, and row i of ``pred`` its first
+    ``n_pred[i]`` predicted tags, as truth-coverage columns.  Both are padded
+    on the right with column ``len(truth.coverage)``, which stands for every
     tag outside the coverage and is never labeled.
     """
-    n = len(images)
+    n = len(truth_rows)
     n_cov = len(truth.coverage)
-    column = {t: j for j, t in enumerate(truth.coverage)}
     labels = np.full((n, n_cov + 1), -1, dtype=np.int8)
-    labels[:, :n_cov] = truth.labels[[truth.image_index(x) for x in images]]
+    labels[:, :n_cov] = truth.labels[truth_rows]
     rows = np.arange(n)[:, None]
 
-    lengths = np.fromiter(map(len, universes), dtype=np.intp, count=n)
-    ranked = _column_rows(column, n_cov, chain.from_iterable(universes), lengths)
     label = labels[rows, ranked]
     is_judged = label >= 0
     n_judged = np.count_nonzero(is_judged, axis=1)
@@ -183,8 +207,8 @@ def _score_images(
     duplicated = np.flatnonzero(included & (n_judged > n_distinct))
     if duplicated.size:
         i = int(duplicated[0])
-        order = [t for t in universes[i] if truth.label(images[i], t) is not None]
-        ap_image(truth.relevant_set(images[i]), order)  # raises on the duplicate
+        judged = [truth.coverage[c] for c in ranked[i, is_judged[i]].tolist()]
+        ap_image([truth.coverage[c] for c in np.flatnonzero(relevant[i])], judged)  # raises
 
     # AP: at the k-th relevant tag of an image, judged at position i, the
     # precision is k / i.  Column k of an image's row holds that precision,
@@ -199,8 +223,6 @@ def _score_images(
     acc = np.cumsum(precisions, axis=1)[:, -1]
 
     # F from |P| and the hits among the predictions.
-    n_pred = np.fromiter(map(len, selected), dtype=np.intp, count=n)
-    pred = _column_rows(column, n_cov, (st.tag for row in selected for st in row), n_pred)
     hits = np.count_nonzero(relevant[rows, pred], axis=1)
     if not require_full_coverage:
         n_pred = np.count_nonzero(labels[rows, pred] >= 0, axis=1)
@@ -218,14 +240,9 @@ def _score_images(
     ))
 
 
-def _column_rows(
-    column: Mapping[str, int], outside: int, tags: Iterable[str], lengths: np.ndarray
-) -> np.ndarray:
-    """Coverage columns of consecutive per-image tag lists of the given
-    lengths, one row per image, padded on the right with ``outside``."""
-    cols = np.fromiter(
-        map(column.get, tags, repeat(outside)), dtype=np.intp, count=int(lengths.sum())
-    )
-    grid = np.full((lengths.size, int(lengths.max(initial=0))), outside, dtype=np.intp)
-    grid[np.arange(grid.shape[1]) < lengths[:, None]] = cols
+def _pad_rows(values: np.ndarray, lengths: np.ndarray, fill: int) -> np.ndarray:
+    """Consecutive runs of ``values`` of the given lengths, one row per run,
+    padded on the right with ``fill``."""
+    grid = np.full((lengths.size, int(lengths.max(initial=0))), fill, dtype=np.intp)
+    grid[np.arange(grid.shape[1]) < lengths[:, None]] = values
     return grid

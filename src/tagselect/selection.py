@@ -11,11 +11,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    FROM_FALLBACK,
-    FROM_NOVEL_TOPK,
-    FROM_SEEN_THRESHOLDING,
     ScoreTable,
-    SelectedTag,
     SelectionResult,
     Vocabulary,
     order_rows,
@@ -50,7 +46,6 @@ class AdaptiveConfig:
             raise TagSelectError(f"refinement weight must lie in [0, 1], got {self.w!r}")
 
 
-_PROVENANCES = (FROM_SEEN_THRESHOLDING, FROM_NOVEL_TOPK, FROM_FALLBACK)
 _EMPTY = np.zeros(0, dtype=np.intp)
 
 
@@ -83,6 +78,7 @@ def select_rows(
     r, j = np.nonzero(mask)
     c = pool[j]
     order = np.lexsort((tag_rank[c], -scores[r, c], r))
+    # The third array holds provenance codes, which index PROVENANCE_ORDER.
     parts = [(r[order], c[order], np.full(r.size, 0))]
     # An empty pool selects nothing, so its k_novel is 0.
     k = np.minimum((2 * novel.size * a_size + pool.size) // max(2 * pool.size, 1), novel.size)
@@ -100,13 +96,9 @@ def select_rows(
     r, c, p = (np.concatenate(arrays) for arrays in zip(*parts))
     order = np.argsort(r, kind="stable")
     r, c, p = r[order], c[order], p[order]
-    picks = [
-        SelectedTag(table.tags[j], s, _PROVENANCES[q])
-        for j, s, q in zip(c.tolist(), scores[r, c].tolist(), p.tolist())
-    ]
-    ends = np.cumsum(np.bincount(r, minlength=table.n_images)).tolist()
-    return SelectionResult(
-        table.images, {x: picks[lo:hi] for x, lo, hi in zip(table.images, [0, *ends], ends)}
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=table.n_images))))
+    return SelectionResult._from_arrays(
+        table.images, table.tags, offsets, c, scores[r, c], p.astype(np.int8)
     )
 
 

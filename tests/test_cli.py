@@ -2,10 +2,21 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import oracles
-from tagselect import STRATEGY_NAMES, formats, similarity_matrix
+from tagselect import (
+    STRATEGY_NAMES,
+    GroundTruth,
+    StrategySpec,
+    compare,
+    evaluate,
+    formats,
+    rank_tags,
+    run_strategy,
+    similarity_matrix,
+)
 from tagselect.cli import main
 
 BENCH_ARGS = [
@@ -420,6 +431,116 @@ class TestPipeline:
         )
         assert code == 1
         assert "error[data]" in capsys.readouterr().err
+
+
+    def test_evaluate_checks_selection_images_in_file_order(self, bench_dir, tmp_path, capsys):
+        # An absent image and an unknown tag: whichever image comes first in
+        # the file is reported, and an absent image before its own tags.
+        image = formats.load_scores(
+            bench_dir / "eval_scores.tsv", formats.load_vocabulary(bench_dir / "vocabulary.tsv")
+        ).images[0]
+        io = [
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--truth", bench_dir / "eval_truth.tsv",
+            "--out", tmp_path / "eval.json",
+        ]
+        unknown = f"{image}\tseen_000\t0.5\tfrom_fallback\n{image}\tnot_a_tag\t0.5\tfrom_fallback\n"
+        ghost = "ghost\tseen_000\t0.5\tfrom_fallback\n"
+        selections = tmp_path / "selections.tsv"
+        for text, message in (
+            (unknown + ghost, f"selections give image {image!r} the unknown tag 'not_a_tag'"),
+            (ghost + unknown, "selections name image 'ghost', absent from the score table"),
+            ("ghost\tnot_a_tag\t0.5\tfrom_fallback\n",
+             "selections name image 'ghost', absent from the score table"),
+        ):
+            selections.write_text(text)
+            assert run("evaluate", *io, "--selections", selections) == 1
+            assert capsys.readouterr().err == f"error[data]: {message}\n"
+
+    def test_evaluate_scores_every_image_of_an_empty_selections_file(self, bench_dir, tmp_path):
+        selections = tmp_path / "selections.tsv"
+        selections.write_text("# image_id\ttag\tscore\tprovenance\n")
+        report = tmp_path / "eval.json"
+        assert run(
+            "evaluate",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--truth", bench_dir / "eval_truth.tsv",
+            "--selections", selections,
+            "--out", report,
+        ) == 0
+        got = json.loads(report.read_text())
+        assert (got["mf"], got["n_included"]) == (0.0, 30)
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_cli_evaluate_equals_library_evaluate_and_compare(self, bench_dir, tmp_path, partial):
+        # The CLI reads selections back from their file and ranks by columns;
+        # the library path ranks by tag strings, and compare by columns again.
+        vocab = formats.load_vocabulary(bench_dir / "vocabulary.tsv")
+        table = formats.load_scores(bench_dir / "eval_scores.tsv", vocab)
+        truth = formats.load_truth(bench_dir / "eval_truth.tsv", vocab)
+        if partial:
+            # Drop some labels, so that partial coverage masks them.
+            truth = GroundTruth(truth.images, truth.coverage, np.where(
+                np.arange(truth.labels.size).reshape(truth.labels.shape) % 7 == 0,
+                -1, truth.labels,
+            ))
+            formats.save_truth(truth, tmp_path / "truth.tsv")
+        truth_path = tmp_path / "truth.tsv" if partial else bench_dir / "eval_truth.tsv"
+        thresholds = tmp_path / "thresholds.tsv"
+        assert run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        ) == 0
+        io = ["--vocab", bench_dir / "vocabulary.tsv", "--scores", bench_dir / "eval_scores.tsv"]
+        selections = tmp_path / "selections.tsv"
+        assert run("select", *io, "--strategy", "adaptive", "--thresholds", thresholds,
+                   "--out", selections) == 0
+        report_path = tmp_path / "eval.json"
+        coverage = ["--partial-coverage"] if partial else []
+        assert run("evaluate", *io, "--truth", truth_path, "--selections", selections,
+                   *coverage, "--out", report_path) == 0
+        got = json.loads(report_path.read_text())
+
+        model = formats.load_thresholds(thresholds, vocab)
+        spec = StrategySpec("adaptive")
+        library = evaluate(
+            truth, run_strategy(spec, table, vocab, model),
+            {x: rank_tags(table, x) for x in table.images},
+            require_full_coverage=not partial,
+        )
+        assert (repr(got["mf"]), repr(got["map"])) == (repr(library.mf), repr(library.map))
+        assert got["excluded"] == list(library.excluded)
+        if not partial:
+            row = compare([spec], table, truth, vocab, model).rows[0]
+            assert (repr(row.mf), repr(row.map)) == (repr(library.mf), repr(library.map))
+        else:
+            assert library.excluded == ()
+
+
+class TestWriterErrors:
+    @pytest.mark.parametrize("command", ["learn-thresholds", "select"])
+    def test_missing_output_directory_is_a_data_error(self, bench_dir, tmp_path, capsys, command):
+        out = tmp_path / "nosuchdir" / "out.tsv"
+        io = ["--vocab", bench_dir / "vocabulary.tsv"]
+        if command == "learn-thresholds":
+            argv = [*io, "--scores", bench_dir / "train_scores.tsv",
+                    "--truth", bench_dir / "train_truth.tsv"]
+            kind = "thresholds"
+        else:
+            argv = [*io, "--scores", bench_dir / "eval_scores.tsv", "--strategy", "top_k"]
+            kind = "selections"
+        assert run(command, *argv, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[data]: cannot write {kind} file {str(out)!r}: "
+            f"[Errno 2] No such file or directory: {str(out)!r}\n"
+        )
 
 
 class TestConfigExpansion:

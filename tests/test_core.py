@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from tagselect import (
     FROM_FALLBACK,
+    FROM_NOVEL_TOPK,
+    FROM_SEEN_THRESHOLDING,
     GroundTruth,
     ScoreTable,
     SelectedTag,
@@ -178,6 +180,53 @@ class TestSelectionResult:
     def test_invalid_provenance(self):
         with pytest.raises(TagSelectError):
             SelectedTag("a", 1.0, "guesswork")
+
+    def test_constructor_messages(self):
+        row = (SelectedTag("a", 1.0, FROM_FALLBACK),)
+        with pytest.raises(TagSelectError, match="contains duplicate image ids"):
+            SelectionResult(("i", "i"), {"i": row})
+        with pytest.raises(TagSelectError, match="must cover exactly the listed images"):
+            SelectionResult(("i",), {"i": row, "j": row})
+        with pytest.raises(TagSelectError, match="image 'i' has duplicate selected tags"):
+            SelectionResult(("i",), {"i": row + row})
+
+    def rows(self):
+        return {
+            "j": (),
+            "i": (
+                SelectedTag("b", 1.5, FROM_SEEN_THRESHOLDING),
+                SelectedTag("a", 0.25, FROM_NOVEL_TOPK),
+            ),
+            "k": (SelectedTag("a", -0.0, FROM_FALLBACK),),
+        }
+
+    def test_rows_are_held_as_read_only_arrays(self):
+        sel = SelectionResult(("i", "j", "k"), self.rows())
+        assert sel.column_tags == ("b", "a")
+        assert sel.offsets.tolist() == [0, 2, 2, 3]
+        assert sel.columns.tolist() == [0, 1, 1]
+        assert sel.scores.dtype == np.float64 and sel.provenance.dtype == np.int8
+        assert [repr(v) for v in sel.scores.tolist()] == ["1.5", "0.25", "-0.0"]
+        assert sel.provenance.tolist() == [0, 1, 2]
+        for array in (sel.offsets, sel.columns, sel.scores, sel.provenance):
+            assert not array.flags.writeable
+        for x, row in self.rows().items():
+            assert sel.row(x) == row
+            assert sel.tags(x) == tuple(st.tag for st in row)
+        assert repr(sel.row("k")[0].score) == "-0.0"
+
+    def test_reindex_keeps_rows_and_adds_empty_ones(self):
+        sel = SelectionResult(("i", "j", "k"), self.rows())
+        moved = sel.reindex(("k", "x", "i"))
+        assert moved.images == ("k", "x", "i")
+        assert moved.offsets.tolist() == [0, 1, 1, 3]
+        assert moved.row("x") == ()
+        for x in ("k", "i"):
+            assert moved.row(x) == sel.row(x)
+        with pytest.raises(TagSelectError, match="image 'j' not present in selections"):
+            moved.row("j")
+        empty = SelectionResult((), {}).reindex(("x", "y"))
+        assert empty.offsets.tolist() == [0, 0, 0] and empty.row("y") == ()
 
 
 class TestValidateInputs:

@@ -17,7 +17,7 @@ from tagselect import (
     Vocabulary,
 )
 from tagselect.cli import main
-from tagselect.core import FROM_FALLBACK, FROM_SEEN_THRESHOLDING
+from tagselect.core import FROM_FALLBACK, FROM_NOVEL_TOPK, FROM_SEEN_THRESHOLDING
 from tagselect.formats import (
     load_cooccurrence,
     load_report,
@@ -340,6 +340,64 @@ class TestSelectionsFormat:
         path.write_text("im0\talpha\t0.5\tfrom_fallback\nim0\t\t0.5\tfrom_fallback\n")
         with pytest.raises(FormatError, match=r"sel\.tsv:2: empty tag"):
             load_selections(path)
+
+
+    def test_images_keep_first_appearance_and_rows_keep_file_order(self, tmp_path):
+        path = tmp_path / "sel.tsv"
+        path.write_text(
+            "im1\tbeta\t0.5\tfrom_seen_thresholding\n"
+            "im0\talpha\t1e-3\tfrom_fallback\n"
+            "# comment\n"
+            "im1\talpha\t-0.0\tfrom_novel_topk\n"
+        )
+        loaded = load_selections(path)
+        assert loaded.images == ("im1", "im0")
+        assert loaded.offsets.tolist() == [0, 2, 3]
+        assert [(p.tag, repr(p.score), p.provenance) for p in loaded.row("im1")] == [
+            ("beta", "0.5", FROM_SEEN_THRESHOLDING),
+            ("alpha", "-0.0", FROM_NOVEL_TOPK),
+        ]
+        assert loaded.tags("im0") == ("alpha",)
+        out = tmp_path / "out.tsv"
+        save_selections(loaded, out)
+        assert out.read_text().splitlines()[1:] == [
+            "im1\tbeta\t0.5\tfrom_seen_thresholding",
+            "im1\talpha\t-0.0\tfrom_novel_topk",
+            "im0\talpha\t0.001\tfrom_fallback",
+        ]
+
+    def test_empty_file_gives_no_images(self, tmp_path):
+        path = tmp_path / "sel.tsv"
+        path.write_text("# image_id\ttag\tscore\tprovenance\n")
+        loaded = load_selections(path)
+        assert loaded.images == () and loaded.offsets.tolist() == [0]
+
+
+class TestWriters:
+    """Every writer reports an output path it cannot open as a data error,
+    before writing anything, as the readers do for their inputs."""
+
+    @pytest.mark.parametrize("kind, save, make", [
+        ("vocabulary", save_vocabulary, lambda vocab: vocab),
+        ("scores", save_scores,
+         lambda vocab: ScoreTable(("im0",), vocab.tags, np.array([[0.5, 0.25, 1.0]]))),
+        ("truth", save_truth, lambda vocab: GroundTruth.from_pairs([("im0", "alpha", 1)])),
+        ("co-occurrence", save_cooccurrence, lambda vocab: TestCooccurrenceFormat.stats()),
+        ("selections", save_selections,
+         lambda vocab: SelectionResult(("im0",), {"im0": ()})),
+        ("thresholds", save_thresholds, lambda vocab: TestThresholdsFormat.model(vocab)),
+        ("report", save_report, lambda vocab: {"mf": 0.5}),
+    ])
+    def test_missing_directory_is_a_data_error(self, tmp_path, vocab, kind, save, make):
+        path = tmp_path / "nosuchdir" / "out"
+        with pytest.raises(TagSelectError) as err:
+            save(make(vocab), path)
+        assert type(err.value) is TagSelectError
+        assert str(err.value) == (
+            f"cannot write {kind} file {str(path)!r}: "
+            f"[Errno 2] No such file or directory: {str(path)!r}"
+        )
+        assert not path.parent.exists()
 
 
 class TestThresholdsFormat:

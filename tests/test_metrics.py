@@ -10,12 +10,16 @@ from tagselect import (
     FROM_FALLBACK,
     GroundTruth,
     ImageEval,
+    ScoreTable,
     SelectedTag,
     SelectionResult,
+    TagRankings,
     TagSelectError,
     ap_image,
     evaluate,
     f_image,
+    rank_all_tags,
+    rank_columns,
 )
 
 
@@ -371,3 +375,82 @@ class TestBatchedEvaluate:
         assert_matches_per_image(truth, sels, rankings, False)
         full = GroundTruth(images, tags, np.abs(labels))
         assert_matches_per_image(full, sels, rankings, True)
+
+
+@st.composite
+def column_instances(draw):
+    """A score table with tied scores, a truth over part of its tags (plus
+    tags it lacks) and part of its images, and selections of table tags,
+    some of them empty."""
+    tags = draw(st.lists(st.sampled_from(POOL + STRAYS), min_size=1, unique=True))
+    names = [f"im{i}" for i in range(draw(st.integers(1, 7)))]
+    scores = draw(st.lists(
+        st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=len(tags), max_size=len(tags)),
+        min_size=len(names), max_size=len(names),
+    ))
+    table = ScoreTable(names, tags, np.array(scores).reshape(len(names), len(tags)))
+    coverage = draw(st.lists(st.sampled_from(POOL), unique=True))
+    in_truth = [x for x in names if draw(st.integers(0, 3))]
+    label = st.sampled_from((-1, 0, 1, 1) if draw(st.booleans()) else (0, 1))
+    labels = draw(st.lists(
+        st.lists(label, min_size=len(coverage), max_size=len(coverage)),
+        min_size=len(in_truth), max_size=len(in_truth),
+    ))
+    truth = GroundTruth(in_truth, coverage, np.array(labels, dtype=np.int8).reshape(
+        len(in_truth), len(coverage)))
+    rows = {x: draw(st.lists(st.sampled_from(tags), unique=True, max_size=4)) for x in names}
+    return table, truth, selections_of(rows)
+
+
+def report_repr(report):
+    return (
+        repr(report.mf), repr(report.map), repr(list(report.per_image.items())),
+        report.excluded,
+    )
+
+
+class TestOneScoringPath:
+    """``compare`` and fusion hand ``evaluate`` a ``TagRankings``; every
+    other caller hands it a mapping of ranked tag strings.  Both must give
+    the same report."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(column_instances(), st.booleans())
+    def test_columns_and_strings_give_identical_reports(self, instance, full):
+        table, truth, sels = instance
+        columns = rank_columns(table)
+        strings = dict(zip(table.images, rank_all_tags(table)))
+        try:
+            want = report_repr(evaluate(truth, sels, strings, require_full_coverage=full))
+        except TagSelectError as exc:
+            with pytest.raises(TagSelectError) as got:
+                evaluate(truth, sels, columns, require_full_coverage=full)
+            assert str(got.value) == str(exc)
+            return
+        got = evaluate(truth, sels, columns, require_full_coverage=full)
+        assert report_repr(got) == want
+
+    def test_rank_columns_index_the_table_tags(self):
+        scores = np.array([[0.5, 0.5, 1.0], [0.0, 1.0, 0.0]])
+        table = ScoreTable(("i", "j"), ("b", "a", "c"), scores)
+        rankings = rank_columns(table)
+        assert isinstance(rankings, TagRankings)
+        assert rankings.images == ("i", "j") and rankings.tags == ("b", "a", "c")
+        assert [[rankings.tags[c] for c in row] for row in rankings.order.tolist()] == (
+            rank_all_tags(table)
+        )
+
+    def test_missing_ranking_rows_follow_image_order(self):
+        truth = GroundTruth.from_pairs([("i", "a", 1), ("j", "a", 1)])
+        table = ScoreTable(("i",), ("a",), np.array([[1.0]]))
+        sels = selections_of({"i": ["a"], "j": ["a"]})
+        with pytest.raises(TagSelectError, match="no ranking given for image 'j'"):
+            evaluate(truth, sels, rank_columns(table))
+
+    def test_string_path_still_rejects_a_duplicate_ranked_tag(self):
+        truth = GroundTruth.from_pairs([("i", "a", 1), ("i", "b", 0)])
+        table = ScoreTable(("i",), ("a", "b"), np.array([[1.0, 0.0]]))
+        sels = selections_of({"i": ["a"]})
+        assert evaluate(truth, sels, rank_columns(table)).map == 1.0
+        with pytest.raises(TagSelectError, match="ranking contains duplicate tag 'b'"):
+            evaluate(truth, sels, {"i": ["a", "b", "b"]})

@@ -15,6 +15,7 @@ from tagselect import (
     FROM_SEEN_THRESHOLDING,
     STRATEGY_NAMES,
     ScoreTable,
+    SelectionResult,
     SimilarityMatrix,
     StrategySpec,
     SyntheticSpec,
@@ -436,3 +437,29 @@ class TestSelectionKernel:
                     refined_rankings=True)
         # Without refinement nothing divides by the thresholds.
         run_strategy(StrategySpec("adaptive"), table, vocab, model, sim)
+
+
+class TestKernelOutputPassesCheckedConstructor:
+    """The kernel builds its array-backed result unchecked; rebuilt from its
+    rows through the public constructor, every result must be accepted and
+    equal the kernel's row by row."""
+
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(),
+        SyntheticSpec(n_images=60, n_train=120, n_seen=150, n_novel=150, count_max=40),
+    ], ids=["default", "60x300"])
+    def test_every_strategy_with_and_without_refinement(self, spec):
+        bench = generate_synthetic(spec, 3)
+        vocab, table = bench.vocab, bench.eval_table
+        model = learn_all_thresholds(bench.train_table, bench.train_truth, vocab)
+        sim = similarity_matrix(bench.cooccurrence, vocab)
+        for name in STRATEGY_NAMES:
+            for refine in (False, True):
+                result = run_strategy(StrategySpec(name, refine=refine), table, vocab, model, sim)
+                rows = {x: result.row(x) for x in result.images}
+                rebuilt = SelectionResult(result.images, rows)
+                assert rebuilt.images == result.images == table.images
+                for x in result.images:
+                    assert triples(rebuilt.row(x)) == triples(rows[x])
+                    assert rebuilt.tags(x) == result.tags(x)
+                assert int(result.offsets[-1]) == sum(map(len, rows.values()))
