@@ -29,7 +29,6 @@ from .core import (
     SelectionResult,
     TagRankings,
     Vocabulary,
-    rank_all_tags,
     rank_columns,
     rank_tags,
     validate_inputs,
@@ -127,7 +126,6 @@ __all__ = [
     "ngd",
     "pair_similarity",
     "predict_threshold",
-    "rank_all_tags",
     "rank_columns",
     "rank_tags",
     "refine_novel_scores",

@@ -509,7 +509,3 @@ def rank_columns(table: ScoreTable) -> TagRankings:
     lexsort."""
     return TagRankings(table.images, table.tags, order_rows(table.scores, table._tag_rank))
 
-
-def rank_all_tags(table: ScoreTable) -> list[list[str]]:
-    """``rank_tags`` for every image, in image order, from one 2-D lexsort."""
-    return table._tags_arr[order_rows(table.scores, table._tag_rank)].tolist()

@@ -43,9 +43,9 @@ _LABELS = {"0": False, "1": True}
 _ROW_FIELDS = {"1": 3, "2": 4, "N": 2}  # co-occurrence row kind -> fields
 
 
-#: Physical lines read, checked and converted at a time.  The score, truth
-#: and co-occurrence loaders keep only arrays across blocks, so a large file
-#: never sits in memory whole, as text or as strings.
+#: Physical lines read, checked and converted at a time.  The score, truth,
+#: co-occurrence and selections loaders keep only arrays across blocks, so a
+#: large file never sits in memory whole, as text or as strings.
 BLOCK_LINES = 1 << 16
 
 _NL, _TAB, _HASH = ord("\n"), ord("\t"), ord("#")
@@ -101,8 +101,10 @@ def _blocks(path, kind) -> Iterator[_Block]:
                 if len(block.linenos):
                     yield block
                 first += n_lines
+                del block
             if error is not None:
                 raise error
+            del raw, text  # so that the next block is not read beside this one
 
 
 def _split_block(raw: bytes, text: str, first: int) -> tuple[_Block, int]:
@@ -136,8 +138,10 @@ def _columns(path, kind, width) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
         if n:
             flat = block.fields[: n * width]
             yield block.linenos[:n], [flat[j::width] for j in range(width)]
+            del flat
         if len(wrong):
             raise _field_count_error(path, block.linenos[n], width, block.ntabs[n] + 1)
+        del block
 
 
 def tsv_lines(path, kind) -> Iterator[tuple[int, list[str]]]:
@@ -255,15 +259,11 @@ def _need_fields(path, lineno, fields, n) -> None:
         raise _field_count_error(path, lineno, n, len(fields))
 
 
-def _parse_float(path, lineno, text) -> float:
+def _parse_finite(path, lineno, text) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise FormatError(path, lineno, f"not a number: {text!r}") from None
-
-
-def _parse_finite(path, lineno, text) -> float:
-    value = _parse_float(path, lineno, text)
     if not np.isfinite(value):
         raise FormatError(path, lineno, f"not a finite number: {text!r}")
     return value
@@ -553,39 +553,37 @@ def load_selections(path) -> SelectionResult:
     """Images in order of first appearance, each with its rows in file order."""
     image_index: dict[str, int] = {}
     tag_index: dict[str, int] = {}
-    picked: set[tuple[int, int]] = set()
-    rows: list[int] = []
-    cols: list[int] = []
-    scores: list[float] = []
-    codes: list[int] = []
-    for lineno, fields in tsv_lines(path, "selections"):
-        _need_fields(path, lineno, fields, 4)
-        image, tag, text, provenance = fields
-        if not image:
-            raise FormatError(path, lineno, "empty image id")
-        if not tag:
-            raise FormatError(path, lineno, "empty tag")
-        if provenance not in PROVENANCE_CODE:
-            raise FormatError(path, lineno, f"unknown provenance {provenance!r}")
-        score = _parse_float(path, lineno, text)
-        cell = (image_index.setdefault(image, len(image_index)),
-                tag_index.setdefault(tag, len(tag_index)))
-        if cell in picked:
-            raise FormatError(path, lineno, f"duplicate selection ({image!r}, {tag!r})")
-        picked.add(cell)
-        rows.append(cell[0])
-        cols.append(cell[1])
-        scores.append(score)
-        codes.append(PROVENANCE_CODE[provenance])
-    image_of = np.array(rows, dtype=np.intp)
+    picked = np.zeros((0, 0), dtype=bool)
+    # Per block: image and tag indices, scores and provenance codes.
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), np.zeros(0, np.int8))]
+    for linenos, (images, tags, texts, provenance) in _columns(path, "selections", 4):
+        codes = list(map(PROVENANCE_CODE.get, provenance))
+        scores, bad_score = _parse_all(float, texts)
+        ok, error = _first_error(
+            path, linenos,
+            (_find(images, ""), lambda i: "empty image id"),
+            (_find(tags, ""), lambda i: "empty tag"),
+            (_find(codes, None), lambda i: f"unknown provenance {provenance[i]!r}"),
+            (bad_score, lambda i: f"not a number: {texts[i]!r}"),
+        )
+        rows, cols = _indices(image_index, images[:ok]), _indices(tag_index, tags[:ok])
+        picked = _grow(picked, len(image_index), len(tag_index))
+        repeated = _mark_new(picked, rows, cols)
+        if repeated is not None:
+            raise FormatError(
+                path, int(linenos[repeated]),
+                f"duplicate selection ({images[repeated]!r}, {tags[repeated]!r})",
+            )
+        if error is not None:
+            raise error
+        scores, codes = np.array(scores, dtype=np.float64), np.array(codes, dtype=np.int8)
+        parts.append((rows, cols, scores, codes))
+    image_of, cols, scores, codes = map(np.concatenate, zip(*parts))
     order = np.argsort(image_of, kind="stable")
     sizes = np.bincount(image_of, minlength=len(image_index))
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     return SelectionResult._from_arrays(
-        tuple(image_index), tuple(tag_index), offsets,
-        np.array(cols, dtype=np.intp)[order],
-        np.array(scores, dtype=np.float64)[order],
-        np.array(codes, dtype=np.int8)[order],
+        tuple(image_index), tuple(tag_index), offsets, cols[order], scores[order], codes[order],
     )
 
 
@@ -647,6 +645,8 @@ def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
 
 
 def save_thresholds(model: ThresholdModel, path) -> None:
+    if _LSQ_ROW in model.stats.tags:
+        raise FormatError(path, 0, "the tag name 'lsq' is reserved in this format")
     with _create(path, "thresholds") as fh:
         fh.write("# tag\ttau\tmu\tsigma ('-' = no learned threshold)\n")
         if model.lsq_coeffs is not None:
@@ -654,8 +654,6 @@ def save_thresholds(model: ThresholdModel, path) -> None:
             fh.write(f"{_LSQ_ROW}\t{values}\n")
         stats = model.stats
         for i, tag in enumerate(stats.tags):
-            if tag == _LSQ_ROW:
-                raise FormatError(path, 0, "the tag name 'lsq' is reserved in this format")
             tau = _fmt(model.tau[tag]) if tag in model.tau else "-"
             fh.write(f"{tag}\t{tau}\t{_fmt(stats.mu[i])}\t{_fmt(stats.sigma[i])}\n")
 
@@ -670,5 +668,5 @@ def save_report(report, path) -> None:
 
 
 def load_report(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with _open(path, "report") as fh:
         return json.load(fh)

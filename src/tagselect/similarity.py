@@ -302,9 +302,8 @@ def similarity_matrix(stats: CooccurrenceStats, vocab: Vocabulary) -> Similarity
         dist[den <= 0.0] = math.inf
         dist[num <= 0.0] = 0.0
         dist[fab == 0] = math.inf
-        sims = np.array(list(map(math.exp, (-dist).tolist())))
-        block = np.eye(m)
-        block[i, j] = sims
-        block[j, i] = sims
-        values[np.ix_(present, present)] = block
+        sims = np.fromiter(map(math.exp, (-dist).tolist()), dtype=np.float64, count=len(dist))
+        a, b = present[i], present[j]
+        values[a, b] = sims
+        values[b, a] = sims
     return SimilarityMatrix(tags, values, missing)

@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, ScoreTable, Vocabulary
+from .core import GroundTruth, ScoreTable, Vocabulary, require_finite
 from .errors import DegenerateFitError, TagSelectError, UntrainableTagError
 
 # Relative tolerance for declaring the 2x2 (or 3x3) normal matrix singular.
@@ -187,8 +187,10 @@ def learn_all_thresholds(
     The truth must label seen tags only (a training ground truth); its
     images must all be present in the score table.  Seen tags with no
     labels, or labels of a single class, are recorded as untrainable.
-    Statistics cover the full vocabulary, computed on the training table.
+    Statistics cover the full vocabulary, computed on the training table;
+    every score in it must be finite.
     """
+    require_finite(table)
     seen_set = set(vocab.seen_tags)
     outside = [t for t in truth.coverage if t not in seen_set]
     if outside:

@@ -22,6 +22,7 @@ from tagselect import (
     FormatError,
     GroundTruth,
     ScoreTable,
+    SelectionResult,
     SimilarityMatrix,
     Vocabulary,
     fcs,
@@ -29,6 +30,8 @@ from tagselect import (
     refine_novel_scores,
     select_by_threshold,
 )
+from tagselect.core import PROVENANCE_CODE
+from tagselect.formats import tsv_lines
 
 
 def brute_force_threshold(scores, labels):
@@ -215,9 +218,10 @@ def adaptive_oracle(
     return picks
 
 
-# The score, truth and co-occurrence loaders as they read one line at a
-# time, kept verbatim (only renamed) as the reference for the block-wise
-# codec of ``tagselect.formats``.
+# The score, truth, co-occurrence and selections loaders as they read one
+# line at a time, kept verbatim (only renamed) as the reference for the
+# block-wise codec of ``tagselect.formats``.  The selections loader reads its
+# lines through the package's ``tsv_lines``, as it did in the package.
 
 def _rows(path) -> Iterator[tuple[int, list[str]]]:
     with open(path, encoding="utf-8") as fh:
@@ -380,3 +384,43 @@ def load_cooccurrence_oracle(path) -> CooccurrenceStats:
         counts[rows, cols] = values
         counts[cols, rows] = values
     return CooccurrenceStats.from_counts(tags, counts, total)
+
+
+def load_selections_oracle(path) -> SelectionResult:
+    """Images in order of first appearance, each with its rows in file order."""
+    image_index: dict[str, int] = {}
+    tag_index: dict[str, int] = {}
+    picked: set[tuple[int, int]] = set()
+    rows: list[int] = []
+    cols: list[int] = []
+    scores: list[float] = []
+    codes: list[int] = []
+    for lineno, fields in tsv_lines(path, "selections"):
+        _need_fields(path, lineno, fields, 4)
+        image, tag, text, provenance = fields
+        if not image:
+            raise FormatError(path, lineno, "empty image id")
+        if not tag:
+            raise FormatError(path, lineno, "empty tag")
+        if provenance not in PROVENANCE_CODE:
+            raise FormatError(path, lineno, f"unknown provenance {provenance!r}")
+        score = _parse_float(path, lineno, text)
+        cell = (image_index.setdefault(image, len(image_index)),
+                tag_index.setdefault(tag, len(tag_index)))
+        if cell in picked:
+            raise FormatError(path, lineno, f"duplicate selection ({image!r}, {tag!r})")
+        picked.add(cell)
+        rows.append(cell[0])
+        cols.append(cell[1])
+        scores.append(score)
+        codes.append(PROVENANCE_CODE[provenance])
+    image_of = np.array(rows, dtype=np.intp)
+    order = np.argsort(image_of, kind="stable")
+    sizes = np.bincount(image_of, minlength=len(image_index))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    return SelectionResult._from_arrays(
+        tuple(image_index), tuple(tag_index), offsets,
+        np.array(cols, dtype=np.intp)[order],
+        np.array(scores, dtype=np.float64)[order],
+        np.array(codes, dtype=np.int8)[order],
+    )

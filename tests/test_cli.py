@@ -330,7 +330,7 @@ class TestPipeline:
                 t: repr(v) for t, v in want.items()
             }
 
-    @pytest.mark.parametrize("command", ["select", "compare", "refine"])
+    @pytest.mark.parametrize("command", ["learn-thresholds", "select", "compare", "refine"])
     def test_non_finite_score_is_rejected(self, bench_dir, tmp_path, capsys, command):
         thresholds = tmp_path / "thresholds.tsv"
         run(
@@ -340,22 +340,28 @@ class TestPipeline:
             "--truth", bench_dir / "train_truth.tsv",
             "--out", thresholds,
         )
-        scores = bench_dir / "eval_scores.tsv"
+        # learn-thresholds trains on seen tags only; its bad cells, lines 11
+        # and 40, are both in novel columns.
+        train = command == "learn-thresholds"
+        scores = bench_dir / ("train_scores.tsv" if train else "eval_scores.tsv")
+        bad = 11 if train else 3
         lines = scores.read_text().splitlines()
-        for lineno, value in ((40, "inf"), (3, "nan")):
+        for lineno, value in ((40, "inf"), (bad, "nan")):
             image, tag, _ = lines[lineno].split("\t")
             lines[lineno] = "\t".join([image, tag, value])
-        first = lines[3].split("\t")[:2]
+        first = lines[bad].split("\t")[:2]
+        assert not train or first[1].startswith("novel_")
         scores.write_text("\n".join(lines) + "\n")
         io = ["--vocab", bench_dir / "vocabulary.tsv", "--scores", scores]
         model = ["--thresholds", thresholds, "--cooccurrence", bench_dir / "cooccurrence.tsv"]
         argv = {
-            "select": ["--strategy", "adaptive", "--refine"],
-            "compare": ["--truth", bench_dir / "eval_truth.tsv"],
-            "refine": [],
+            "learn-thresholds": ["--truth", bench_dir / "train_truth.tsv"],
+            "select": [*model, "--strategy", "adaptive", "--refine"],
+            "compare": [*model, "--truth", bench_dir / "eval_truth.tsv"],
+            "refine": model,
         }[command]
         out = tmp_path / "out"
-        assert run(command, *io, *model, *argv, "--out", out) == 1
+        assert run(command, *io, *argv, "--out", out) == 1
         err = capsys.readouterr().err
         assert f"error[data]: non-finite score for image {first[0]!r}, tag {first[1]!r}" in err
         assert not out.exists()

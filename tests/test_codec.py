@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tagselect import FormatError, Vocabulary, formats
+from tagselect import PROVENANCE_ORDER, FormatError, Vocabulary, formats
 
 VOCAB = Vocabulary.from_partition(["alpha", "beta", "é字"], ["#hash", "g a"])
 # Identifiers include a non-ASCII tag, a space, a form feed and a line
@@ -107,6 +107,13 @@ TRUTH_RULES = COMMON_RULES + [
     lambda f, o: "\t".join([*f[:2], "2"]),  # bad label
     lambda f, o: "\t".join([*f[:2], " 1"]),  # bad label
 ]
+# Any tag may be selected, so the common "unknown tag" rule gives a valid
+# line here.
+SELECTION_RULES = COMMON_RULES + [
+    lambda f, o: "\t".join([f[0], "", *f[2:]]),  # empty tag
+    lambda f, o: "\t".join([*f[:2], "low", *f[3:]]),  # not a number
+    lambda f, o: "\t".join([*f[:-1], "guess"]),  # unknown provenance
+]
 
 
 @st.composite
@@ -131,6 +138,19 @@ def truth_files(draw):
     lines = ["\t".join(cell) for cell in cells]
     if draw(st.booleans()):
         lines = corrupt(draw, lines, TRUTH_RULES)
+    return render(draw, lines)
+
+
+@st.composite
+def selection_files(draw):
+    cells = draw(st.lists(
+        st.tuples(st.sampled_from(IDS), st.sampled_from(VOCAB.tags),
+                  st.sampled_from(NUMBERS), st.sampled_from(PROVENANCE_ORDER)),
+        max_size=12, unique_by=lambda c: c[:2],
+    ))
+    lines = ["\t".join(cell) for cell in cells]
+    if draw(st.booleans()):
+        lines = corrupt(draw, lines, SELECTION_RULES)
     return render(draw, lines)
 
 
@@ -163,6 +183,7 @@ def cooccurrence_files(draw):
 
 
 BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, formats.BLOCK_LINES])
+SELECTION_FIELDS = ("images", "column_tags", "offsets", "columns", "scores", "provenance")
 
 
 class TestAgainstLineOracle:
@@ -196,9 +217,22 @@ class TestAgainstLineOracle:
                 path, formats.load_cooccurrence, oracles.load_cooccurrence_oracle)
         same_result(got, want, ("tags", "counts", "total"))
 
+    @settings(deadline=None, max_examples=200)
+    @given(content=selection_files(), block=BLOCK_SIZES)
+    def test_selections(self, tmp_path_factory, content, block):
+        path = tmp_path_factory.mktemp("codec") / "selections.tsv"
+        path.write_bytes(content)
+        with block_lines(block):
+            want, got = oracle_and_codec(
+                path, formats.load_selections, oracles.load_selections_oracle)
+        same_result(got, want, SELECTION_FIELDS)
+
 
 SCORE_LINES = [f"{image}\t{tag}\t0.5" for image in IDS[:2] for tag in VOCAB.tags]
-TRUTH_LINES = [line[:-3] + f"\t{k % 2}" for k, line in enumerate(SCORE_LINES)]
+TRUTH_LINES = [line[:-4] + f"\t{k % 2}" for k, line in enumerate(SCORE_LINES)]
+SELECTION_LINES = [
+    line[:-4] + f"\t{k / 4!r}\t{PROVENANCE_ORDER[k % 3]}" for k, line in enumerate(SCORE_LINES)
+]
 LOADERS = [
     ("scores", SCORE_LINES, SCORE_RULES, formats.load_scores, oracles.load_scores_oracle,
      (VOCAB,), ("images", "tags", "scores")),
@@ -206,6 +240,8 @@ LOADERS = [
      (VOCAB,), ("images", "coverage", "labels")),
     ("cooccurrence", COOC_LINES, COOC_RULES, formats.load_cooccurrence,
      oracles.load_cooccurrence_oracle, (), ("tags", "counts", "total")),
+    ("selections", SELECTION_LINES, SELECTION_RULES, formats.load_selections,
+     oracles.load_selections_oracle, (), SELECTION_FIELDS),
 ]
 
 
@@ -253,15 +289,21 @@ def truth_lines(score_lines):
     return [line.rsplit("\t", 1)[0] + f"\t{k % 3 % 2}" for k, line in enumerate(score_lines)]
 
 
+@pytest.fixture(scope="module")
+def selection_lines(score_lines):
+    return [f"{line}\t{PROVENANCE_ORDER[k % 3]}" for k, line in enumerate(score_lines)]
+
+
 def write(path, lines, newline="\n"):
     path.write_bytes(("# header" + newline + newline.join(lines) + newline).encode())
     return path
 
 
 def replace_fields(lines, lineno, **fields):
-    """``lines`` with file line ``lineno`` given new image, tag or value."""
+    """``lines`` with file line ``lineno`` given new image, tag or value (the
+    fields after the tag)."""
     lines = list(lines)
-    image, tag, value = lines[lineno - 2].split("\t")
+    image, tag, value = lines[lineno - 2].split("\t", 2)
     new = {"image": image, "tag": tag, "value": value, **fields}
     lines[lineno - 2] = "\t".join([new["image"], new["tag"], new["value"]])
     return lines
@@ -270,7 +312,7 @@ def replace_fields(lines, lineno, **fields):
 class TestBeyondOneBlock:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_valid_files_load_as_the_oracle_does(
-        self, tmp_path, score_lines, truth_lines, newline
+        self, tmp_path, score_lines, truth_lines, selection_lines, newline
     ):
         lines = list(score_lines)
         lines[B + 7:B + 7] = ["# a comment inside the second block", ""]
@@ -282,6 +324,10 @@ class TestBeyondOneBlock:
         want, got = oracle_and_codec(
             path, formats.load_truth, oracles.load_truth_oracle, WIDE_VOCAB)
         same_result(got, want, ("images", "coverage", "labels"))
+        path = write(tmp_path / "selections.tsv", selection_lines, newline)
+        want, got = oracle_and_codec(
+            path, formats.load_selections, oracles.load_selections_oracle)
+        same_result(got, want, SELECTION_FIELDS)
 
     @pytest.mark.parametrize("lineno", [B, B + 1], ids=BOUNDARY)
     @pytest.mark.parametrize("fields, message", [
@@ -308,24 +354,28 @@ class TestBeyondOneBlock:
         assert str(err.value) == f"{path}:{lineno}: label must be 0 or 1, got 'yes'"
 
     def test_duplicate_of_an_earlier_block_wins_over_a_later_error(
-        self, tmp_path, score_lines, truth_lines
+        self, tmp_path, score_lines, truth_lines, selection_lines
     ):
         """Line 10's cell repeats in the second block; the third block has
-        an unknown tag."""
+        an unknown tag, or for selections, which take any tag, an empty
+        image id."""
         image, tag, _ = score_lines[10 - 2].split("\t")
-        for name, lines, load, oracle, what in [
-            ("scores", score_lines, formats.load_scores, oracles.load_scores_oracle, "score"),
-            ("truth", truth_lines, formats.load_truth, oracles.load_truth_oracle, "label"),
+        cell = f"({image!r}, {tag!r})"
+        for name, lines, load, oracle, args, later, message in [
+            ("scores", score_lines, formats.load_scores, oracles.load_scores_oracle,
+             (WIDE_VOCAB,), {"tag": "delta"}, f"duplicate score for {cell}"),
+            ("truth", truth_lines, formats.load_truth, oracles.load_truth_oracle,
+             (WIDE_VOCAB,), {"tag": "delta"}, f"duplicate label for {cell}"),
+            ("selections", selection_lines, formats.load_selections,
+             oracles.load_selections_oracle, (), {"image": ""}, f"duplicate selection {cell}"),
         ]:
             lines = replace_fields(lines, B + 5, image=image, tag=tag)
-            lines = replace_fields(lines, 2 * B + 3, tag="delta")
+            lines = replace_fields(lines, 2 * B + 3, **later)
             path = write(tmp_path / f"{name}.tsv", lines)
             with pytest.raises(FormatError) as err:
-                load(path, WIDE_VOCAB)
-            assert str(err.value) == (
-                f"{path}:{B + 5}: duplicate {what} for ({image!r}, {tag!r})"
-            )
-            want, got = oracle_and_codec(path, load, oracle, WIDE_VOCAB)
+                load(path, *args)
+            assert str(err.value) == f"{path}:{B + 5}: {message}"
+            want, got = oracle_and_codec(path, load, oracle, *args)
             same_result(got, want, ())
 
 
@@ -354,6 +404,20 @@ class TestUndecodableInput:
             formats.load_scores(path, VOCAB)
         assert str(err.value) == f"{path}:2: not a number: 'low'"
 
+    @pytest.mark.parametrize("block", [1, 2, formats.BLOCK_LINES])
+    @pytest.mark.parametrize("provenance, lineno", [(PROVENANCE_ORDER[0], 3), ("guess", 2)])
+    def test_selections_as_the_oracle(self, tmp_path, block, provenance, lineno):
+        """A bad byte on line 3, after a valid or a bad line 2."""
+        lines = SELECTION_LINES[:5]
+        lines[1] = lines[1].rsplit("\t", 1)[0] + f"\t{provenance}"
+        path = tmp_path / "selections.tsv"
+        path.write_bytes(self.lines_with_bad_byte(3, "\n".join(lines)))
+        with block_lines(block):
+            want, got = oracle_and_codec(
+                path, formats.load_selections, oracles.load_selections_oracle)
+        assert want.lineno == lineno
+        same_result(got, want, ())
+
     def test_a_comment_line_must_decode_too(self, tmp_path):
         path = tmp_path / "vocabulary.tsv"
         path.write_bytes(b"alpha\tseen\r\n# caf\xe9\r\nbeta\tnovel\r\n")
@@ -379,6 +443,7 @@ class TestUndecodableInput:
     (formats.load_cooccurrence, (), "co-occurrence"),
     (formats.load_selections, (), "selections"),
     (formats.load_thresholds, (VOCAB,), "thresholds"),
+    (formats.load_report, (), "report"),
 ])
 def test_unreadable_file_names_kind_and_path(tmp_path, load, args, kind):
     path = tmp_path / "nosuch.tsv"

@@ -16,7 +16,7 @@ from tagselect import (
     SelectionResult,
     TagSelectError,
     Vocabulary,
-    rank_all_tags,
+    rank_columns,
     rank_tags,
     validate_inputs,
 )
@@ -287,14 +287,20 @@ class TestRankAllTags:
     # fall back on column order.
     TAGS = ("kiwi", "Apple", "b", "apple", "a1", "a", "zeta", "B", "a10", "a2")
 
+    @staticmethod
+    def ranked(table):
+        """``rank_columns`` as tag strings, one list per image."""
+        rankings = rank_columns(table)
+        return [[rankings.tags[c] for c in row] for row in rankings.order.tolist()]
+
     def assert_batched_equals_scalar(self, table):
-        assert rank_all_tags(table) == [rank_tags(table, x) for x in table.images]
+        assert self.ranked(table) == [rank_tags(table, x) for x in table.images]
 
     def test_all_equal_rows(self):
         n, m = 4, len(self.TAGS)
         table = make_table([f"x{i}" for i in range(n)], self.TAGS, np.full((n, m), 0.25))
         self.assert_batched_equals_scalar(table)
-        assert rank_all_tags(table)[0] == sorted(self.TAGS)
+        assert self.ranked(table)[0] == sorted(self.TAGS)
 
     def test_signed_zeros_tie(self):
         rows = [
@@ -303,7 +309,7 @@ class TestRankAllTags:
         ]
         table = make_table(["x0", "x1"], self.TAGS, rows)
         self.assert_batched_equals_scalar(table)
-        assert rank_all_tags(table)[1] == sorted(self.TAGS)
+        assert self.ranked(table)[1] == sorted(self.TAGS)
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())

@@ -485,8 +485,11 @@ class TestThresholdsFormat:
         vocab = Vocabulary.from_partition(["lsq"], ["other"])
         stats = TagStats(vocab.tags, np.zeros(2), np.zeros(2))
         model = ThresholdModel(tau={}, stats=stats)
-        with pytest.raises(FormatError):
-            save_thresholds(model, tmp_path / "thr.tsv")
+        path = tmp_path / "thr.tsv"
+        with pytest.raises(FormatError) as err:
+            save_thresholds(model, path)
+        assert str(err.value) == f"{path}:0: the tag name 'lsq' is reserved in this format"
+        assert not path.exists()
 
 
 class TestReportFormat:

@@ -18,8 +18,8 @@ from tagselect import (
     ap_image,
     evaluate,
     f_image,
-    rank_all_tags,
     rank_columns,
+    rank_tags,
 )
 
 
@@ -419,7 +419,7 @@ class TestOneScoringPath:
     def test_columns_and_strings_give_identical_reports(self, instance, full):
         table, truth, sels = instance
         columns = rank_columns(table)
-        strings = dict(zip(table.images, rank_all_tags(table)))
+        strings = {x: rank_tags(table, x) for x in table.images}
         try:
             want = report_repr(evaluate(truth, sels, strings, require_full_coverage=full))
         except TagSelectError as exc:
@@ -436,9 +436,9 @@ class TestOneScoringPath:
         rankings = rank_columns(table)
         assert isinstance(rankings, TagRankings)
         assert rankings.images == ("i", "j") and rankings.tags == ("b", "a", "c")
-        assert [[rankings.tags[c] for c in row] for row in rankings.order.tolist()] == (
-            rank_all_tags(table)
-        )
+        assert [[rankings.tags[c] for c in row] for row in rankings.order.tolist()] == [
+            rank_tags(table, x) for x in table.images
+        ]
 
     def test_missing_ranking_rows_follow_image_order(self):
         truth = GroundTruth.from_pairs([("i", "a", 1), ("j", "a", 1)])

@@ -27,7 +27,7 @@ from tagselect import (
     generate_synthetic,
     k_novel,
     learn_all_thresholds,
-    rank_all_tags,
+    rank_tags,
     refine_novel_scores,
     run_strategy,
     select_by_threshold,
@@ -375,7 +375,8 @@ class TestSelectionKernel:
     def test_refined_table_and_rankings_match_oracle(self, problem):
         vocab, table, model, sim, cfg = problem
         refined = refine_table(table, vocab, model, sim, cfg.w)
-        for x, ranking in zip(table.images, rank_all_tags(refined)):
+        for x in table.images:
+            ranking = rank_tags(refined, x)
             want = oracles.refined_scores_oracle(table, x, vocab, model, sim, cfg.w)
             assert {t: repr(refined.score(x, t)) for t in table.tags} == {
                 t: repr(v) for t, v in want.items()

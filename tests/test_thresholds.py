@@ -279,6 +279,13 @@ class TestLearnAllThresholds:
         with pytest.raises(TagSelectError):
             learn_all_thresholds(table, truth, vocab)
 
+    def test_non_finite_score_rejected_outside_the_trained_columns(self):
+        vocab = Vocabulary.from_partition(["s"], ["n"])
+        table = ScoreTable(("i", "j"), vocab.tags, np.array([[0.9, 0.1], [0.2, np.nan]]))
+        truth = GroundTruth.from_pairs([("i", "s", 1), ("j", "s", 0)])
+        with pytest.raises(TagSelectError, match="non-finite score for image 'j', tag 'n'"):
+            learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
+
     def test_fit_coeffs_flag(self, small_bench):
         model = learn_all_thresholds(
             small_bench.train_table,
