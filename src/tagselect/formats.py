@@ -405,6 +405,9 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
             raise error
         relevant = _grow(relevant, len(img_index), len(tag_index))
         relevant[rows, cols] = values[:ok]
+        # As in load_scores: the block's columns must not sit in memory
+        # beside the next block.
+        del images, tags, labels, values, rows, cols
     if not img_index:
         raise FormatError(path, 0, "ground truth file holds no labels")
     shape = (slice(len(img_index)), slice(len(tag_index)))
@@ -415,8 +418,16 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
 def save_truth(truth: GroundTruth, path) -> None:
     with _create(path, "truth") as fh:
         fh.write("# image_id\ttag\t0|1\n")
-        for image, tag, label in truth.iter_pairs():
-            fh.write(f"{image}\t{tag}\t{label}\n")
+        # Row-major, so image-major in stored order, as iter_pairs yields.
+        r, c = np.nonzero(truth.labels >= 0)
+        fh.writelines(
+            f"{image}\t{tag}\t{label}\n"
+            for image, tag, label in zip(
+                np.array(truth.images, dtype=object)[r].tolist(),
+                np.array(truth.coverage, dtype=object)[c].tolist(),
+                truth.labels[r, c].tolist(),
+            )
+        )
 
 
 # ------------------------------------------------------------- cooccurrence

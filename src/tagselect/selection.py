@@ -139,6 +139,19 @@ def k_novel(seen_size: int, novel_size: int, a_size: int) -> int:
     return min(k, novel_size)
 
 
+def _blend(raw, block, ratios, mask, w):
+    """``w * raw + (1-w) * mean over A of sim * ratio`` per image (row):
+    A is the image's ``mask``ed columns (never none) of ``ratios``, and
+    ``block`` holds sim(novel tag, column).  The sum runs in column order,
+    one accumulation per column, so every cell equals a scalar
+    ``acc += sim * ratio`` loop bit for bit; no BLAS kernel picks the order."""
+    acc = np.zeros(raw.shape)
+    for k in range(mask.shape[1]):
+        rows = np.flatnonzero(mask[:, k])
+        acc[rows] += ratios[rows, k, None] * block[:, k]
+    return w * raw + (1.0 - w) * (acc / np.count_nonzero(mask, axis=1)[:, None])
+
+
 def refine_novel_scores(
     table: ScoreTable,
     image: str,
@@ -178,16 +191,11 @@ def refine_novel_scores(
                 f"threshold for {t!r} is {tau!r}; scores cannot be normalized by it"
             )
         ratios.append(row[table.tag_index(t)] / tau - 1.0)
-    ratios = np.array(ratios, dtype=np.float64)
-    novel = list(vocab.novel_tags)
-    sim_block = sim.values[np.ix_(
-        [sim.index(t) for t in novel], [sim.index(t) for t in a_tags]
-    )]
-    additive = sim_block @ ratios / len(a_tags)
-    refined = {}
-    for i, t in enumerate(novel):
-        refined[t] = w * float(row[table.tag_index(t)]) + (1.0 - w) * float(additive[i])
-    return refined
+    novel = vocab.novel_tags
+    block = sim.values[np.ix_([sim.index(t) for t in novel], [sim.index(t) for t in a_tags])]
+    raw = row[[table.tag_index(t) for t in novel]]
+    refined = _blend(raw[None], block, np.array([ratios]), np.ones((1, len(a_tags)), bool), w)
+    return dict(zip(novel, refined[0].tolist()))
 
 
 def _columns(
@@ -223,20 +231,13 @@ def refine_table(
         )
     scores = np.array(table.scores)
     mask = scores[:, pool] > tau
-    # Pool tags that no image selects take no part in any sum.
-    keep = mask.any(axis=0)
-    pool, tau, mask = pool[keep], tau[keep], mask[:, keep]
+    hit = np.flatnonzero(mask.any(axis=1))
     block = sim.values[np.ix_(
         [sim.index(table.tags[c]) for c in novel], [sim.index(table.tags[c]) for c in pool]
     )]
-    ratios = scores[:, pool] / tau - 1.0
-    for i in np.flatnonzero(mask.any(axis=1)):
-        a = np.flatnonzero(mask[i])
-        # One product per image with a C-contiguous (novel x A) block sums
-        # over A in the order refine_novel_scores does; a masked product
-        # over the pool, or a strided block, can move the last bit.
-        additive = block.take(a, axis=1) @ ratios[i, a] / a.size
-        scores[i, novel] = w * scores[i, novel] + (1.0 - w) * additive
+    ratios = scores[np.ix_(hit, pool)] / tau - 1.0
+    cells = np.ix_(hit, novel)
+    scores[cells] = _blend(scores[cells], block, ratios, mask[hit], w)
     return ScoreTable(table.images, table.tags, scores)
 
 

@@ -4,7 +4,9 @@ from the statistics."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -132,46 +134,43 @@ class ThresholdModel:
             object.__setattr__(self, "lsq_coeffs", coeffs)
 
 
+def _det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant of a 2x2 or 3x3 matrix by cofactors along the first row."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
 def fit_lsq(model: ThresholdModel, intercept: bool = False) -> tuple[float, ...]:
     """Least-squares reconstruction of the learned thresholds from per-tag
     statistics: minimizes sum over trainable tags of (a*mu + b*sigma - tau)^2.
 
-    Solved through the normal equations.  With ``intercept`` a constant term
-    c is added; the default is the pure two-coefficient form.
+    Solved through the normal equations by Cramer's rule.  With
+    ``intercept`` a constant term c is added; the default is the pure
+    two-coefficient form.
     """
     tags = list(model.tau)
     if len(tags) < 2:
         raise DegenerateFitError("need at least two learned thresholds to fit")
     idx = [model.stats.index(t) for t in tags]
-    mu = model.stats.mu[idx]
-    sigma = model.stats.sigma[idx]
+    mu, sigma = model.stats.mu[idx], model.stats.sigma[idx]
     tau = np.array([model.tau[t] for t in tags], dtype=np.float64)
-    if intercept:
-        cols = (mu, sigma, np.ones_like(mu))
-    else:
-        cols = (mu, sigma)
-    k = len(cols)
-    gram = np.empty((k, k), dtype=np.float64)
-    rhs = np.empty(k, dtype=np.float64)
-    for i in range(k):
-        rhs[i] = float(cols[i] @ tau)
-        for j in range(i, k):
-            gram[i, j] = gram[j, i] = float(cols[i] @ cols[j])
-    if not intercept:
-        det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
-        if abs(det) <= _DET_RTOL * max(gram[0, 0] * gram[1, 1], 1e-300):
-            raise DegenerateFitError("normal matrix is rank deficient; thresholds "
-                                     "cannot be expressed in these statistics")
-        a = (gram[1, 1] * rhs[0] - gram[0, 1] * rhs[1]) / det
-        b = (gram[0, 0] * rhs[1] - gram[0, 1] * rhs[0]) / det
-        return (float(a), float(b))
-    det = float(np.linalg.det(gram))
-    scale = float(np.prod([gram[i, i] for i in range(k)]))
-    if abs(det) <= _DET_RTOL * max(scale, 1e-300):
+    cols = (mu, sigma, np.ones_like(mu)) if intercept else (mu, sigma)
+    # Exactly rounded sums of elementwise products, solved in exact rational
+    # arithmetic: the same bits on every machine, which BLAS does not promise.
+    gram = [[Fraction(math.fsum((x * y).tolist())) for y in cols] for x in cols]
+    rhs = [Fraction(math.fsum((x * tau).tolist())) for x in cols]
+    det = _det(gram)
+    if abs(det) <= _DET_RTOL * max(math.prod(gram[i][i] for i in range(len(cols))), 1e-300):
         raise DegenerateFitError("normal matrix is rank deficient; thresholds "
                                  "cannot be expressed in these statistics")
-    sol = np.linalg.solve(gram, rhs)
-    return tuple(float(v) for v in sol)
+    # Cramer's rule: coefficient i is det(gram with column i set to rhs) / det.
+    return tuple(
+        float(_det([row[:i] + [b] + row[i + 1:] for row, b in zip(gram, rhs)]) / det)
+        for i in range(len(cols))
+    )
 
 
 def learn_all_thresholds(

@@ -64,11 +64,12 @@ def two_pass_stats(column):
     return mean, math.sqrt(var)
 
 
-def lstsq_coeffs(mu, sigma, tau):
-    """Least-squares fit of tau ~ a*mu + b*sigma through numpy's solver."""
-    design = np.column_stack([mu, sigma])
-    sol, *_ = np.linalg.lstsq(design, np.asarray(tau, dtype=float), rcond=None)
-    return float(sol[0]), float(sol[1])
+def lstsq_coeffs(mu, sigma, tau, intercept=False):
+    """Least-squares fit of tau ~ a*mu + b*sigma (+ c with ``intercept``)
+    through numpy's solver."""
+    columns = [mu, sigma, np.ones(len(mu))] if intercept else [mu, sigma]
+    sol, *_ = np.linalg.lstsq(np.column_stack(columns), np.asarray(tau, dtype=float), rcond=None)
+    return tuple(float(v) for v in sol)
 
 
 def ngd_longhand(f_t, f_u, f_tu, n):
@@ -179,6 +180,20 @@ def topk_oracle(table, image, k):
     """The k best tags by sorted(), as the fixed top-k strategy reports them."""
     row = _row(table, image)
     return [(t, repr(row[t]), "from_fallback") for t in sorted_tags(row)[:k]]
+
+
+def refine_loop(table, image, vocab, selected_seen, model, sim, w):
+    """Refined novel scores by the formula of refine_novel_scores, summed one
+    term at a time (``acc += sim * ratio``) over A in table column order."""
+    row = _row(table, image)
+    anchors = sorted(selected_seen, key=table.tag_index)
+    refined = {}
+    for t in vocab.novel_tags:
+        acc = 0.0
+        for a in anchors:
+            acc += float(sim.values[sim.index(t), sim.index(a)]) * (row[a] / model.tau[a] - 1.0)
+        refined[t] = w * row[t] + (1.0 - w) * (acc / len(anchors))
+    return refined
 
 
 def refined_scores_oracle(table, image, vocab, model, sim, w):

@@ -69,6 +69,44 @@ def selection_problems(draw):
     return vocab, table, model, sim, cfg
 
 
+@st.composite
+def refinement_problems(draw):
+    """(vocab, table, model, sim, w) with continuous values, so that the
+    order of the sum over A shows in the last bits: up to 12 seen tags, all
+    trainable, and up to 6 novel ones, with table columns and similarity
+    rows in two further orders.  Each image's A is a drawn subset of 1 up to
+    all seen tags; w is 0, 0.3 or 1."""
+    n_seen = draw(st.integers(1, 12))
+    n_novel = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vocab = Vocabulary.from_partition(
+        [f"s{i:02d}" for i in range(n_seen)], [f"n{i}" for i in range(n_novel)]
+    )
+    tau = rng.uniform(0.1, 0.8, size=n_seen)
+    scores = np.empty((n, n_seen + n_novel))
+    for i in range(n):
+        above = rng.permutation(n_seen) < draw(st.integers(1, n_seen))
+        gap = rng.uniform(0.01, 0.5, size=n_seen)
+        scores[i, :n_seen] = np.where(above, tau + gap, tau - gap)
+    scores[:, n_seen:] = rng.uniform(-0.5, 1.0, size=(n, n_novel))
+    columns = rng.permutation(n_seen + n_novel)
+    table = ScoreTable(
+        tuple(f"x{i}" for i in range(n)),
+        tuple(vocab.tags[c] for c in columns),
+        scores[:, columns],
+    )
+    model = ThresholdModel(tau=dict(zip(vocab.seen_tags, tau.tolist())), stats=tag_stats(table))
+    values = rng.uniform(0.0, 1.0, size=(n_seen + n_novel,) * 2)
+    values = (values + values.T) / 2
+    np.fill_diagonal(values, 1.0)
+    rows = rng.permutation(n_seen + n_novel)
+    sim = SimilarityMatrix(
+        tuple(vocab.tags[r] for r in rows), values[np.ix_(rows, rows)], ()
+    )
+    return vocab, table, model, sim, draw(st.sampled_from([0.0, 0.3, 1.0]))
+
+
 def refine_modes(cfg):
     """``cfg`` without refinement, refining, and refining with refined
     scores reported."""

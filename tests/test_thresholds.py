@@ -185,16 +185,17 @@ class TestFitLsq:
         assert b == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_library_solver_on_random_instances(self):
-        rng = np.random.default_rng(31)
-        for _ in range(50):
-            n = int(rng.integers(3, 40))
-            mu = rng.normal(0.5, 0.3, size=n)
-            sigma = np.abs(rng.normal(0.3, 0.15, size=n))
-            tau = rng.normal(0.6, 0.25, size=n)
-            a, b = fit_lsq(self.model_from(mu, sigma, tau))
-            oa, ob = oracles.lstsq_coeffs(mu, sigma, tau)
-            assert a == pytest.approx(oa, abs=1e-9)
-            assert b == pytest.approx(ob, abs=1e-9)
+        for intercept in (False, True):
+            rng = np.random.default_rng(31)
+            for _ in range(50):
+                n = int(rng.integers(3, 40))
+                mu = rng.normal(0.5, 0.3, size=n)
+                sigma = np.abs(rng.normal(0.3, 0.15, size=n))
+                tau = rng.normal(0.6, 0.25, size=n)
+                coeffs = fit_lsq(self.model_from(mu, sigma, tau), intercept=intercept)
+                want = oracles.lstsq_coeffs(mu, sigma, tau, intercept=intercept)
+                assert len(coeffs) == len(want) == 2 + intercept
+                assert coeffs == pytest.approx(want, abs=1e-9)
 
     def test_intercept_variant(self):
         rng = np.random.default_rng(37)
@@ -221,6 +222,18 @@ class TestFitLsq:
         model = self.model_from([0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [0.4, 0.5, 0.6])
         with pytest.raises(DegenerateFitError):
             fit_lsq(model)
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.3])
+    def test_constant_sigma_with_intercept_rejected(self, sigma):
+        # A constant sigma column is a multiple of the ones column: rank 2
+        # normal matrix in three unknowns, though the form without an
+        # intercept still fits.
+        mu = [0.1, 0.4, 0.7, 0.2]
+        model = self.model_from(mu, [sigma] * 4, [0.4, 0.5, 0.6, 0.3])
+        fit_lsq(model)
+        with pytest.raises(DegenerateFitError, match="normal matrix is rank deficient; "
+                           "thresholds cannot be expressed in these statistics"):
+            fit_lsq(model, intercept=True)
 
     def test_needs_two_thresholds(self):
         model = self.model_from([0.5], [0.1], [0.4])
