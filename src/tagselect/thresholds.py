@@ -62,34 +62,53 @@ def tag_stats(table: ScoreTable) -> TagStats:
     return TagStats(table.tags, mu, sigma)
 
 
-def _learn_threshold_arrays(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    n_pos = int(labels.sum())
-    n = scores.shape[0]
-    if n_pos == 0 or n_pos == n:
-        raise UntrainableTagError(
-            "threshold learning needs at least one positive and one negative label"
-        )
-    if not np.isfinite(scores).all():
-        raise TagSelectError("threshold learning requires finite scores")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    tp = np.cumsum(y)
-    # The rule "select iff score > tau" can only realize selection sets that
-    # form prefixes of the descending score order ending at a distinct-value
-    # boundary.  One midpoint per boundary plus one cut below the minimum
-    # covers every achievable F value.
-    boundary = np.flatnonzero(s[:-1] > s[1:])
-    cut_tau = (s[boundary] + s[boundary + 1]) / 2.0
-    cut_sel = boundary + 1.0
-    taus = np.concatenate([cut_tau, [s[-1] - 1.0]])
-    sel = np.concatenate([cut_sel, [float(n)]])
-    tps = np.concatenate([tp[boundary], [float(n_pos)]]).astype(np.float64)
-    f = 2.0 * tps / (sel + n_pos)
-    # Candidates are generated in descending-tau order, so the first maximum
-    # is the largest threshold among ties.
-    best = int(np.argmax(f))
-    return float(taus[best]), float(f[best])
+def _f_optimal_cuts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F1-optimal threshold of the rule "select iff score > tau" for every
+    row: (tau, F at tau), one entry per row.
+
+    ``scores`` is a rows x items float64 matrix, finite; ``labels`` has its
+    shape, int8 with 1 = relevant, 0 = irrelevant and -1 = undefined (the
+    item does not take part), and every row holds at least one relevant and
+    one irrelevant label.
+
+    The rule can only realize selection sets that form prefixes of a row's
+    descending score order ending at a distinct-value boundary, so one
+    midpoint per boundary plus one cut below the minimum covers every
+    achievable F value (Lipton, Elkan & Naryanaswamy, ECML-PKDD 2014).  Tied
+    scores enter the positive count only at a boundary, so the order the
+    sort gives them cannot change a candidate, and the sort need not be
+    stable.
+    """
+    k, n = scores.shape
+    defined = labels >= 0
+    n_def = np.count_nonzero(defined, axis=1)
+    n_pos = np.count_nonzero(labels == 1, axis=1)
+    # Descending scores, undefined items last; the sorted rows are read
+    # through flat indices, as take_along_axis would but in one 1-D take.
+    key = np.where(defined, -scores, np.inf)
+    flat = np.argsort(key, axis=1)
+    flat += n * np.arange(k)[:, None]
+    key = key.ravel().take(flat)
+    # Cutting after the first ``sel`` defined items is a candidate when the
+    # next item scores strictly lower, is undefined or does not exist; the
+    # last candidate, below the minimum, selects every defined item.
+    sel = np.arange(1.0, n + 1)
+    cand = sel <= n_def[:, None]
+    cand[:, :-1] &= key[:, :-1] < key[:, 1:]
+    f = np.cumsum(labels.ravel().take(flat) == 1, axis=1, dtype=np.float64)
+    f *= 2.0
+    f /= sel + n_pos[:, None]
+    f[~cand] = -np.inf
+    # Candidates run in descending-tau order, so the first maximum is the
+    # largest threshold among ties.
+    best = np.argmax(f, axis=1)
+    rows = np.arange(k)
+    s = scores.ravel()
+    hi = s[flat[rows, best]]
+    tau = hi - 1.0
+    mid = best < n_def - 1
+    tau[mid] = (hi[mid] + s[flat[rows[mid], best[mid] + 1]]) / 2.0
+    return tau, f[rows, best]
 
 
 def learn_threshold(pairs: Sequence[tuple[float, bool]]) -> tuple[float, float]:
@@ -103,9 +122,17 @@ def learn_threshold(pairs: Sequence[tuple[float, bool]]) -> tuple[float, float]:
     pairs = list(pairs)
     if not pairs:
         raise UntrainableTagError("no labeled scores given")
-    scores = np.array([float(s) for s, _ in pairs], dtype=np.float64)
-    labels = np.array([bool(l) for _, l in pairs], dtype=bool)
-    return _learn_threshold_arrays(scores, labels)
+    scores = np.array([[float(s) for s, _ in pairs]], dtype=np.float64)
+    labels = np.array([[bool(l) for _, l in pairs]], dtype=np.int8)
+    n_pos = int(labels.sum())
+    if n_pos == 0 or n_pos == len(pairs):
+        raise UntrainableTagError(
+            "threshold learning needs at least one positive and one negative label"
+        )
+    if not np.isfinite(scores).all():
+        raise TagSelectError("threshold learning requires finite scores")
+    tau, f = _f_optimal_cuts(scores, labels)
+    return float(tau[0]), float(f[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +214,8 @@ def learn_all_thresholds(
     images must all be present in the score table.  Seen tags with no
     labels, or labels of a single class, are recorded as untrainable.
     Statistics cover the full vocabulary, computed on the training table;
-    every score in it must be finite.
+    every score in it must be finite.  The thresholds of all trainable tags
+    are learned in one array pass over a tags x images matrix.
     """
     require_finite(table)
     seen_set = set(vocab.seen_tags)
@@ -198,23 +226,24 @@ def learn_all_thresholds(
         )
     img_rows = np.array([table.image_index(x) for x in truth.images], dtype=np.intp)
     stats = tag_stats(table)
+    seen = vocab.seen_tags
+    # One row of labels per seen tag; a tag outside the coverage has none.
+    cover = truth.columns(seen)
+    inside = cover < len(truth.coverage)
+    labels = np.full((len(seen), len(truth.images)), -1, dtype=np.int8)
+    labels[inside] = truth.labels.T[cover[inside]]
+    n_def = np.count_nonzero(labels >= 0, axis=1)
+    n_pos = np.count_nonzero(labels == 1, axis=1)
+    trained = (n_pos > 0) & (n_pos < n_def)
+    # Every seen tag with a label must be a table column.
+    cols = np.array([table.tag_index(t) if d else 0 for t, d in zip(seen, n_def > 0)],
+                    dtype=np.intp)
+    rows = np.flatnonzero(trained)
     tau: dict[str, float] = {}
-    untrainable: list[str] = []
-    for t in vocab.seen_tags:
-        if not truth.covers(t):
-            untrainable.append(t)
-            continue
-        col = truth.column(t)
-        defined = col >= 0
-        if not defined.any():
-            untrainable.append(t)
-            continue
-        scores = table.scores[img_rows[defined], table.tag_index(t)]
-        labels = col[defined] == 1
-        try:
-            tau[t], _ = _learn_threshold_arrays(scores, labels)
-        except UntrainableTagError:
-            untrainable.append(t)
+    if rows.size:
+        learned, _ = _f_optimal_cuts(table.scores.T[cols[rows]][:, img_rows], labels[rows])
+        tau = dict(zip([seen[i] for i in rows], learned.tolist()))
+    untrainable = [t for t, ok in zip(seen, trained) if not ok]
     model = ThresholdModel(tau=tau, stats=stats, untrainable=tuple(untrainable))
     if not fit_coeffs:
         return model

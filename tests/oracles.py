@@ -1,12 +1,12 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way (explicit
-loops, exhaustive enumeration, library solvers).  Apart from the similarity
-and selection oracles and the line-at-a-time loaders at the end, it shares no
-code with the package; those compose the package's scalar references
-(``fcs``, ``select_by_threshold``, ``k_novel``, ``refine_novel_scores``),
-which their own tests pin down, or build its data classes, to check the
-array passes built on them.
+loops, exhaustive enumeration, library solvers).  Apart from the
+all-tags threshold, similarity and selection oracles and the line-at-a-time
+loaders at the end, it shares no code with the package; those compose the
+package's scalar references (``fcs``, ``select_by_threshold``, ``k_novel``,
+``refine_novel_scores``), which their own tests pin down, or read and build
+its data classes, to check the array passes built on them.
 """
 
 from __future__ import annotations
@@ -54,6 +54,46 @@ def brute_force_threshold(scores, labels):
         if f > best_f or (f == best_f and tau > best_tau):
             best_tau, best_f = tau, f
     return best_tau, best_f
+
+
+def per_tag_threshold(scores, labels):
+    """One tag's F-optimal (tau, F) from a stable sort and explicit
+    candidate lists, one call per tag: the reference that the package's
+    batched learner is held to by ``repr``.  ``scores`` and ``labels`` are
+    1-D arrays of one tag's judged images, with both classes present."""
+    n_pos = int(labels.sum())
+    n = scores.shape[0]
+    assert 0 < n_pos < n
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    tp = np.cumsum(y)
+    boundary = np.flatnonzero(s[:-1] > s[1:])
+    cut_tau = (s[boundary] + s[boundary + 1]) / 2.0
+    cut_sel = boundary + 1.0
+    taus = np.concatenate([cut_tau, [s[-1] - 1.0]])
+    sel = np.concatenate([cut_sel, [float(n)]])
+    tps = np.concatenate([tp[boundary], [float(n_pos)]]).astype(np.float64)
+    f = 2.0 * tps / (sel + n_pos)
+    best = int(np.argmax(f))
+    return float(taus[best]), float(f[best])
+
+
+def learn_all_thresholds_oracle(table, truth, vocab):
+    """(tau, untrainable) of ``learn_all_thresholds`` from one
+    ``per_tag_threshold`` call per seen tag, in vocabulary order."""
+    img_rows = np.array([table.image_index(x) for x in truth.images], dtype=np.intp)
+    tau, untrainable = {}, []
+    for t in vocab.seen_tags:
+        col = truth.column(t) if truth.covers(t) else np.full(len(truth.images), -1)
+        defined = col >= 0
+        labels = col[defined] == 1
+        if labels.all() or not labels.any():
+            untrainable.append(t)
+            continue
+        scores = table.scores[img_rows[defined], table.tag_index(t)]
+        tau[t], _ = per_tag_threshold(scores, labels)
+    return tau, tuple(untrainable)
 
 
 def two_pass_stats(column):

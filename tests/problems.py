@@ -1,5 +1,6 @@
-"""Small random selection problems for the property tests that hold the
-batched selection kernel to the per-image oracles in ``oracles``.
+"""Small random threshold-learning and selection problems for the property
+tests that hold the batched threshold and selection kernels to the per-tag
+and per-image oracles in ``oracles``.
 
 Scores and thresholds come from a few distinct values, so ties between
 tags and scores equal to their threshold are common, and tag strings are
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from tagselect import (
     AdaptiveConfig,
+    GroundTruth,
     ScoreTable,
     SimilarityMatrix,
     ThresholdModel,
@@ -26,6 +28,39 @@ SCORES = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0)
 THRESHOLDS = (0.25, 0.5, 0.75)
 SIMILARITIES = (0.0, 0.3, 0.7, 1.0)
 NAMES = tuple(f"t{c}" for c in "abcdefghi")
+# Training scores include both zeros, which compare equal but print apart.
+TRAIN_SCORES = (-0.5, -0.0, 0.0, 0.25, 0.5, 1.0)
+# Label columns: mixed with 30% undefined, single-class, or all undefined.
+MIXED = (1, 1, 1, 0, 0, 0, 0, -1, -1, -1)
+LABEL_COLUMNS = (MIXED, MIXED, MIXED, (1, -1), (0, -1), (-1,))
+MOSTLY = (True, True, True, False)
+
+
+@st.composite
+def threshold_problems(draw):
+    """(vocab, table, truth) for ``learn_all_thresholds``: up to 6 seen and 2
+    novel tags and up to 12 images.  The truth judges about 3/4 of the
+    images and covers about 3/4 of the seen tags, each in shuffled order and
+    possibly none; each covered column is mixed, single-class or all
+    undefined."""
+    n_seen = draw(st.integers(1, 6))
+    n_novel = draw(st.integers(0, 2))
+    m = n_seen + n_novel
+    names = draw(st.permutations(NAMES))[:m]
+    vocab = Vocabulary.from_partition(names[:n_seen], names[n_seen:])
+    n = draw(st.integers(1, 12))
+    cells = draw(st.lists(st.sampled_from(TRAIN_SCORES), min_size=n * m, max_size=n * m))
+    images = tuple(f"x{i}" for i in range(n))
+    table = ScoreTable(images, vocab.tags, np.reshape(cells, (n, m)))
+    judged = [x for x in draw(st.permutations(images)) if draw(st.sampled_from(MOSTLY))]
+    coverage = [t for t in draw(st.permutations(vocab.seen_tags)) if draw(st.sampled_from(MOSTLY))]
+    columns = [
+        draw(st.lists(st.sampled_from(draw(st.sampled_from(LABEL_COLUMNS))),
+                      min_size=len(judged), max_size=len(judged)))
+        for _ in coverage
+    ]
+    labels = np.reshape(np.array(columns, dtype=np.int8).T, (len(judged), len(coverage)))
+    return vocab, table, GroundTruth(tuple(judged), tuple(coverage), labels)
 
 
 @st.composite

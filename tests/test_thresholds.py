@@ -1,12 +1,15 @@
 """Per-tag statistics, F-optimal threshold learning, and the least-squares
 reconstruction of thresholds from statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import problems
 from tagselect import (
     DegenerateFitError,
     GroundTruth,
@@ -255,13 +258,87 @@ class TestLearnAllThresholds:
 
     def test_per_tag_agreement_with_standalone_learner(self, small_bench, small_model):
         table, truth = small_bench.train_table, small_bench.train_truth
-        for t in list(small_model.tau)[:5]:
+        for t in small_bench.vocab.seen_tags:
             col = truth.column(t)
             defined = col >= 0
             rows = [truth.images[i] for i in np.flatnonzero(defined)]
             pairs = [(table.score(x, t), bool(truth.label(x, t))) for x in rows]
-            tau, _ = learn_threshold(pairs)
-            assert small_model.tau[t] == tau
+            if t in small_model.untrainable:
+                with pytest.raises(UntrainableTagError):
+                    learn_threshold(pairs)
+            else:
+                tau, _ = learn_threshold(pairs)
+                assert repr(small_model.tau[t]) == repr(tau)
+
+    @settings(deadline=None, max_examples=300)
+    @given(problems.threshold_problems())
+    def test_matches_per_column_oracle(self, problem):
+        vocab, table, truth = problem
+        model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
+        tau, untrainable = oracles.learn_all_thresholds_oracle(table, truth, vocab)
+        assert repr(model.tau) == repr(tau)
+        assert model.untrainable == untrainable
+
+    @staticmethod
+    def two_image_table(vocab):
+        scores = np.arange(2.0 * len(vocab.tags)).reshape(2, -1)
+        return ScoreTable(("i0", "i1"), vocab.tags, scores)
+
+    def test_truth_without_images(self):
+        vocab = Vocabulary.from_partition(["s", "t"], ["n"])
+        truth = GroundTruth((), ("s", "t"), np.zeros((0, 2), dtype=np.int8))
+        model = learn_all_thresholds(self.two_image_table(vocab), truth, vocab,
+                                     fit_coeffs=False)
+        assert model.tau == {}
+        assert model.untrainable == ("s", "t")
+
+    def test_one_training_image(self):
+        vocab = Vocabulary.from_partition(["s", "t"], ["n"])
+        table = ScoreTable(("i",), vocab.tags, np.array([[0.9, 0.1, 0.4]]))
+        truth = GroundTruth.from_pairs([("i", "s", 1), ("i", "t", 0)])
+        model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
+        assert model.tau == {}
+        assert model.untrainable == ("s", "t")
+        assert model.stats.get("n") == (0.4, 0.0)
+
+    def test_truth_covering_no_seen_tag(self):
+        vocab = Vocabulary.from_partition(["s", "t"], ["n"])
+        truth = GroundTruth(("i0", "i1"), (), np.zeros((2, 0), dtype=np.int8))
+        model = learn_all_thresholds(self.two_image_table(vocab), truth, vocab,
+                                     fit_coeffs=False)
+        assert model.tau == {}
+        assert model.untrainable == ("s", "t")
+
+    def test_all_undefined_column_warns_nothing(self):
+        vocab = Vocabulary.from_partition(["s", "t"], ["n"])
+        truth = GroundTruth(("i0", "i1"), ("s", "t"), np.array([[0, -1], [1, -1]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = learn_all_thresholds(self.two_image_table(vocab), truth, vocab,
+                                         fit_coeffs=False)
+        assert model.tau == {"s": 1.5}
+        assert model.untrainable == ("t",)
+
+    def test_untrainable_in_vocabulary_order(self):
+        vocab = Vocabulary.from_partition(["d", "b", "e", "a", "c"], ["n"])
+        # Coverage in another order; "c" is not covered at all.
+        truth = GroundTruth(
+            ("i0", "i1"),
+            ("a", "e", "b", "d"),
+            np.array([[1, 1, 0, -1], [0, 1, 1, -1]]),
+        )
+        model = learn_all_thresholds(self.two_image_table(vocab), truth, vocab,
+                                     fit_coeffs=False)
+        assert list(model.tau) == ["b", "a"]
+        assert model.untrainable == ("d", "e", "c")
+
+    def test_non_finite_score_rejected_before_any_other_check(self):
+        vocab = Vocabulary.from_partition(["s"], ["n"])
+        table = ScoreTable(("i",), vocab.tags, np.array([[np.inf, 0.5]]))
+        # Labels on a novel tag, for an image the table lacks.
+        truth = GroundTruth.from_pairs([("j", "n", 1)])
+        with pytest.raises(TagSelectError, match="non-finite score for image 'i', tag 's'"):
+            learn_all_thresholds(table, truth, vocab)
 
     def test_single_class_tag_recorded_untrainable(self):
         vocab = Vocabulary.from_partition(["hot", "cold"], ["new"])
