@@ -77,6 +77,16 @@ def _load_common(args):
     return vocab, table
 
 
+def _load_model_and_sim(args, vocab):
+    """The ``--thresholds`` model, then the ``--cooccurrence`` similarity;
+    each is None when its option is not given."""
+    model = formats.load_thresholds(args.thresholds, vocab) if args.thresholds else None
+    sim = None
+    if args.cooccurrence:
+        sim = similarity_matrix(formats.load_cooccurrence(args.cooccurrence), vocab)
+    return model, sim
+
+
 def cmd_validate(args) -> int:
     vocab, table = _load_common(args)
     truth = formats.load_truth(args.truth, vocab) if args.truth else None
@@ -101,12 +111,7 @@ def cmd_learn_thresholds(args) -> int:
 
 def cmd_select(args) -> int:
     vocab, table = _load_common(args)
-    model = None
-    if args.thresholds:
-        model = formats.load_thresholds(args.thresholds, vocab)
-    sim = None
-    if args.cooccurrence:
-        sim = similarity_matrix(formats.load_cooccurrence(args.cooccurrence), vocab)
+    model, sim = _load_model_and_sim(args, vocab)
     spec = StrategySpec(args.strategy, k=args.k, w=args.w, refine=args.refine)
     cfg = AdaptiveConfig(
         fallback_k=args.k, refine=args.refine, w=args.w, report_refined=args.report_refined
@@ -119,8 +124,7 @@ def cmd_select(args) -> int:
 def cmd_refine(args) -> int:
     """Rewrite the novel-tag columns of a score table by ``refine_table``."""
     vocab, table = _load_common(args)
-    model = formats.load_thresholds(args.thresholds, vocab)
-    sim = similarity_matrix(formats.load_cooccurrence(args.cooccurrence), vocab)
+    model, sim = _load_model_and_sim(args, vocab)
     formats.save_scores(refine_table(table, vocab, model, sim, args.w), args.out)
     return 0
 
@@ -156,11 +160,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    if args.learn and not args.truth:
+        raise TagSelectError("--learn requires --truth")
+    if args.learn and args.weights:
+        raise TagSelectError("--weights cannot be combined with --learn")
+    if not args.learn and not args.weights:
+        raise TagSelectError("give --weights or --learn")
+    if not args.learn and args.model_out:
+        raise TagSelectError("--model-out requires --learn")
     vocab = formats.load_vocabulary(args.vocab)
     tables = [formats.load_scores(p, vocab) for p in args.scores]
     if args.learn:
-        if not args.truth:
-            raise TagSelectError("--learn requires --truth")
         truth = formats.load_truth(args.truth, vocab)
         model = learn_weights(
             tables,
@@ -175,8 +185,6 @@ def cmd_fuse(args) -> int:
             formats.save_report(model.to_dict(), args.model_out)
         print("weights: " + " ".join(repr(v) for v in weights))
     else:
-        if not args.weights:
-            raise TagSelectError("give --weights or --learn")
         weights = args.weights
     fused = fuse(tables, weights)
     formats.save_scores(fused, args.out)
@@ -186,12 +194,7 @@ def cmd_fuse(args) -> int:
 def cmd_compare(args) -> int:
     vocab, table = _load_common(args)
     truth = formats.load_truth(args.truth, vocab)
-    model = None
-    if args.thresholds:
-        model = formats.load_thresholds(args.thresholds, vocab)
-    sim = None
-    if args.cooccurrence:
-        sim = similarity_matrix(formats.load_cooccurrence(args.cooccurrence), vocab)
+    model, sim = _load_model_and_sim(args, vocab)
     if args.strategies:
         names = [s.strip() for s in args.strategies.split(",") if s.strip()]
         specs = [StrategySpec(n, k=args.k, w=args.w, refine=args.refine) for n in names]

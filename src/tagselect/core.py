@@ -134,11 +134,10 @@ class ScoreTable:
         object.__setattr__(self, "scores", arr)
         object.__setattr__(self, "_img_index", {x: i for i, x in enumerate(images)})
         object.__setattr__(self, "_tag_index", {t: j for j, t in enumerate(tags)})
-        object.__setattr__(self, "_tags_arr", np.array(tags, dtype=object))
         # Each column's rank among the sorted tag strings: tags are unique,
         # so ties broken by it are broken by the strings themselves.
         tag_rank = np.empty(len(tags), dtype=np.int32)
-        tag_rank[np.argsort(self._tags_arr)] = np.arange(len(tags), dtype=np.int32)
+        tag_rank[np.argsort(np.array(tags, dtype=object))] = np.arange(len(tags), dtype=np.int32)
         object.__setattr__(self, "_tag_rank", tag_rank)
 
     @property
@@ -484,8 +483,7 @@ def require_finite(table: ScoreTable) -> None:
 def rank_tags(table: ScoreTable, image: str) -> list[str]:
     """All tags of the table ranked by descending score; ties broken by
     ascending tag string so the ranking is a deterministic total order."""
-    row = table.row(image)
-    order = np.lexsort((table._tags_arr, -row))
+    order = order_rows(table.row(image)[None], table._tag_rank)[0]
     return [table.tags[i] for i in order]
 
 

@@ -285,10 +285,6 @@ def _total_count(text, total) -> tuple[int | None, str | None]:
     return value, None
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 # ---------------------------------------------------------------- vocabulary
 
 def load_vocabulary(path) -> Vocabulary:
@@ -365,10 +361,9 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
 def save_scores(table: ScoreTable, path) -> None:
     with _create(path, "scores") as fh:
         fh.write("# image_id\ttag\tscore\n")
-        for i, image in enumerate(table.images):
-            row = table.scores[i]
-            for j, tag in enumerate(table.tags):
-                fh.write(f"{image}\t{tag}\t{_fmt(row[j])}\n")
+        for image, row in zip(table.images, table.scores):
+            for tag, score in zip(table.tags, row.tolist()):
+                fh.write(f"{image}\t{tag}\t{score!r}\n")
 
 
 # --------------------------------------------------------------------- truth
@@ -535,15 +530,12 @@ def load_cooccurrence(path) -> CooccurrenceStats:
         )))
     if bad:
         raise FormatError(path, *min(bad))
-    order = sorted(range(len(ids)), key=lambda k: names[ids[k]])
-    position = np.zeros(len(names), dtype=np.intp)
-    position[ids[order]] = np.arange(len(order))
-    counts = np.zeros((len(order), len(order)), dtype=np.int64)
-    np.fill_diagonal(counts, counts_of[order])
-    rows, cols = position[ia], position[ib]
-    counts[rows, cols] = pair_count
-    counts[cols, rows] = pair_count
-    return CooccurrenceStats.from_counts([names[i] for i in ids[order]], counts, total)
+    # Every named tag has a single count: a pair naming any other tag failed above.
+    counts = np.zeros((len(names), len(names)), dtype=np.int64)
+    counts[ids, ids] = counts_of
+    counts[ia, ib] = pair_count
+    counts[ib, ia] = pair_count
+    return CooccurrenceStats.from_counts(names, counts, total)
 
 
 def save_cooccurrence(stats: CooccurrenceStats, path) -> None:
@@ -661,12 +653,13 @@ def save_thresholds(model: ThresholdModel, path) -> None:
     with _create(path, "thresholds") as fh:
         fh.write("# tag\ttau\tmu\tsigma ('-' = no learned threshold)\n")
         if model.lsq_coeffs is not None:
-            values = "\t".join(_fmt(c) for c in model.lsq_coeffs)
+            values = "\t".join(map(repr, model.lsq_coeffs))
             fh.write(f"{_LSQ_ROW}\t{values}\n")
         stats = model.stats
-        for i, tag in enumerate(stats.tags):
-            tau = _fmt(model.tau[tag]) if tag in model.tau else "-"
-            fh.write(f"{tag}\t{tau}\t{_fmt(stats.mu[i])}\t{_fmt(stats.sigma[i])}\n")
+        for tag, mu, sigma in zip(stats.tags, stats.mu.tolist(), stats.sigma.tolist()):
+            # A caller may hand in numpy scalars, whose repr is not a number.
+            tau = repr(float(model.tau[tag])) if tag in model.tau else "-"
+            fh.write(f"{tag}\t{tau}\t{mu!r}\t{sigma!r}\n")
 
 
 # -------------------------------------------------------------------- report

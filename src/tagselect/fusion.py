@@ -11,7 +11,7 @@ import numpy as np
 from .core import GroundTruth, ScoreTable, SelectionResult, Vocabulary, rank_columns
 from .errors import TagSelectError
 from .metrics import evaluate
-from .selection import select_rows
+from .selection import learned_pool, select_rows
 from .thresholds import learn_all_thresholds
 
 _WEIGHT_ATOL = 1e-9
@@ -82,8 +82,7 @@ def threshold_selection_strategy(
 
     def strategy(table: ScoreTable) -> SelectionResult:
         model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
-        thr = np.array([model.tau.get(t, np.inf) for t in table.tags], dtype=np.float64)
-        return select_rows(table, np.arange(table.n_tags), thr)
+        return select_rows(table, *learned_pool(table, vocab, model))
 
     return strategy
 

@@ -198,14 +198,17 @@ def refine_novel_scores(
     return dict(zip(novel, refined[0].tolist()))
 
 
-def _columns(
+def learned_pool(
     table: ScoreTable, vocab: Vocabulary, model: ThresholdModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adaptive pool (trainable seen columns), its thresholds, novel columns."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The trainable seen columns (ascending) and their learned thresholds."""
     pool = sorted(table.tag_index(t) for t in vocab.seen_tags if t in model.tau)
     tau = np.array([model.tau[table.tags[c]] for c in pool], dtype=np.float64)
-    novel = [table.tag_index(t) for t in vocab.novel_tags]
-    return np.array(pool, dtype=np.intp), tau, np.array(novel, dtype=np.intp)
+    return np.array(pool, dtype=np.intp), tau
+
+
+def _novel_columns(table: ScoreTable, vocab: Vocabulary) -> np.ndarray:
+    return np.array([table.tag_index(t) for t in vocab.novel_tags], dtype=np.intp)
 
 
 def refine_table(
@@ -223,7 +226,8 @@ def refine_table(
     if not 0.0 <= w <= 1.0:
         raise TagSelectError(f"refinement weight must lie in [0, 1], got {w!r}")
     require_finite(table)
-    pool, tau, novel = _columns(table, vocab, model)
+    pool, tau = learned_pool(table, vocab, model)
+    novel = _novel_columns(table, vocab)
     bad = [repr(table.tags[c]) for c in pool[tau <= 0.0]]
     if bad:
         raise TagSelectError(
@@ -257,7 +261,8 @@ def adaptive_rows(
     appended, ranked by refined scores when refinement is on.  Untrainable
     seen tags count in neither the pool nor the extrapolation.
     """
-    pool, tau, novel = _columns(table, vocab, model)
+    pool, tau = learned_pool(table, vocab, model)
+    novel = _novel_columns(table, vocab)
     ranked = None
     if cfg.refine:
         refined = refine_table(table, vocab, model, sim, cfg.w)

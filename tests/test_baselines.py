@@ -179,18 +179,21 @@ class TestRunStrategy:
 
 class TestCompare:
     def test_all_six_rows_share_map(self, small_bench, small_model):
+        # Without refined rankings every row, refining or not, is judged on
+        # the one raw ranking, so the MAP values are the same float.
         sim = similarity_matrix(small_bench.cooccurrence, small_bench.vocab)
-        report = compare(
-            table1_strategies(),
-            small_bench.eval_table,
-            small_bench.eval_truth,
-            small_bench.vocab,
-            small_model,
-            sim,
-        )
-        assert len(report.rows) == 6
-        maps = [r.map for r in report.rows]
-        assert max(maps) - min(maps) <= 1e-12
+        for refine in (False, True):
+            report = compare(
+                table1_strategies(refine=refine),
+                small_bench.eval_table,
+                small_bench.eval_truth,
+                small_bench.vocab,
+                small_model,
+                sim,
+                refined_rankings=False,
+            )
+            assert len(report.rows) == 6
+            assert {repr(r.map) for r in report.rows} == {repr(report.rows[0].map)}
 
     def test_identical_specs_give_identical_rows(self, small_bench, small_model):
         report = compare(

@@ -438,6 +438,37 @@ class TestPipeline:
         assert code == 1
         assert "error[data]" in capsys.readouterr().err
 
+    def test_fuse_rejects_model_out_without_learn(self, bench_dir, tmp_path, capsys):
+        code = run(
+            "fuse",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--weights", "0.5,0.5",
+            "--model-out", tmp_path / "m.json",
+            "--out", tmp_path / "fused.tsv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error[data]: --model-out requires --learn\n"
+        assert list(tmp_path.iterdir()) == [bench_dir]
+
+    def test_fuse_rejects_weights_with_learn(self, bench_dir, tmp_path, capsys):
+        code = run(
+            "fuse",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--learn",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--weights", "0.5,0.5",
+            "--model-out", tmp_path / "m.json",
+            "--out", tmp_path / "fused.tsv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error[data]: --weights cannot be combined with --learn\n"
+        )
+        assert list(tmp_path.iterdir()) == [bench_dir]
 
     def test_evaluate_checks_selection_images_in_file_order(self, bench_dir, tmp_path, capsys):
         # An absent image and an unknown tag: whichever image comes first in

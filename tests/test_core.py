@@ -294,7 +294,12 @@ class TestRankAllTags:
         return [[rankings.tags[c] for c in row] for row in rankings.order.tolist()]
 
     def assert_batched_equals_scalar(self, table):
-        assert self.ranked(table) == [rank_tags(table, x) for x in table.images]
+        """``rank_columns`` and ``rank_tags`` share one lexsort, so both are
+        checked against the ``sorted()`` reference as well as each other."""
+        expected = [oracles.sorted_tags(dict(zip(table.tags, row)))
+                    for row in table.scores.tolist()]
+        assert [rank_tags(table, x) for x in table.images] == expected
+        assert self.ranked(table) == expected
 
     def test_all_equal_rows(self):
         n, m = 4, len(self.TAGS)

@@ -11,8 +11,10 @@ from tagselect import (
     TagSelectError,
     Vocabulary,
     fuse,
+    learn_all_thresholds,
     learn_weights,
     run_strategy,
+    threshold_selection_strategy,
 )
 
 
@@ -178,3 +180,19 @@ class TestLearnWeights:
         d = model.to_dict()
         assert set(d) == {"weights", "objective", "history"}
         assert d["history"][-1] == model.objective
+
+
+class TestThresholdSelectionStrategy:
+    def test_keeps_seen_tags_above_their_learned_thresholds(self):
+        vocab, tables = tables_and_vocab(15, n_images=12)
+        truth = full_truth(vocab, tables[0].images, np.random.default_rng(15))
+        select = threshold_selection_strategy(truth, vocab)
+        # A table without the novel columns selects the same way.
+        for table in (tables[0], tables[0].restrict(vocab.seen_tags)):
+            model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
+            thresholds = {t: model.tau.get(t, np.inf) for t in table.tags}
+            result = select(table)
+            assert result.offsets[-1] > 0
+            for x in table.images:
+                got = [(s.tag, repr(s.score), s.provenance) for s in result.row(x)]
+                assert got == oracles.threshold_oracle(table, x, thresholds)

@@ -400,6 +400,38 @@ class TestWriters:
         assert not path.parent.exists()
 
 
+class TestFloatText:
+    """Every float a writer emits is ``repr`` of a Python float: the
+    shortest text that reads back to the same double."""
+
+    # The sign of zero, the least subnormal, a sum off its decimal, and a
+    # value that repr writes in exponent form.
+    @pytest.mark.parametrize("x", [-0.0, 5e-324, 0.1 + 0.2, 1e22], ids=repr)
+    def test_every_float_field_is_repr_of_float(self, tmp_path, vocab, x):
+        scores, selections, thresholds = (tmp_path / n for n in ("s.tsv", "sel.tsv", "t.tsv"))
+        save_scores(ScoreTable(("im0",), vocab.tags, np.full((1, 3), x)), scores)
+        picks = {"im0": [SelectedTag("alpha", x, FROM_FALLBACK)]}
+        save_selections(SelectionResult(("im0",), picks), selections)
+        # Under numpy 2, repr of a np.float64 is "np.float64(...)".
+        stats = TagStats(vocab.tags, np.full(3, x), np.full(3, x))
+        model = ThresholdModel(tau={"alpha": np.float64(x)}, stats=stats, lsq_coeffs=(x, x, x))
+        save_thresholds(model, thresholds)
+
+        def rows(path):
+            return [line.split("\t") for line in path.read_text().splitlines()
+                    if not line.startswith("#")]
+
+        fields = (
+            [f[2] for f in rows(scores)]
+            + [f[2] for f in rows(selections)]
+            + [v for f in rows(thresholds) for v in f[1:] if v != "-"]
+        )
+        # 3 scores, 1 selection, the lsq row's 3, alpha's tau/mu/sigma and
+        # the mu/sigma of beta and gamma.
+        assert len(fields) == 3 + 1 + 3 + 3 + 2 * 2
+        assert set(fields) == {repr(float(x))}
+
+
 class TestThresholdsFormat:
     @staticmethod
     def model(vocab, coeffs=(0.9, 1.1)):
