@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,12 @@ def _expand_config(argv: list[str]) -> list[str]:
     return out
 
 
+def _given(args, *names) -> dict:
+    """The named options the user gave, as keyword arguments; an option
+    left out takes the library's default."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _load_common(args):
     vocab = formats.load_vocabulary(args.vocab)
     table = formats.load_scores(args.scores, vocab)
@@ -80,16 +87,17 @@ def _load_common(args):
 def _load_model_and_sim(args, vocab):
     """The ``--thresholds`` model, then the ``--cooccurrence`` similarity;
     each is None when its option is not given."""
-    model = formats.load_thresholds(args.thresholds, vocab) if args.thresholds else None
-    sim = None
-    if args.cooccurrence:
+    model = sim = None
+    if args.thresholds is not None:
+        model = formats.load_thresholds(args.thresholds, vocab)
+    if args.cooccurrence is not None:
         sim = similarity_matrix(formats.load_cooccurrence(args.cooccurrence), vocab)
     return model, sim
 
 
 def cmd_validate(args) -> int:
     vocab, table = _load_common(args)
-    truth = formats.load_truth(args.truth, vocab) if args.truth else None
+    truth = formats.load_truth(args.truth, vocab) if args.truth is not None else None
     violations = validate_inputs(vocab, table, truth)
     for v in violations:
         print(v)
@@ -112,9 +120,9 @@ def cmd_learn_thresholds(args) -> int:
 def cmd_select(args) -> int:
     vocab, table = _load_common(args)
     model, sim = _load_model_and_sim(args, vocab)
-    spec = StrategySpec(args.strategy, k=args.k, w=args.w, refine=args.refine)
+    spec = StrategySpec(args.strategy, refine=args.refine, **_given(args, "k", "w"))
     cfg = AdaptiveConfig(
-        fallback_k=args.k, refine=args.refine, w=args.w, report_refined=args.report_refined
+        fallback_k=spec.k, refine=spec.refine, w=spec.w, report_refined=args.report_refined
     )
     result = run_strategy(spec, table, vocab, model, sim, cfg=cfg)
     formats.save_selections(result, args.out)
@@ -125,7 +133,8 @@ def cmd_refine(args) -> int:
     """Rewrite the novel-tag columns of a score table by ``refine_table``."""
     vocab, table = _load_common(args)
     model, sim = _load_model_and_sim(args, vocab)
-    formats.save_scores(refine_table(table, vocab, model, sim, args.w), args.out)
+    w = AdaptiveConfig.w if args.w is None else args.w
+    formats.save_scores(refine_table(table, vocab, model, sim, w), args.out)
     return 0
 
 
@@ -166,22 +175,19 @@ def cmd_fuse(args) -> int:
         raise TagSelectError("--weights cannot be combined with --learn")
     if not args.learn and not args.weights:
         raise TagSelectError("give --weights or --learn")
-    if not args.learn and args.model_out:
-        raise TagSelectError("--model-out requires --learn")
+    if not args.learn:
+        for name in ("model_out", "truth", "objective", "grid_step", "max_sweeps"):
+            if getattr(args, name) is not None:
+                raise TagSelectError(f"--{name.replace('_', '-')} requires --learn")
     vocab = formats.load_vocabulary(args.vocab)
     tables = [formats.load_scores(p, vocab) for p in args.scores]
     if args.learn:
         truth = formats.load_truth(args.truth, vocab)
         model = learn_weights(
-            tables,
-            truth,
-            vocab,
-            objective=args.objective,
-            grid_step=args.grid_step,
-            max_sweeps=args.max_sweeps,
+            tables, truth, vocab, **_given(args, "objective", "grid_step", "max_sweeps")
         )
         weights = model.weights
-        if args.model_out:
+        if args.model_out is not None:
             formats.save_report(model.to_dict(), args.model_out)
         print("weights: " + " ".join(repr(v) for v in weights))
     else:
@@ -195,11 +201,12 @@ def cmd_compare(args) -> int:
     vocab, table = _load_common(args)
     truth = formats.load_truth(args.truth, vocab)
     model, sim = _load_model_and_sim(args, vocab)
-    if args.strategies:
+    knobs = {"refine": args.refine, **_given(args, "k", "w")}
+    if args.strategies is not None:
         names = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        specs = [StrategySpec(n, k=args.k, w=args.w, refine=args.refine) for n in names]
+        specs = [StrategySpec(n, **knobs) for n in names]
     else:
-        specs = list(table1_strategies(k=args.k, w=args.w, refine=args.refine))
+        specs = list(table1_strategies(**knobs))
     report = compare(
         specs, table, truth, vocab, model, sim, refined_rankings=args.refined_rankings
     )
@@ -210,15 +217,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_images=args.n_images,
-        n_train=args.n_train,
-        n_seen=args.n_seen,
-        n_novel=args.n_novel,
-        count_min=args.count_min,
-        count_max=args.count_max,
-        noise_std=args.noise_std,
-    )
+    spec = SyntheticSpec(**_given(args, *(f.name for f in fields(SyntheticSpec))))
     bench = generate_synthetic(spec, args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,21 +235,21 @@ def float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _add_io(parser, scores=True, truth=False, truth_optional=False):
+def _add_io(parser, truth=False, truth_optional=False):
     parser.add_argument("--vocab", required=True, help="vocabulary TSV")
-    if scores:
-        parser.add_argument("--scores", required=True, help="score table TSV")
+    parser.add_argument("--scores", required=True, help="score table TSV")
     if truth:
         parser.add_argument("--truth", required=not truth_optional, help="ground truth TSV")
 
 
+def _add_switch(parser, name, help):
+    parser.add_argument(name, action=argparse.BooleanOptionalAction, default=False, help=help)
+
+
 def _add_strategy_knobs(parser):
-    parser.add_argument("--k", type=int, default=5, help="top-k / fallback size")
-    parser.add_argument("--w", type=float, default=0.5, help="refinement blend weight")
-    parser.add_argument(
-        "--refine", action=argparse.BooleanOptionalAction, default=False,
-        help="refine novel scores through tag similarity",
-    )
+    parser.add_argument("--k", type=int, help="top-k / fallback size")
+    parser.add_argument("--w", type=float, help="refinement blend weight")
+    _add_switch(parser, "--refine", "refine novel scores through tag similarity")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,10 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn-thresholds", help="learn per-tag thresholds on labeled data")
     _add_io(p, truth=True)
     p.add_argument("--out", required=True, help="output thresholds TSV")
-    p.add_argument(
-        "--intercept", action=argparse.BooleanOptionalAction, default=False,
-        help="add an intercept to the least-squares reconstruction",
-    )
+    _add_switch(p, "--intercept", "add an intercept to the least-squares reconstruction")
     p.set_defaults(func=cmd_learn_thresholds)
 
     p = sub.add_parser("select", help="run one selection strategy")
@@ -283,10 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", help="thresholds TSV (strategies using a model)")
     p.add_argument("--cooccurrence", help="co-occurrence TSV (refinement)")
     _add_strategy_knobs(p)
-    p.add_argument(
-        "--report-refined", action=argparse.BooleanOptionalAction, default=False,
-        help="write refined novel scores instead of raw ones",
-    )
+    _add_switch(p, "--report-refined", "write refined novel scores instead of raw ones")
     p.add_argument("--out", required=True, help="output selections TSV")
     p.set_defaults(func=cmd_select)
 
@@ -294,21 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--thresholds", required=True)
     p.add_argument("--cooccurrence", required=True)
-    p.add_argument("--w", type=float, default=0.5, help="refinement blend weight")
+    p.add_argument("--w", type=float, help="refinement blend weight")
     p.add_argument("--out", required=True, help="output scores TSV")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("evaluate", help="score selections against ground truth")
     _add_io(p, truth=True)
     p.add_argument("--selections", required=True)
-    p.add_argument(
-        "--partial-coverage", action=argparse.BooleanOptionalAction, default=False,
-        help="mask undefined labels instead of excluding the image",
-    )
-    p.add_argument(
-        "--per-image", action=argparse.BooleanOptionalAction, default=False,
-        help="include per-image metrics in the report",
-    )
+    _add_switch(p, "--partial-coverage", "mask undefined labels instead of excluding the image")
+    _add_switch(p, "--per-image", "include per-image metrics in the report")
     p.add_argument("--out", required=True, help="output report JSON")
     p.set_defaults(func=cmd_evaluate)
 
@@ -316,14 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--scores", action="append", required=True, help="repeat per table")
     p.add_argument("--weights", type=float_list, help="comma-separated weights summing to 1")
-    p.add_argument(
-        "--learn", action=argparse.BooleanOptionalAction, default=False,
-        help="learn weights by coordinate ascent on --truth",
-    )
+    _add_switch(p, "--learn", "learn weights by coordinate ascent on --truth")
     p.add_argument("--truth")
-    p.add_argument("--objective", choices=("mf", "map"), default="mf")
-    p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--max-sweeps", type=int, default=20)
+    p.add_argument("--objective", choices=("mf", "map"))
+    p.add_argument("--grid-step", type=float)
+    p.add_argument("--max-sweeps", type=int)
     p.add_argument("--model-out", help="write learned weights JSON here")
     p.add_argument("--out", required=True, help="output fused scores TSV")
     p.set_defaults(func=cmd_fuse)
@@ -334,27 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cooccurrence")
     p.add_argument("--strategies", help="comma-separated names (default: all six)")
     _add_strategy_knobs(p)
-    p.add_argument(
-        "--refined-rankings", action=argparse.BooleanOptionalAction, default=False,
-        help="judge refining strategies on refined rankings",
-    )
-    p.add_argument(
-        "--text", action=argparse.BooleanOptionalAction, default=False,
-        help="also print an aligned text table",
-    )
+    _add_switch(p, "--refined-rankings", "judge refining strategies on refined rankings")
+    _add_switch(p, "--text", "also print an aligned text table")
     p.add_argument("--out", required=True, help="output report JSON")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("gen-synth", help="generate the synthetic benchmark")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-images", type=int, default=2000)
-    p.add_argument("--n-train", type=int, default=1000)
-    p.add_argument("--n-seen", type=int, default=107)
-    p.add_argument("--n-novel", type=int, default=100)
-    p.add_argument("--count-min", type=int, default=1)
-    p.add_argument("--count-max", type=int, default=20)
-    p.add_argument("--noise-std", type=float, default=0.3)
+    for f in fields(SyntheticSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default))
     p.set_defaults(func=cmd_gen_synth)
 
     return parser

@@ -657,8 +657,7 @@ def save_thresholds(model: ThresholdModel, path) -> None:
             fh.write(f"{_LSQ_ROW}\t{values}\n")
         stats = model.stats
         for tag, mu, sigma in zip(stats.tags, stats.mu.tolist(), stats.sigma.tolist()):
-            # A caller may hand in numpy scalars, whose repr is not a number.
-            tau = repr(float(model.tau[tag])) if tag in model.tau else "-"
+            tau = repr(model.tau[tag]) if tag in model.tau else "-"
             fh.write(f"{tag}\t{tau}\t{mu!r}\t{sigma!r}\n")
 
 

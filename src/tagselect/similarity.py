@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Vocabulary
+from .core import Vocabulary, _check_identifier
 from .errors import TagSelectError
 
 
@@ -143,6 +143,8 @@ class CooccurrenceStats:
         return stats
 
     def _init(self, tags: tuple[str, ...], counts: np.ndarray, total: int) -> None:
+        for t in tags:
+            _check_identifier(t, "tag")
         counts.setflags(write=False)
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "counts", counts)

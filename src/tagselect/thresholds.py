@@ -140,8 +140,9 @@ class ThresholdModel:
     """Learned per-tag thresholds plus the statistics they were fit from.
 
     ``tau`` maps exactly the trainable seen tags (those with at least one
-    positive and one negative label) to their thresholds; seen tags that
-    could not be trained are listed in ``untrainable``.  ``lsq_coeffs``
+    positive and one negative label) to their thresholds, stored as finite
+    floats, and ``stats`` must cover every tag with a threshold; seen tags
+    that could not be trained are listed in ``untrainable``.  ``lsq_coeffs``
     reconstructs thresholds from (mu, sigma); it is (a, b) without an
     intercept, or (a, b, c) when fit with one.
     """
@@ -152,7 +153,12 @@ class ThresholdModel:
     untrainable: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", dict(self.tau))
+        tau = {t: float(v) for t, v in self.tau.items()}
+        for t, v in tau.items():
+            self.stats.index(t)  # raises for a tag without statistics
+            if not math.isfinite(v):
+                raise TagSelectError(f"threshold for {t!r} must be finite, got {v!r}")
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "untrainable", tuple(self.untrainable))
         if self.lsq_coeffs is not None:
             coeffs = tuple(float(c) for c in self.lsq_coeffs)

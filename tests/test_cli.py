@@ -10,6 +10,8 @@ from tagselect import (
     STRATEGY_NAMES,
     GroundTruth,
     StrategySpec,
+    SyntheticSpec,
+    TagSelectError,
     compare,
     evaluate,
     formats,
@@ -17,7 +19,8 @@ from tagselect import (
     run_strategy,
     similarity_matrix,
 )
-from tagselect.cli import main
+from tagselect import cli
+from tagselect.cli import _config_args, main
 
 BENCH_ARGS = [
     "--n-images", "30",
@@ -52,6 +55,155 @@ class TestGenSynth:
             "eval_truth.tsv",
             "cooccurrence.tsv",
         }
+
+
+class TestLibraryDefaults:
+    """An option left out reaches no library call, so the library's own
+    default applies; a given value reaches the library's checks, zero too."""
+
+    @pytest.fixture
+    def gen_synth_specs(self, monkeypatch):
+        specs = []
+
+        def generate(spec, seed):
+            specs.append((spec, seed))
+            raise TagSelectError("stop before writing")
+
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        return specs
+
+    def test_gen_synth_without_size_options_uses_the_spec_defaults(
+        self, gen_synth_specs, tmp_path
+    ):
+        assert run("gen-synth", "--out-dir", tmp_path / "bench") == 1
+        assert gen_synth_specs == [(SyntheticSpec(), 0)]
+
+    def test_gen_synth_passes_the_given_size_options(self, gen_synth_specs, tmp_path):
+        assert run("gen-synth", "--out-dir", tmp_path / "b", "--seed", "3", *BENCH_ARGS) == 1
+        assert gen_synth_specs == [(
+            SyntheticSpec(
+                n_images=30, n_train=40, n_seen=8, n_novel=6,
+                count_min=2, count_max=5, noise_std=0.2,
+            ),
+            3,
+        )]
+
+    def test_compare_strategies_without_knobs(self, bench_dir, tmp_path):
+        thresholds = tmp_path / "thr.tsv"
+        assert run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        ) == 0
+        out = tmp_path / "compare.json"
+        code = run(
+            "compare",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--truth", bench_dir / "eval_truth.tsv",
+            "--thresholds", thresholds,
+            "--strategies", " top_k, adaptive,",
+            "--out", out,
+        )
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["label"] for r in rows] == ["top_5", "adaptive"]
+        for row in rows:
+            spec = StrategySpec(row["strategy"])
+            assert (row["k"], row["w"], row["refine"]) == (spec.k, spec.w, spec.refine)
+
+    def test_zero_k_reaches_the_library_check(self, bench_dir, tmp_path, capsys):
+        code = run(
+            "select",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--strategy", "top_k",
+            "--k", "0",
+            "--out", tmp_path / "sel.tsv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error[data]: fallback_k must be a positive integer, got 0\n"
+        )
+
+    def test_zero_w_reaches_the_library(self, bench_dir, tmp_path):
+        thresholds = tmp_path / "thr.tsv"
+        assert run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        ) == 0
+        out = tmp_path / "compare.json"
+        code = run(
+            "compare",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--truth", bench_dir / "eval_truth.tsv",
+            "--thresholds", thresholds,
+            "--cooccurrence", bench_dir / "cooccurrence.tsv",
+            "--strategies", "adaptive",
+            "--refine",
+            "--w", "0",
+            "--out", out,
+        )
+        assert code == 0
+        [row] = json.loads(out.read_text())["rows"]
+        assert (row["label"], row["w"]) == ("adaptive_refined_w0", 0.0)
+
+
+class TestEmptyOptionValues:
+    """An option given as the empty string is used, not taken for absent."""
+
+    @pytest.mark.parametrize(
+        "command, option, message",
+        [
+            ("validate", "--truth", "cannot read truth file"),
+            ("select", "--thresholds", "cannot read thresholds file"),
+            ("select", "--cooccurrence", "cannot read co-occurrence file"),
+            ("compare", "--strategies", "compare needs at least one strategy"),
+        ],
+    )
+    def test_empty_value_is_not_ignored(
+        self, bench_dir, tmp_path, capsys, command, option, message
+    ):
+        extra = {
+            "validate": [],
+            "select": ["--strategy", "top_k", "--out", tmp_path / "out"],
+            "compare": ["--truth", bench_dir / "eval_truth.tsv", "--out", tmp_path / "out"],
+        }[command]
+        code = run(
+            command,
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            *extra,
+            option, "",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error[data]: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_model_out_is_not_ignored(self, bench_dir, tmp_path, capsys):
+        code = run(
+            "fuse",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--learn",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--max-sweeps", "1",
+            "--model-out", "",
+            "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error[data]: cannot write report file '': "
+            "[Errno 2] No such file or directory: ''\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidate:
@@ -452,6 +604,45 @@ class TestPipeline:
         assert capsys.readouterr().err == "error[data]: --model-out requires --learn\n"
         assert list(tmp_path.iterdir()) == [bench_dir]
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--truth", "truth.tsv"),
+            ("--objective", "map"),
+            ("--grid-step", "0.1"),
+            ("--max-sweeps", "3"),
+        ],
+    )
+    def test_fuse_rejects_learn_only_option_without_learn(
+        self, tmp_path, capsys, option, value
+    ):
+        # No input file exists: the option is refused before any is read.
+        code = run(
+            "fuse",
+            "--vocab", tmp_path / "vocabulary.tsv",
+            "--scores", tmp_path / "a.tsv",
+            "--scores", tmp_path / "b.tsv",
+            "--weights", "0.5,0.5",
+            option, value,
+            "--out", tmp_path / "fused.tsv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error[data]: {option} requires --learn\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fuse_learn_requires_truth(self, tmp_path, capsys):
+        code = run(
+            "fuse",
+            "--vocab", tmp_path / "vocabulary.tsv",
+            "--scores", tmp_path / "a.tsv",
+            "--scores", tmp_path / "b.tsv",
+            "--learn",
+            "--out", tmp_path / "fused.tsv",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error[data]: --learn requires --truth\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_fuse_rejects_weights_with_learn(self, bench_dir, tmp_path, capsys):
         code = run(
             "fuse",
@@ -653,6 +844,30 @@ class TestConfigExpansion:
         )
         assert code == 0
         assert "per_image" in json.loads(report.read_text())
+
+    def test_equals_form_indented_comment_and_false_value(self, bench_dir, tmp_path, capsys):
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text("  # indented comment\nstrategies = top_k\ntext=true\ntext = FALSE\n")
+        assert _config_args(str(cfg)) == ["--strategies", "top_k", "--text", "--no-text"]
+        out = tmp_path / "compare.json"
+        code = run(
+            "compare",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "eval_scores.tsv",
+            "--truth", bench_dir / "eval_truth.tsv",
+            f"--config={cfg}",
+            "--out", out,
+        )
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert [r["label"] for r in json.loads(out.read_text())["rows"]] == ["top_5"]
+
+    def test_empty_config_key_reports_position(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("strategy=top_k\n = 3\n")
+        code = main(["select", "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error[format]: {cfg}:2: empty key\n"
 
     def test_missing_config_file_fails_cleanly(self, capsys):
         code = main(["--config", "/nonexistent/conf", "validate", "--vocab", "x", "--scores", "y"])

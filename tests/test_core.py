@@ -51,6 +51,11 @@ class TestVocabulary:
         with pytest.raises(TagSelectError):
             Vocabulary.from_partition(["a"], ["a"])
 
+    def test_duplicate_tags_rejected_by_the_constructor(self):
+        with pytest.raises(TagSelectError) as exc:
+            Vocabulary(("a", "b", "a"), {"a": "seen", "b": "novel"})
+        assert str(exc.value) == "vocabulary contains duplicate tags"
+
     def test_partition_must_cover_tags(self):
         with pytest.raises(TagSelectError):
             Vocabulary(("a", "b"), {"a": "seen"})
@@ -150,6 +155,24 @@ class TestGroundTruth:
         assert len(pairs) == 9
         with pytest.raises(TagSelectError):
             tiny_truth.column("dune")
+
+    @pytest.mark.parametrize(
+        "images, coverage, shape, message",
+        [
+            (("i", "i"), ("a",), (2, 1), "ground truth contains duplicate image ids"),
+            (("i",), ("a", "a"), (1, 2), "ground truth coverage contains duplicate tags"),
+            (("i",), ("a",), (2, 1), "label matrix shape (2, 1) does not match 1 images x 1 tags"),
+        ],
+    )
+    def test_constructor_checks(self, images, coverage, shape, message):
+        with pytest.raises(TagSelectError) as exc:
+            GroundTruth(images, coverage, np.zeros(shape, dtype=np.int8))
+        assert str(exc.value) == message
+
+    def test_unknown_image_index(self, tiny_truth):
+        with pytest.raises(TagSelectError) as exc:
+            tiny_truth.image_index("nope")
+        assert str(exc.value) == "image 'nope' not present in ground truth"
 
     def test_label_values_validated(self):
         with pytest.raises(TagSelectError):

@@ -16,6 +16,7 @@ from tagselect import (
     run_strategy,
     threshold_selection_strategy,
 )
+from tagselect.selection import select_rows
 
 
 def tables_and_vocab(seed, n_images=10, n_seen=4, n_novel=2, m=2):
@@ -120,6 +121,25 @@ class TestLearnWeights:
         model = learn_weights([perfect, noise], truth, vocab, grid_step=0.25)
         assert model.weights[0] > model.weights[1]
         assert model.objective == 1.0
+
+    def test_grid_step_not_dividing_one_keeps_its_last_step(self):
+        # Fusing all-ones with all-zeros scores every cell with the first
+        # weight, so the selector records each weight vector tried.  A flat
+        # objective makes the first coordinate visit its whole grid: 0, 0.3,
+        # 0.6, 0.9 and then 1.0, which a step of 0.3 does not reach.
+        vocab, (table,) = tables_and_vocab(3, m=1)
+        ones = ScoreTable(table.images, table.tags, np.ones_like(table.scores))
+        zeros = ScoreTable(table.images, table.tags, np.zeros_like(table.scores))
+        truth = full_truth(vocab, table.images, np.random.default_rng(3))
+        tried = []
+
+        def record(fused):
+            tried.append(float(fused.scores[0, 0]))
+            return select_rows(fused, fallback_k=1)
+
+        model = learn_weights([ones, zeros], truth, vocab, record, grid_step=0.3)
+        assert tried[:6] == [0.5, 0.0, 0.3, 0.6, 3 * 0.3, 1.0]
+        assert model.weights == (0.5, 0.5)
 
     def test_history_is_non_decreasing(self):
         vocab, tables = tables_and_vocab(9, n_images=14, m=3)

@@ -191,6 +191,26 @@ class TestRefineNovelScores:
         with pytest.raises(TagSelectError):
             refine_novel_scores(table, "x", vocab, ["s1"], bad, sim, w=0.5)
 
+    def test_numpy_scalar_threshold_reads_as_a_number(self):
+        vocab, table, model, sim = refine_fixture()
+        bad = ThresholdModel(tau={"s1": np.float64(-0.5)}, stats=model.stats)
+        with pytest.raises(TagSelectError) as exc:
+            refine_novel_scores(table, "x", vocab, ["s1"], bad, sim, w=0.5)
+        assert str(exc.value) == (
+            "threshold for 's1' is -0.5; scores cannot be normalized by it"
+        )
+
+    @pytest.mark.parametrize("w", [-0.1, 1.5])
+    def test_weight_outside_unit_interval_rejected(self, w):
+        vocab, table, model, sim = refine_fixture()
+        message = f"refinement weight must lie in [0, 1], got {w!r}"
+        with pytest.raises(TagSelectError) as exc:
+            refine_novel_scores(table, "x", vocab, ["s1"], model, sim, w)
+        assert str(exc.value) == message
+        with pytest.raises(TagSelectError) as exc:
+            refine_table(table, vocab, model, sim, w)
+        assert str(exc.value) == message
+
     def test_empty_selected_seen_rejected(self):
         vocab, table, model, sim = refine_fixture()
         with pytest.raises(TagSelectError):

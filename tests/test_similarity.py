@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from tagselect import (
     CooccurrenceStats,
+    SimilarityMatrix,
     TagSelectError,
     Vocabulary,
     fcs,
@@ -57,6 +58,24 @@ class TestCooccurrenceStats:
         with pytest.raises(TagSelectError):
             CooccurrenceStats({"a": 3, "b": 3}, {("a", "b"): 1, ("b", "a"): 1}, 10)
 
+    def test_total_above_int64_rejected(self):
+        with pytest.raises(TagSelectError) as exc:
+            CooccurrenceStats({"a": 1}, {}, 2**63)
+        assert str(exc.value) == "collection size 9223372036854775808 exceeds the int64 range"
+
+    @pytest.mark.parametrize("name", ["", "a\tb", "a\nb", "a\rb"])
+    def test_tag_no_tsv_line_can_hold_rejected(self, name):
+        if name:
+            message = f"tag {name!r} contains tab or newline characters"
+        else:
+            message = "tag must be a non-empty string, got ''"
+        with pytest.raises(TagSelectError) as exc:
+            CooccurrenceStats({name: 1, "c": 1}, {}, 2)
+        assert str(exc.value) == message
+        with pytest.raises(TagSelectError) as exc:
+            CooccurrenceStats.from_counts([name, "x"], np.eye(2, dtype=np.int64), 2)
+        assert str(exc.value) == message
+
     def test_counts_must_be_integers(self):
         with pytest.raises(TagSelectError):
             CooccurrenceStats({"a": 1.5}, {}, 10)
@@ -70,6 +89,12 @@ class TestNgd:
 
     def test_disjoint_tags_are_infinitely_far(self):
         assert ngd(make_stats(50, 50, 0, 1000), "a", "b") == math.inf
+
+    @pytest.mark.parametrize("a, b", [("a", "b"), ("b", "a")])
+    def test_absent_tag_has_no_distance(self, a, b):
+        with pytest.raises(TagSelectError) as exc:
+            ngd(make_stats(0, 3, 0, 10), a, b)
+        assert str(exc.value) == "tag 'a' has no occurrences; distance undefined"
 
     def test_longhand_example(self):
         # f(a)=1000, f(b)=100, f(ab)=50 in a million images:
@@ -164,6 +189,11 @@ class TestPairSimilarity:
 
 
 class TestSimilarityMatrix:
+    def test_shape_must_match_the_tags(self):
+        with pytest.raises(TagSelectError) as exc:
+            SimilarityMatrix(("a", "b"), np.eye(3), ())
+        assert str(exc.value) == "similarity matrix shape (3, 3) is not 2x2"
+
     def test_disjoint_tags_give_identity(self):
         vocab = Vocabulary.from_partition(["a"], ["b"])
         stats = make_stats(10, 10, 0, 100)

@@ -56,6 +56,11 @@ class TestTagStats:
         with pytest.raises(TagSelectError):
             tag_stats(table)
 
+    def test_arrays_must_align_with_the_tags(self):
+        with pytest.raises(TagSelectError) as exc:
+            TagStats(("t", "u"), np.array([0.0]), np.array([1.0, 1.0]))
+        assert str(exc.value) == "stats arrays must align with the tag list"
+
     def test_stats_lookup_errors(self):
         stats = TagStats(("t",), np.array([0.0]), np.array([1.0]))
         with pytest.raises(TagSelectError):
@@ -161,6 +166,32 @@ class TestLearnThreshold:
         tau1, f1 = learn_threshold(moved)
         assert tau1 == tau0 + shift
         assert f1 == f0
+
+
+class TestThresholdModel:
+    STATS = TagStats(("a", "b"), np.zeros(2), np.ones(2))
+
+    def test_thresholds_are_stored_as_floats(self):
+        model = ThresholdModel(tau={"a": np.float64(-0.5), "b": np.int64(2)}, stats=self.STATS)
+        assert model.tau == {"a": -0.5, "b": 2.0}
+        assert all(type(v) is float for v in model.tau.values())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(TagSelectError) as exc:
+            ThresholdModel(tau={"b": 0.5, "a": value}, stats=self.STATS)
+        assert str(exc.value) == f"threshold for 'a' must be finite, got {float(value)!r}"
+
+    def test_threshold_for_a_tag_without_statistics_rejected(self):
+        with pytest.raises(TagSelectError) as exc:
+            ThresholdModel(tau={"a": 0.5, "zzz": 0.5}, stats=self.STATS)
+        assert str(exc.value) == "no statistics for tag 'zzz'"
+
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
+    def test_lsq_coefficient_count(self, coeffs):
+        with pytest.raises(TagSelectError) as exc:
+            ThresholdModel(tau={}, stats=self.STATS, lsq_coeffs=coeffs)
+        assert str(exc.value) == "lsq coefficients must be (a, b) or (a, b, c)"
 
 
 class TestFitLsq:
