@@ -44,8 +44,8 @@ class StrategySpec:
     """One comparison row: a strategy name plus its parameters."""
 
     name: str
-    k: int = 5
-    w: float = 0.5
+    k: int = AdaptiveConfig.fallback_k
+    w: float = AdaptiveConfig.w
     refine: bool = False
 
     def __post_init__(self):
@@ -63,7 +63,9 @@ class StrategySpec:
         return self.name
 
 
-def table1_strategies(k: int = 5, w: float = 0.5, refine: bool = False) -> tuple[StrategySpec, ...]:
+def table1_strategies(
+    k: int = AdaptiveConfig.fallback_k, w: float = AdaptiveConfig.w, refine: bool = False
+) -> tuple[StrategySpec, ...]:
     """All six strategies in their customary comparison order."""
     return tuple(StrategySpec(name, k=k, w=w, refine=refine) for name in STRATEGY_NAMES)
 

@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* tag and image identifiers are non-empty strings without tabs or newlines;
+* tag and image identifiers are non-empty strings without tabs or newlines,
+  unique within their list; every type checks its lists with ``_id_index``;
 * score matrices are float64 with one row per image and one column per tag,
   column order given by the vocabulary;
 * every tie between tags is broken by ascending lexicographic order on the
@@ -38,6 +39,28 @@ def _check_identifier(value: str, kind: str) -> None:
         raise TagSelectError(f"{kind} {value!r} contains tab or newline characters")
 
 
+def _id_index(
+    values: Iterable[str], kind: str, duplicates: str
+) -> tuple[tuple[str, ...], dict[str, int]]:
+    """``values`` as a tuple of checked identifiers, and each one's position
+    in it; a repeated value raises ``duplicates``."""
+    values = tuple(values)
+    for value in values:
+        _check_identifier(value, kind)
+    index = {value: i for i, value in enumerate(values)}
+    if len(index) != len(values):
+        raise TagSelectError(duplicates)
+    return values, index
+
+
+def _lookup(index: Mapping[str, int], key: str, message: str) -> int:
+    """``index[key]``; a missing key raises ``message`` formatted with it."""
+    position = index.get(key)
+    if position is None:
+        raise TagSelectError(message.format(key))
+    return position
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Ordered tag list partitioned into disjoint seen and novel subsets.
@@ -50,14 +73,10 @@ class Vocabulary:
     partition: Mapping[str, str]
 
     def __post_init__(self):
-        tags = tuple(self.tags)
+        tags, index = _id_index(self.tags, "tag", "vocabulary contains duplicate tags")
         object.__setattr__(self, "tags", tags)
         if not tags:
             raise TagSelectError("vocabulary must contain at least one tag")
-        for t in tags:
-            _check_identifier(t, "tag")
-        if len(set(tags)) != len(tags):
-            raise TagSelectError("vocabulary contains duplicate tags")
         part = dict(self.partition)
         if set(part) != set(tags):
             raise TagSelectError("partition must label exactly the vocabulary tags")
@@ -65,7 +84,7 @@ class Vocabulary:
             if side not in (SEEN, NOVEL):
                 raise TagSelectError(f"tag {t!r} has invalid partition label {side!r}")
         object.__setattr__(self, "partition", part)
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tags)})
+        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "seen_tags", tuple(t for t in tags if part[t] == SEEN))
         object.__setattr__(self, "novel_tags", tuple(t for t in tags if part[t] == NOVEL))
 
@@ -81,10 +100,7 @@ class Vocabulary:
         return cls(tags, part)
 
     def index(self, tag: str) -> int:
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise TagSelectError(f"unknown tag {tag!r}") from None
+        return _lookup(self._index, tag, "unknown tag {!r}")
 
     def __contains__(self, tag: str) -> bool:
         return tag in self._index
@@ -112,18 +128,12 @@ class ScoreTable:
     scores: np.ndarray
 
     def __post_init__(self):
-        images = tuple(self.images)
-        tags = tuple(self.tags)
+        images, img_index = _id_index(
+            self.images, "image id", "score table contains duplicate image ids"
+        )
+        tags, tag_index = _id_index(self.tags, "tag", "score table contains duplicate tags")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "tags", tags)
-        for x in images:
-            _check_identifier(x, "image id")
-        for t in tags:
-            _check_identifier(t, "tag")
-        if len(set(images)) != len(images):
-            raise TagSelectError("score table contains duplicate image ids")
-        if len(set(tags)) != len(tags):
-            raise TagSelectError("score table contains duplicate tags")
         arr = np.array(self.scores, dtype=np.float64)
         if arr.shape != (len(images), len(tags)):
             raise TagSelectError(
@@ -132,8 +142,8 @@ class ScoreTable:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "scores", arr)
-        object.__setattr__(self, "_img_index", {x: i for i, x in enumerate(images)})
-        object.__setattr__(self, "_tag_index", {t: j for j, t in enumerate(tags)})
+        object.__setattr__(self, "_img_index", img_index)
+        object.__setattr__(self, "_tag_index", tag_index)
         # Each column's rank among the sorted tag strings: tags are unique,
         # so ties broken by it are broken by the strings themselves.
         tag_rank = np.empty(len(tags), dtype=np.int32)
@@ -149,16 +159,10 @@ class ScoreTable:
         return len(self.tags)
 
     def image_index(self, image: str) -> int:
-        try:
-            return self._img_index[image]
-        except KeyError:
-            raise TagSelectError(f"unknown image {image!r}") from None
+        return _lookup(self._img_index, image, "unknown image {!r}")
 
     def tag_index(self, tag: str) -> int:
-        try:
-            return self._tag_index[tag]
-        except KeyError:
-            raise TagSelectError(f"unknown tag {tag!r}") from None
+        return _lookup(self._tag_index, tag, "unknown tag {!r}")
 
     def row(self, image: str) -> np.ndarray:
         return self.scores[self.image_index(image)]
@@ -186,18 +190,14 @@ class GroundTruth:
     labels: np.ndarray
 
     def __post_init__(self):
-        images = tuple(self.images)
-        coverage = tuple(self.coverage)
+        images, img_index = _id_index(
+            self.images, "image id", "ground truth contains duplicate image ids"
+        )
+        coverage, tag_index = _id_index(
+            self.coverage, "tag", "ground truth coverage contains duplicate tags"
+        )
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "coverage", coverage)
-        for x in images:
-            _check_identifier(x, "image id")
-        for t in coverage:
-            _check_identifier(t, "tag")
-        if len(set(images)) != len(images):
-            raise TagSelectError("ground truth contains duplicate image ids")
-        if len(set(coverage)) != len(coverage):
-            raise TagSelectError("ground truth coverage contains duplicate tags")
         arr = np.array(self.labels, dtype=np.int8)
         if arr.shape != (len(images), len(coverage)):
             raise TagSelectError(
@@ -209,8 +209,8 @@ class GroundTruth:
             raise TagSelectError("labels must be 1, 0 or -1 (undefined)")
         arr.setflags(write=False)
         object.__setattr__(self, "labels", arr)
-        object.__setattr__(self, "_img_index", {x: i for i, x in enumerate(images)})
-        object.__setattr__(self, "_tag_index", {t: j for j, t in enumerate(coverage)})
+        object.__setattr__(self, "_img_index", img_index)
+        object.__setattr__(self, "_tag_index", tag_index)
 
     @classmethod
     def from_pairs(
@@ -263,10 +263,7 @@ class GroundTruth:
         return np.fromiter(map(self._tag_index.get, tags, outside), dtype=np.intp)
 
     def image_index(self, image: str) -> int:
-        try:
-            return self._img_index[image]
-        except KeyError:
-            raise TagSelectError(f"image {image!r} not present in ground truth") from None
+        return _lookup(self._img_index, image, "image {!r} not present in ground truth")
 
     def label(self, image: str, tag: str) -> bool | None:
         """True/False when judged, None when the label is undefined."""
@@ -293,10 +290,7 @@ class GroundTruth:
 
     def column(self, tag: str) -> np.ndarray:
         """Label column aligned with self.images (int8, -1 undefined)."""
-        try:
-            j = self._tag_index[tag]
-        except KeyError:
-            raise TagSelectError(f"tag {tag!r} not in ground truth coverage") from None
+        j = _lookup(self._tag_index, tag, "tag {!r} not in ground truth coverage")
         return self.labels[:, j]
 
     def iter_pairs(self) -> Iterator[tuple[str, str, int]]:
@@ -343,9 +337,7 @@ class SelectionResult:
     provenance: np.ndarray
 
     def __init__(self, images: Iterable[str], rows: Mapping[str, Iterable[SelectedTag]]):
-        images = tuple(images)
-        if len(set(images)) != len(images):
-            raise TagSelectError("selection result contains duplicate image ids")
+        images, _ = _id_index(images, "image id", "selection result contains duplicate image ids")
         rows = dict(rows)
         if set(rows) != set(images):
             raise TagSelectError("selection rows must cover exactly the listed images")
@@ -394,10 +386,7 @@ class SelectionResult:
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(images)})
 
     def _picks(self, image: str) -> slice:
-        try:
-            i = self._index[image]
-        except KeyError:
-            raise TagSelectError(f"image {image!r} not present in selections") from None
+        i = _lookup(self._index, image, "image {!r} not present in selections")
         return slice(self.offsets[i], self.offsets[i + 1])
 
     def row(self, image: str) -> tuple[SelectedTag, ...]:

@@ -66,6 +66,16 @@ def _open(path, kind):
         raise TagSelectError(f"cannot read {kind} file {str(path)!r}: {exc}") from None
 
 
+def _refuse_comments(path, ids, kind) -> None:
+    """Refuse, before anything is written, an id that would start a line with
+    '#': every loader skips such a line as a comment."""
+    for x in ids:
+        if x.startswith("#"):
+            raise FormatError(
+                path, 0, f"{kind} {x!r} starts with '#' and would read back as a comment"
+            )
+
+
 def _create(path, kind):
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
@@ -307,6 +317,7 @@ def load_vocabulary(path) -> Vocabulary:
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
+    _refuse_comments(path, vocab.tags, "tag")
     with _create(path, "vocabulary") as fh:
         fh.write("# tag\tseen|novel\n")
         for t in vocab.tags:
@@ -359,6 +370,7 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
 
 
 def save_scores(table: ScoreTable, path) -> None:
+    _refuse_comments(path, table.images, "image id")
     with _create(path, "scores") as fh:
         fh.write("# image_id\ttag\tscore\n")
         for image, row in zip(table.images, table.scores):
@@ -411,6 +423,7 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
 
 
 def save_truth(truth: GroundTruth, path) -> None:
+    _refuse_comments(path, truth.images, "image id")
     with _create(path, "truth") as fh:
         fh.write("# image_id\ttag\t0|1\n")
         # Row-major, so image-major in stored order, as iter_pairs yields.
@@ -591,6 +604,7 @@ def load_selections(path) -> SelectionResult:
 
 
 def save_selections(result: SelectionResult, path) -> None:
+    _refuse_comments(path, result.images, "image id")
     tags = result.column_tags
     images = np.repeat(np.array(result.images, dtype=object), np.diff(result.offsets))
     with _create(path, "selections") as fh:
@@ -650,6 +664,7 @@ def load_thresholds(path, vocab: Vocabulary) -> ThresholdModel:
 def save_thresholds(model: ThresholdModel, path) -> None:
     if _LSQ_ROW in model.stats.tags:
         raise FormatError(path, 0, "the tag name 'lsq' is reserved in this format")
+    _refuse_comments(path, model.stats.tags, "tag")
     with _create(path, "thresholds") as fh:
         fh.write("# tag\ttau\tmu\tsigma ('-' = no learned threshold)\n")
         if model.lsq_coeffs is not None:

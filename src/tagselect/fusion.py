@@ -3,6 +3,7 @@ coordinate ascent against a selection-quality objective on labeled data."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -129,6 +130,8 @@ def learn_weights(
         raise TagSelectError(f"objective must be 'mf' or 'map', got {objective!r}")
     if not 0.0 < grid_step <= 1.0:
         raise TagSelectError(f"grid_step must lie in (0, 1], got {grid_step!r}")
+    if not isinstance(max_sweeps, numbers.Integral):
+        raise TagSelectError(f"max_sweeps must be an integer, got {max_sweeps!r}")
     if max_sweeps < 1:
         raise TagSelectError("max_sweeps must be at least 1")
     if selection_strategy is None:

@@ -42,8 +42,18 @@ class AdaptiveConfig:
     def __post_init__(self):
         if not isinstance(self.fallback_k, int) or self.fallback_k < 1:
             raise TagSelectError(f"fallback_k must be a positive integer, got {self.fallback_k!r}")
-        if not 0.0 <= self.w <= 1.0:
-            raise TagSelectError(f"refinement weight must lie in [0, 1], got {self.w!r}")
+        _check_weight(self.w)
+
+
+def _check_weight(w: float) -> None:
+    if not 0.0 <= w <= 1.0:
+        raise TagSelectError(f"refinement weight must lie in [0, 1], got {w!r}")
+
+
+def _round_half_up(p, q):
+    """round-half-up(p / q) for positive ``q``, in exact integer arithmetic;
+    ``p`` and ``q`` are ints or int arrays."""
+    return (2 * p + q) // (2 * q)
 
 
 _EMPTY = np.zeros(0, dtype=np.intp)
@@ -81,7 +91,7 @@ def select_rows(
     # The third array holds provenance codes, which index PROVENANCE_ORDER.
     parts = [(r[order], c[order], np.full(r.size, 0))]
     # An empty pool selects nothing, so its k_novel is 0.
-    k = np.minimum((2 * novel.size * a_size + pool.size) // max(2 * pool.size, 1), novel.size)
+    k = np.minimum(_round_half_up(novel.size * a_size, max(pool.size, 1)), novel.size)
     take = np.flatnonzero(k)
     key = (scores if ranked is None else ranked)[take][:, novel]
     i, j = np.nonzero(np.arange(novel.size) < k[take, None])
@@ -135,8 +145,7 @@ def k_novel(seen_size: int, novel_size: int, a_size: int) -> int:
         raise TagSelectError("seen_size must be at least 1")
     if novel_size < 0 or a_size < 0 or a_size > seen_size:
         raise TagSelectError("need 0 <= a_size <= seen_size and novel_size >= 0")
-    k = (2 * novel_size * a_size + seen_size) // (2 * seen_size)
-    return min(k, novel_size)
+    return min(_round_half_up(novel_size * a_size, seen_size), novel_size)
 
 
 def _blend(raw, block, ratios, mask, w):
@@ -171,8 +180,7 @@ def refine_novel_scores(
     cleared its (positive) threshold.  Seen-tag scores are never modified;
     only the novel row is returned, keyed by tag.
     """
-    if not 0.0 <= w <= 1.0:
-        raise TagSelectError(f"refinement weight must lie in [0, 1], got {w!r}")
+    _check_weight(w)
     # Summation over A runs in table column order, fixed at construction,
     # so the float result is deterministic regardless of the set's order.
     a_tags = sorted(set(selected_seen), key=table.tag_index)
@@ -223,8 +231,7 @@ def refine_table(
     Every pool threshold must be positive, selected or not."""
     if sim is None:
         raise TagSelectError("refinement requires a similarity matrix")
-    if not 0.0 <= w <= 1.0:
-        raise TagSelectError(f"refinement weight must lie in [0, 1], got {w!r}")
+    _check_weight(w)
     require_finite(table)
     pool, tau = learned_pool(table, vocab, model)
     novel = _novel_columns(table, vocab)

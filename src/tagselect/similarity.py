@@ -16,11 +16,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Vocabulary, _check_identifier
+from .core import Vocabulary, _id_index, _lookup
 from .errors import TagSelectError
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_DUPLICATE_TAGS = "co-occurrence tags contain duplicates"
 
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
@@ -63,6 +64,7 @@ class CooccurrenceStats:
                 raise TagSelectError(f"occurrence count for {t!r} must be a non-negative integer")
             if c > total:
                 raise TagSelectError(f"occurrence count for {t!r} exceeds collection size")
+        _id_index(single, "tag", _DUPLICATE_TAGS)  # before sorted() compares the keys
         tags = tuple(sorted(single))
         index = {t: i for i, t in enumerate(tags)}
         counts = np.zeros((len(tags), len(tags)), dtype=np.int64)
@@ -100,10 +102,8 @@ class CooccurrenceStats:
         whose diagonal holds the single counts, checked with array
         operations under the constructor's rules and messages."""
         _check_total(total)
-        tags = tuple(tags)
+        tags, _ = _id_index(tags, "tag", _DUPLICATE_TAGS)
         n = len(tags)
-        if len(set(tags)) != n:
-            raise TagSelectError("co-occurrence tags contain duplicates")
         arr = np.asarray(counts)
         if arr.shape != (n, n):
             raise TagSelectError(f"count matrix shape {arr.shape} is not {n}x{n}")
@@ -143,8 +143,6 @@ class CooccurrenceStats:
         return stats
 
     def _init(self, tags: tuple[str, ...], counts: np.ndarray, total: int) -> None:
-        for t in tags:
-            _check_identifier(t, "tag")
         counts.setflags(write=False)
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "counts", counts)
@@ -241,7 +239,7 @@ class SimilarityMatrix:
     missing: tuple[str, ...]
 
     def __post_init__(self):
-        tags = tuple(self.tags)
+        tags, index = _id_index(self.tags, "tag", "similarity matrix contains duplicate tags")
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "missing", tuple(self.missing))
         arr = np.array(self.values, dtype=np.float64)
@@ -250,13 +248,10 @@ class SimilarityMatrix:
             raise TagSelectError(f"similarity matrix shape {arr.shape} is not {n}x{n}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tags)})
+        object.__setattr__(self, "_index", index)
 
     def index(self, tag: str) -> int:
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise TagSelectError(f"tag {tag!r} not in similarity matrix") from None
+        return _lookup(self._index, tag, "tag {!r} not in similarity matrix")
 
     def value(self, a: str, b: str) -> float:
         return float(self.values[self.index(a), self.index(b)])

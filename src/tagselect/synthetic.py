@@ -13,13 +13,14 @@ adaptive strategy selects precisely the relevant tags of every image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import GroundTruth, ScoreTable, Vocabulary
 from .errors import TagSelectError
-from .selection import k_novel
+from .selection import _round_half_up, k_novel
 from .similarity import CooccurrenceStats
 
 
@@ -42,6 +43,10 @@ class SyntheticSpec:
     noise_std: float = 0.3
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
+                raise TagSelectError(f"{f.name} must be an integer, got {value!r}")
         if self.n_images < 1 or self.n_train < 1:
             raise TagSelectError("collection sizes must be positive")
         if self.n_seen < 1 or self.n_novel < 0:
@@ -50,7 +55,8 @@ class SyntheticSpec:
             raise TagSelectError("need 1 <= count_min <= count_max")
         if self.count_max > self.n_seen + self.n_novel:
             raise TagSelectError("count_max cannot exceed the vocabulary size")
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+        noise = self.noise_std
+        if not (isinstance(noise, numbers.Real) and np.isfinite(noise) and noise >= 0):
             raise TagSelectError("noise_std must be finite and non-negative")
 
 
@@ -62,10 +68,6 @@ class SyntheticBenchmark:
     eval_table: ScoreTable
     eval_truth: GroundTruth
     cooccurrence: CooccurrenceStats
-
-
-def _round_half_up(p: int, q: int) -> int:
-    return (2 * p + q) // (2 * q)
 
 
 def _relevance_block(rng: np.random.Generator, spec: SyntheticSpec, n: int) -> np.ndarray:

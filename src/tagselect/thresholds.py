@@ -5,13 +5,14 @@ from the statistics."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, ScoreTable, Vocabulary, require_finite
+from .core import GroundTruth, ScoreTable, Vocabulary, _id_index, _lookup, require_finite
 from .errors import DegenerateFitError, TagSelectError, UntrainableTagError
 
 # Relative tolerance for declaring the 2x2 (or 3x3) normal matrix singular.
@@ -27,7 +28,7 @@ class TagStats:
     sigma: np.ndarray
 
     def __post_init__(self):
-        tags = tuple(self.tags)
+        tags, index = _id_index(self.tags, "tag", "statistics contain duplicate tags")
         object.__setattr__(self, "tags", tags)
         mu = np.array(self.mu, dtype=np.float64)
         sigma = np.array(self.sigma, dtype=np.float64)
@@ -39,13 +40,10 @@ class TagStats:
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_index", {t: i for i, t in enumerate(tags)})
+        object.__setattr__(self, "_index", index)
 
     def index(self, tag: str) -> int:
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise TagSelectError(f"no statistics for tag {tag!r}") from None
+        return _lookup(self._index, tag, "no statistics for tag {!r}")
 
     def get(self, tag: str) -> tuple[float, float]:
         i = self.index(tag)
@@ -153,18 +151,25 @@ class ThresholdModel:
     untrainable: tuple[str, ...] = ()
 
     def __post_init__(self):
-        tau = {t: float(v) for t, v in self.tau.items()}
-        for t, v in tau.items():
+        tau = {}
+        for t, v in self.tau.items():
             self.stats.index(t)  # raises for a tag without statistics
+            if not isinstance(v, numbers.Real):
+                raise TagSelectError(f"threshold for {t!r} must be a real number, got {v!r}")
+            tau[t] = v = float(v)
             if not math.isfinite(v):
                 raise TagSelectError(f"threshold for {t!r} must be finite, got {v!r}")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "untrainable", tuple(self.untrainable))
         if self.lsq_coeffs is not None:
-            coeffs = tuple(float(c) for c in self.lsq_coeffs)
+            coeffs = tuple(self.lsq_coeffs)
+            if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in coeffs):
+                raise TagSelectError(
+                    f"lsq coefficients must be finite real numbers, got {coeffs!r}"
+                )
             if len(coeffs) not in (2, 3):
                 raise TagSelectError("lsq coefficients must be (a, b) or (a, b, c)")
-            object.__setattr__(self, "lsq_coeffs", coeffs)
+            object.__setattr__(self, "lsq_coeffs", tuple(map(float, coeffs)))
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:

@@ -88,6 +88,18 @@ def full_truth(vocab, images, rng, p=0.35):
 
 
 class TestLearnWeights:
+    @pytest.mark.parametrize("sweeps, message", [
+        (1.5, "max_sweeps must be an integer, got 1.5"),
+        ("2", "max_sweeps must be an integer, got '2'"),
+        (0, "max_sweeps must be at least 1"),
+    ])
+    def test_max_sweeps_must_be_a_positive_integer(self, sweeps, message):
+        vocab, tables = tables_and_vocab(7, m=2)
+        truth = full_truth(vocab, tables[0].images, np.random.default_rng(7))
+        with pytest.raises(TagSelectError) as exc:
+            learn_weights(tables, truth, vocab, max_sweeps=sweeps)
+        assert str(exc.value) == message
+
     def test_identical_tables_keep_uniform_weights(self):
         vocab, tables = tables_and_vocab(7, m=1)
         table = tables[0]

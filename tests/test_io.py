@@ -399,6 +399,35 @@ class TestWriters:
         )
         assert not path.parent.exists()
 
+    # Each writer's first field, holding an id that starts with '#': every
+    # loader would skip its line as a comment.
+    @pytest.mark.parametrize("save, make, kind, bad", [
+        (save_vocabulary, lambda: Vocabulary.from_partition(["a", "#s"], ["#n"]), "tag", "#s"),
+        (save_scores, lambda: ScoreTable(("im0", "#img"), ("a",), np.zeros((2, 1))),
+         "image id", "#img"),
+        (save_truth, lambda: GroundTruth.from_pairs([("im0", "a", 1), ("#img", "#a", 0)]),
+         "image id", "#img"),
+        (save_selections,
+         lambda: SelectionResult(("#img",), {"#img": [SelectedTag("a", 0.5, FROM_FALLBACK)]}),
+         "image id", "#img"),
+        (save_thresholds, lambda: ThresholdModel(
+            tau={"#s": 0.5}, stats=TagStats(("a", "#s"), np.zeros(2), np.zeros(2))
+        ), "tag", "#s"),
+    ])
+    def test_first_field_id_starting_with_hash_is_refused(self, tmp_path, save, make, kind, bad):
+        path = tmp_path / "out.tsv"
+        with pytest.raises(FormatError) as err:
+            save(make(), path)
+        assert str(err.value) == (
+            f"{path}:0: {kind} {bad!r} starts with '#' and would read back as a comment"
+        )
+        assert not path.exists()
+
+    def test_hash_in_a_later_field_is_written(self, tmp_path):
+        truth = GroundTruth.from_pairs([("im0", "#a", 1)])
+        save_truth(truth, tmp_path / "truth.tsv")
+        assert load_truth(tmp_path / "truth.tsv").coverage == ("#a",)
+
 
 class TestFloatText:
     """Every float a writer emits is ``repr`` of a Python float: the

@@ -33,7 +33,7 @@ from tagselect import (
     select_by_threshold,
     similarity_matrix,
 )
-from tagselect.selection import refine_table
+from tagselect.selection import _round_half_up, refine_table
 
 ADAPTIVE = StrategySpec("adaptive")
 
@@ -132,6 +132,18 @@ class TestKNovel:
         a = data.draw(st.integers(min_value=0, max_value=seen))
         expected = min(oracles.round_half_up_fraction(novel, a, seen), novel)
         assert k_novel(seen, novel, a) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=10**4),
+    )
+    def test_round_half_up_on_ints_and_arrays(self, numerators, q):
+        # The one count law behind k_novel, the kernel and the generator.
+        want = [oracles.round_half_up_fraction(p, 1, q) for p in numerators]
+        assert [_round_half_up(p, q) for p in numerators] == want
+        assert _round_half_up(np.array(numerators), q).tolist() == want
+        assert _round_half_up(np.array(numerators), np.full(len(numerators), q)).tolist() == want
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=200))

@@ -39,6 +39,23 @@ class TestSpecValidation:
         with pytest.raises(TagSelectError):
             SyntheticSpec(noise_std=-0.1)
 
+    @pytest.mark.parametrize(
+        "field", ["n_images", "n_train", "n_seen", "n_novel", "count_min", "count_max"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(TagSelectError) as exc:
+            SyntheticSpec(**{field: value})
+        assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert SyntheticSpec(n_images=np.int64(3)).n_images == 3
+
+    def test_noise_std_must_be_a_number(self):
+        with pytest.raises(TagSelectError) as exc:
+            SyntheticSpec(noise_std="0.3")
+        assert str(exc.value) == "noise_std must be finite and non-negative"
+
 
 class TestRoundHalfUp:
     def test_half_rounds_up(self):

@@ -187,6 +187,23 @@ class TestThresholdModel:
             ThresholdModel(tau={"a": 0.5, "zzz": 0.5}, stats=self.STATS)
         assert str(exc.value) == "no statistics for tag 'zzz'"
 
+    @pytest.mark.parametrize("value", ["0.5", "x", None])
+    def test_threshold_must_be_a_real_number(self, value):
+        with pytest.raises(TagSelectError) as exc:
+            ThresholdModel(tau={"a": value}, stats=self.STATS)
+        assert str(exc.value) == f"threshold for 'a' must be a real number, got {value!r}"
+
+    @pytest.mark.parametrize("coeffs", [(float("nan"), 2.0), (1.0, np.inf, 0.5), ("1", 2.0)])
+    def test_lsq_coefficients_must_be_finite_reals(self, coeffs):
+        with pytest.raises(TagSelectError) as exc:
+            ThresholdModel(tau={}, stats=self.STATS, lsq_coeffs=coeffs)
+        assert str(exc.value) == f"lsq coefficients must be finite real numbers, got {coeffs!r}"
+
+    def test_lsq_coefficients_are_stored_as_floats(self):
+        model = ThresholdModel(tau={}, stats=self.STATS, lsq_coeffs=(np.float64(0.5), 2))
+        assert model.lsq_coeffs == (0.5, 2.0)
+        assert all(type(c) is float for c in model.lsq_coeffs)
+
     @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 2.0, 3.0, 4.0)])
     def test_lsq_coefficient_count(self, coeffs):
         with pytest.raises(TagSelectError) as exc:
