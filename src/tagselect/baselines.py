@@ -24,7 +24,7 @@ from .core import (
     require_finite,
 )
 from .errors import TagSelectError
-from .metrics import evaluate
+from .metrics import _prepare, _score, evaluate
 from .selection import AdaptiveConfig, adaptive_rows, refine_table, select_rows
 from .similarity import SimilarityMatrix
 from .thresholds import ThresholdModel, predict_threshold, tag_stats
@@ -188,6 +188,9 @@ def compare(
         raise TagSelectError("compare needs at least one strategy")
     _check_table(table, vocab)
     raw_rankings = rank_columns(table)
+    # The raw ranking's evaluation is prepared at its first use, after that
+    # strategy's selection, so errors keep evaluate's order.
+    raw = None
     rows = []
     for spec in strategies:
         if refined_rankings and spec.name == "adaptive" and spec.refine:
@@ -197,11 +200,12 @@ def compare(
             cfg = AdaptiveConfig(fallback_k=spec.k, w=spec.w)
             refined = refine_table(table, vocab, _require_model(spec, model), sim, spec.w)
             selections = run_strategy(spec, refined, vocab, model, sim, cfg)
-            rankings = rank_columns(refined)
+            report = evaluate(truth, selections, rank_columns(refined))
         else:
             selections = run_strategy(spec, table, vocab, model, sim)
-            rankings = raw_rankings
-        report = evaluate(truth, selections, rankings)
+            if raw is None:
+                raw = _prepare(truth, selections.images, raw_rankings, True)
+            report = _score(raw, selections)
         mean_selected = int(selections.offsets[-1]) / len(selections.images)
         rows.append(
             StrategyRow(spec, report.mf, report.map, mean_selected, report.n_excluded)

@@ -134,14 +134,7 @@ class ScoreTable:
         tags, tag_index = _id_index(self.tags, "tag", "score table contains duplicate tags")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "tags", tags)
-        arr = np.array(self.scores, dtype=np.float64)
-        if arr.shape != (len(images), len(tags)):
-            raise TagSelectError(
-                f"score matrix shape {arr.shape} does not match "
-                f"{len(images)} images x {len(tags)} tags"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "scores", arr)
+        self._set_scores(np.array(self.scores, dtype=np.float64))
         object.__setattr__(self, "_img_index", img_index)
         object.__setattr__(self, "_tag_index", tag_index)
         # Each column's rank among the sorted tag strings: tags are unique,
@@ -149,6 +142,26 @@ class ScoreTable:
         tag_rank = np.empty(len(tags), dtype=np.int32)
         tag_rank[np.argsort(np.array(tags, dtype=object))] = np.arange(len(tags), dtype=np.int32)
         object.__setattr__(self, "_tag_rank", tag_rank)
+
+    def _set_scores(self, arr: np.ndarray) -> None:
+        if arr.shape != (len(self.images), len(self.tags)):
+            raise TagSelectError(
+                f"score matrix shape {arr.shape} does not match "
+                f"{len(self.images)} images x {len(self.tags)} tags"
+            )
+        arr.setflags(write=False)
+        object.__setattr__(self, "scores", arr)
+
+    def _derived(self, scores: np.ndarray) -> "ScoreTable":
+        """A table of new ``scores`` over this one's images and tags, which
+        are already checked: it shares their indexes and tag ranks, and only
+        the matrix is checked.  A float64 ``scores`` is taken over, not
+        copied, and made read-only."""
+        table = object.__new__(ScoreTable)
+        for name in ("images", "tags", "_img_index", "_tag_index", "_tag_rank"):
+            object.__setattr__(table, name, getattr(self, name))
+        table._set_scores(np.asarray(scores, dtype=np.float64))
+        return table
 
     @property
     def n_images(self) -> int:

@@ -423,7 +423,19 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
 
 
 def save_truth(truth: GroundTruth, path) -> None:
+    """Every defined label, one row each.  The file holds nothing else, so
+    an image or a coverage tag without a defined label would not read
+    back: the first such image, else the first such tag, is refused before
+    anything is written."""
     _refuse_comments(path, truth.images, "image id")
+    defined = truth.labels >= 0
+    for kind, ids, labelled in (
+        ("image", truth.images, defined.any(axis=1)),
+        ("coverage tag", truth.coverage, defined.any(axis=0)),
+    ):
+        if not labelled.all():
+            raise FormatError(path, 0, f"{kind} {ids[int(np.argmin(labelled))]!r} "
+                                       "has no defined label and would not read back")
     with _create(path, "truth") as fh:
         fh.write("# image_id\ttag\t0|1\n")
         # Row-major, so image-major in stored order, as iter_pairs yields.

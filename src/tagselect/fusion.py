@@ -5,15 +5,22 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, ScoreTable, SelectionResult, Vocabulary, rank_columns
+from .core import (
+    GroundTruth,
+    ScoreTable,
+    SelectionResult,
+    Vocabulary,
+    rank_columns,
+    require_finite,
+)
 from .errors import TagSelectError
-from .metrics import evaluate
-from .selection import learned_pool, select_rows
-from .thresholds import learn_all_thresholds
+from .metrics import _prepare, _score, evaluate
+from .selection import select_rows
+from .thresholds import _f_optimal_cuts, _finite_threshold, _require_images, _seen_label_rows
 
 _WEIGHT_ATOL = 1e-9
 _SWEEP_TOL = 1e-9
@@ -72,37 +79,100 @@ def fuse(tables: Sequence[ScoreTable], weights: Sequence[float]) -> ScoreTable:
     acc = w[0] * tables[0].scores
     for wi, table in zip(w[1:], tables[1:]):
         acc = acc + wi * table.scores
-    return ScoreTable(first.images, first.tags, acc)
+    return first._derived(acc)
 
 
 def threshold_selection_strategy(
     truth: GroundTruth, vocab: Vocabulary
 ) -> SelectionStrategy:
     """The default fusion objective's selector: learn per-tag thresholds on
-    the fused table and keep the seen tags that clear them."""
+    the fused table and keep the seen tags that clear them.
+
+    It selects as ``learn_all_thresholds(table, truth, vocab,
+    fit_coeffs=False)`` and ``select_rows`` on the learned pool do, and
+    raises their errors in their order.  What does not depend on the scores
+    (the seen label rows, the truth images' table rows, the trained columns
+    and their pool order) is kept from the last table and built again when
+    a table has other images or tags.  Each call then learns the thresholds
+    only, without the statistics, which selection does not read.
+    """
+    layout: _Layout | None = None
 
     def strategy(table: ScoreTable) -> SelectionResult:
-        model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
-        return select_rows(table, *learned_pool(table, vocab, model))
+        nonlocal layout
+        require_finite(table)
+        if layout is None or table.images != layout.images or table.tags != layout.tags:
+            layout = _Layout.of(table, truth, vocab)
+        tau = np.zeros(0)
+        if layout.names:
+            tau, _ = _f_optimal_cuts(
+                table.scores.T[layout.cols][:, layout.img_rows], layout.labels
+            )
+            bad = np.flatnonzero(~np.isfinite(tau))
+            if bad.size:
+                _finite_threshold(layout.names[bad[0]], float(tau[bad[0]]))  # raises
+        return select_rows(table, layout.pool, tau[layout.pool_order])
 
     return strategy
 
 
+class _Layout(NamedTuple):
+    """What threshold learning and selection read of a table besides its
+    scores, for ``threshold_selection_strategy``: ``names``, ``cols`` and
+    ``labels`` list the trainable seen tags in seen order, and ``pool`` is
+    ``cols`` ascending, ``cols[pool_order]``."""
+
+    images: tuple[str, ...]
+    tags: tuple[str, ...]
+    img_rows: np.ndarray
+    names: tuple[str, ...]
+    cols: np.ndarray
+    labels: np.ndarray
+    pool: np.ndarray
+    pool_order: np.ndarray
+
+    @classmethod
+    def of(cls, table: ScoreTable, truth: GroundTruth, vocab: Vocabulary) -> "_Layout":
+        img_rows, cols, labels, trained = _seen_label_rows(table, truth, vocab)
+        _require_images(table)
+        names = tuple(t for t, ok in zip(vocab.seen_tags, trained) if ok)
+        order = np.argsort(cols)
+        return cls(table.images, table.tags, img_rows, names, cols, labels, cols[order], order)
+
+
 def _objective(
     tables: Sequence[ScoreTable],
-    weights: np.ndarray,
     truth: GroundTruth,
     strategy: SelectionStrategy,
     coverage: list[str],
     objective: str,
-) -> float:
-    fused = fuse(tables, weights)
-    selections = strategy(fused)
-    rankings = rank_columns(fused.restrict(coverage))
-    # Training labels are typically incomplete, so the objective masks each
-    # image down to its defined labels instead of demanding full coverage.
-    report = evaluate(truth, selections, rankings, require_full_coverage=False)
-    return report.mf if objective == "mf" else report.map
+) -> Callable[[np.ndarray], float]:
+    """The objective of ``learn_weights`` as a function of the weights.
+
+    Training labels are typically incomplete, so the objective masks each
+    image down to its defined labels instead of demanding full coverage.
+    Under that masking F, the included images and |P| depend on which
+    coverage tags are ranked, not on their order, and every fused table
+    ranks the same tags; so ``mf`` ranks a fused table and prepares its
+    evaluation once, and only scores each later selection over the same
+    images (its ``map`` is that of the ranked table, and is not read).
+    ``map`` ranks and evaluates every fused table.
+    """
+    prepared = None
+
+    def score(weights: np.ndarray) -> float:
+        nonlocal prepared
+        fused = fuse(tables, weights)
+        selections = strategy(fused)
+        if objective == "map":
+            rankings = rank_columns(fused.restrict(coverage))
+            return evaluate(truth, selections, rankings, require_full_coverage=False).map
+        if prepared is None or prepared.images != selections.images:
+            rankings = rank_columns(fused.restrict(coverage))
+            prepared = _prepare(truth, selections.images, rankings, False)
+        return _score(prepared, selections).mf
+
+    return score
 
 
 def learn_weights(
@@ -145,12 +215,13 @@ def learn_weights(
         grid.append(1.0)
     grid[-1] = 1.0
 
+    objective_of = _objective(tables, truth, selection_strategy, coverage, objective)
     cache: dict[tuple[float, ...], float] = {}
 
     def score(w: np.ndarray) -> float:
         key = tuple(w.tolist())
         if key not in cache:
-            cache[key] = _objective(tables, w, truth, selection_strategy, coverage, objective)
+            cache[key] = objective_of(w)
         return cache[key]
 
     w = np.full(m, 1.0 / m)

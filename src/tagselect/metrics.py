@@ -123,7 +123,37 @@ def evaluate(
     precisions left to right in rank order, and ``mf``/``map`` add the
     per-image values left to right in image order, as the scalar loop does.
     """
-    images = selections.images
+    prepared = _prepare(truth, selections.images, rankings, require_full_coverage)
+    return _score(prepared, selections)
+
+
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """The part of an evaluation that depends on the truth, the images and
+    their rankings only: the included images, with their labels and
+    relevant masks as rows over the coverage columns plus the padding
+    column, and their AP.  ``_score`` adds any selection over ``images``."""
+
+    truth: GroundTruth
+    images: tuple[str, ...]
+    require_full_coverage: bool
+    positions: np.ndarray
+    labels: np.ndarray
+    relevant: np.ndarray
+    n_relevant: np.ndarray
+    excluded: tuple[str, ...]
+    ap: list[float]
+    map: float
+
+
+def _prepare(
+    truth: GroundTruth,
+    images: tuple[str, ...],
+    rankings: Mapping[str, Sequence[str]] | TagRankings,
+    require_full_coverage: bool,
+) -> _Prepared:
+    """Everything of ``evaluate`` that no selection enters, with every error
+    ``evaluate`` raises, in its order."""
     if isinstance(rankings, TagRankings):
         position = {x: i for i, x in enumerate(rankings.images)}
         found = list(takewhile(lambda i: i is not None, map(position.get, images)))
@@ -135,64 +165,27 @@ def evaluate(
             except KeyError:
                 break
         found = range(len(universes))
-    missing = images[len(found)] if len(found) < len(images) else None
-    # Images up to the first one without a ranking are scored, so that an
+    # Images up to the first one without a ranking are prepared, so that an
     # error in one of them is raised before the missing ranking, in image
     # order, as a per-image loop would.
     in_truth = [i for i, x in enumerate(images[: len(found)]) if truth.has_image(x)]
     n_cov = len(truth.coverage)
     if isinstance(rankings, TagRankings):
-        rows = [found[i] for i in in_truth]
-        ranked = truth.columns(rankings.tags)[rankings.order[rows]]
-        lengths = np.full(len(rows), len(rankings.tags))
+        ranked = truth.columns(rankings.tags)[rankings.order[[found[i] for i in in_truth]]]
+        lengths = np.full(len(in_truth), len(rankings.tags))
     else:
         chosen = [universes[i] for i in in_truth]
         lengths = np.fromiter(map(len, chosen), dtype=np.intp, count=len(chosen))
         ranked = _pad_rows(truth.columns(chain.from_iterable(chosen)), lengths, n_cov)
-    # Predictions as coverage columns, through one map of the selection's tags.
-    n_pred = np.diff(selections.offsets)
-    kept = np.zeros(len(images), dtype=bool)
-    kept[in_truth] = True
-    picks = truth.columns(selections.column_tags)[selections.columns]
-    pred = _pad_rows(picks[np.repeat(kept, n_pred)], n_pred[kept], n_cov)
-    truth_rows = [truth.image_index(images[i]) for i in in_truth]
-    scored = _score_images(
-        truth, truth_rows, ranked, lengths, pred, n_pred[kept], require_full_coverage
-    )
-    if missing is not None:
-        raise TagSelectError(f"no ranking given for image {missing!r}")
-    per_image = {images[in_truth[i]]: ImageEval(*values) for i, values in scored}
-    if not per_image:
-        raise TagSelectError("no evaluable image: every image lacks usable ground truth")
-    excluded = tuple(x for x in images if x not in per_image)
-    mf = sum(e.f for e in per_image.values()) / len(per_image)
-    mean_ap = sum(e.ap for e in per_image.values()) / len(per_image)
-    return EvaluationReport(per_image, mf, mean_ap, excluded)
 
-
-def _score_images(
-    truth: GroundTruth,
-    truth_rows: list[int],
-    ranked: np.ndarray,
-    lengths: np.ndarray,
-    pred: np.ndarray,
-    n_pred: np.ndarray,
-    require_full_coverage: bool,
-) -> list[tuple[int, tuple[float, float, float, float]]]:
-    """(position, (precision, recall, F, AP)) of every included image.
-
-    Row i of ``ranked`` holds the first ``lengths[i]`` ranked tags of the
-    image of truth row ``truth_rows[i]``, and row i of ``pred`` its first
-    ``n_pred[i]`` predicted tags, as truth-coverage columns.  Both are padded
-    on the right with column ``len(truth.coverage)``, which stands for every
-    tag outside the coverage and is never labeled.
-    """
-    n = len(truth_rows)
-    n_cov = len(truth.coverage)
+    # Row i of ``ranked`` holds the first ``lengths[i]`` ranked tags of image
+    # ``in_truth[i]`` as coverage columns, padded on the right with column
+    # ``n_cov``, which stands for every tag outside the coverage and is never
+    # labeled.
+    n = len(in_truth)
     labels = np.full((n, n_cov + 1), -1, dtype=np.int8)
-    labels[:, :n_cov] = truth.labels[truth_rows]
+    labels[:, :n_cov] = truth.labels[[truth.image_index(images[i]) for i in in_truth]]
     rows = np.arange(n)[:, None]
-
     label = labels[rows, ranked]
     is_judged = label >= 0
     n_judged = np.count_nonzero(is_judged, axis=1)
@@ -209,6 +202,11 @@ def _score_images(
         i = int(duplicated[0])
         judged = [truth.coverage[c] for c in ranked[i, is_judged[i]].tolist()]
         ap_image([truth.coverage[c] for c in np.flatnonzero(relevant[i])], judged)  # raises
+    if len(found) < len(images):
+        raise TagSelectError(f"no ranking given for image {images[len(found)]!r}")
+    keep = np.flatnonzero(included)
+    if not keep.size:
+        raise TagSelectError("no evaluable image: every image lacks usable ground truth")
 
     # AP: at the k-th relevant tag of an image, judged at position i, the
     # precision is k / i.  Column k of an image's row holds that precision,
@@ -220,24 +218,46 @@ def _score_images(
     k = np.arange(1, r.size + 1) - (np.cumsum(n_hits) - n_hits)[r]
     precisions = np.zeros((n, int(n_hits.max(initial=0)) + 1))
     precisions[r, k] = k / np.cumsum(is_judged, axis=1)[r, c]
-    acc = np.cumsum(precisions, axis=1)[:, -1]
+    ap = (np.cumsum(precisions, axis=1)[keep, -1] / n_relevant[keep]).tolist()
 
-    # F from |P| and the hits among the predictions.
-    hits = np.count_nonzero(relevant[rows, pred], axis=1)
-    if not require_full_coverage:
-        n_pred = np.count_nonzero(labels[rows, pred] >= 0, axis=1)
+    positions = np.array(in_truth, dtype=np.intp)[keep]
+    kept = set(positions.tolist())
+    excluded = tuple(x for i, x in enumerate(images) if i not in kept)
+    return _Prepared(
+        truth, images, require_full_coverage, positions, labels[keep],
+        relevant[keep], n_relevant[keep], excluded, ap, sum(ap) / len(ap),
+    )
 
-    keep = np.flatnonzero(included)
-    hits, n_pred, n_rel = hits[keep], n_pred[keep], n_relevant[keep]
+
+def _score(p: _Prepared, selections: SelectionResult) -> EvaluationReport:
+    """The report of ``selections``, which must be over the prepared images."""
+    images = selections.images
+    if images != p.images:
+        raise TagSelectError("selections are not over the images of the prepared evaluation")
+    n_cov = len(p.truth.coverage)
+    # Predictions as coverage columns, through one map of the selection's tags.
+    n_pred = np.diff(selections.offsets)
+    kept = np.zeros(len(images), dtype=bool)
+    kept[p.positions] = True
+    picks = p.truth.columns(selections.column_tags)[selections.columns]
+    pred = _pad_rows(picks[np.repeat(kept, n_pred)], n_pred[kept], n_cov)
+    rows = np.arange(len(p.positions))[:, None]
+    hits = np.count_nonzero(p.relevant[rows, pred], axis=1)
+    if p.require_full_coverage:
+        n_pred = n_pred[kept]
+    else:
+        n_pred = np.count_nonzero(p.labels[rows, pred] >= 0, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(n_pred > 0, hits / n_pred, 0.0)
-        recall = hits / n_rel
+        recall = hits / p.n_relevant
         denom = precision + recall
         f = np.where(denom == 0.0, 0.0, 2.0 * precision * recall / denom)
-    ap = acc[keep] / n_rel
-    return list(zip(
-        keep.tolist(), zip(precision.tolist(), recall.tolist(), f.tolist(), ap.tolist())
+    f = f.tolist()
+    per_image = dict(zip(
+        [images[i] for i in p.positions.tolist()],
+        map(ImageEval, precision.tolist(), recall.tolist(), f, p.ap),
     ))
+    return EvaluationReport(per_image, sum(f) / len(f), p.map, p.excluded)
 
 
 def _pad_rows(values: np.ndarray, lengths: np.ndarray, fill: int) -> np.ndarray:

@@ -249,7 +249,7 @@ def refine_table(
     ratios = scores[np.ix_(hit, pool)] / tau - 1.0
     cells = np.ix_(hit, novel)
     scores[cells] = _blend(scores[cells], block, ratios, mask[hit], w)
-    return ScoreTable(table.images, table.tags, scores)
+    return table._derived(scores)
 
 
 def adaptive_rows(

@@ -53,11 +53,15 @@ class TagStats:
 def tag_stats(table: ScoreTable) -> TagStats:
     """Mean and population (divide-by-n) standard deviation per tag, over
     the image collection held by the table."""
-    if table.n_images == 0:
-        raise TagSelectError("cannot compute statistics of an empty score table")
+    _require_images(table)
     mu = table.scores.mean(axis=0)
     sigma = table.scores.std(axis=0)
     return TagStats(table.tags, mu, sigma)
+
+
+def _require_images(table: ScoreTable) -> None:
+    if table.n_images == 0:
+        raise TagSelectError("cannot compute statistics of an empty score table")
 
 
 def _f_optimal_cuts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,9 +160,7 @@ class ThresholdModel:
             self.stats.index(t)  # raises for a tag without statistics
             if not isinstance(v, numbers.Real):
                 raise TagSelectError(f"threshold for {t!r} must be a real number, got {v!r}")
-            tau[t] = v = float(v)
-            if not math.isfinite(v):
-                raise TagSelectError(f"threshold for {t!r} must be finite, got {v!r}")
+            tau[t] = _finite_threshold(t, float(v))
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "untrainable", tuple(self.untrainable))
         if self.lsq_coeffs is not None:
@@ -170,6 +172,12 @@ class ThresholdModel:
             if len(coeffs) not in (2, 3):
                 raise TagSelectError("lsq coefficients must be (a, b) or (a, b, c)")
             object.__setattr__(self, "lsq_coeffs", tuple(map(float, coeffs)))
+
+
+def _finite_threshold(tag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise TagSelectError(f"threshold for {tag!r} must be finite, got {value!r}")
+    return value
 
 
 def _det(m: list[list[Fraction]]) -> Fraction:
@@ -229,6 +237,28 @@ def learn_all_thresholds(
     are learned in one array pass over a tags x images matrix.
     """
     require_finite(table)
+    img_rows, cols, labels, trained = _seen_label_rows(table, truth, vocab)
+    stats = tag_stats(table)
+    seen = vocab.seen_tags
+    tau: dict[str, float] = {}
+    if trained.any():
+        learned, _ = _f_optimal_cuts(table.scores.T[cols][:, img_rows], labels)
+        tau = dict(zip([t for t, ok in zip(seen, trained) if ok], learned.tolist()))
+    untrainable = [t for t, ok in zip(seen, trained) if not ok]
+    model = ThresholdModel(tau=tau, stats=stats, untrainable=tuple(untrainable))
+    if not fit_coeffs:
+        return model
+    return replace(model, lsq_coeffs=fit_lsq(model, intercept=intercept))
+
+
+def _seen_label_rows(
+    table: ScoreTable, truth: GroundTruth, vocab: Vocabulary
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The table row of each truth image; for each trainable seen tag (one
+    with a positive and a negative label), in seen order, its table column
+    and its labels over the truth images; and which seen tags are
+    trainable.  Raises when the truth labels a non-seen tag, or names an
+    image or a labeled seen tag that the table lacks."""
     seen_set = set(vocab.seen_tags)
     outside = [t for t in truth.coverage if t not in seen_set]
     if outside:
@@ -236,7 +266,6 @@ def learn_all_thresholds(
             f"training labels cover non-seen tags, e.g. {outside[0]!r}"
         )
     img_rows = np.array([table.image_index(x) for x in truth.images], dtype=np.intp)
-    stats = tag_stats(table)
     seen = vocab.seen_tags
     # One row of labels per seen tag; a tag outside the coverage has none.
     cover = truth.columns(seen)
@@ -249,16 +278,7 @@ def learn_all_thresholds(
     # Every seen tag with a label must be a table column.
     cols = np.array([table.tag_index(t) if d else 0 for t, d in zip(seen, n_def > 0)],
                     dtype=np.intp)
-    rows = np.flatnonzero(trained)
-    tau: dict[str, float] = {}
-    if rows.size:
-        learned, _ = _f_optimal_cuts(table.scores.T[cols[rows]][:, img_rows], labels[rows])
-        tau = dict(zip([seen[i] for i in rows], learned.tolist()))
-    untrainable = [t for t, ok in zip(seen, trained) if not ok]
-    model = ThresholdModel(tau=tau, stats=stats, untrainable=tuple(untrainable))
-    if not fit_coeffs:
-        return model
-    return replace(model, lsq_coeffs=fit_lsq(model, intercept=intercept))
+    return img_rows, cols[trained], labels[trained], trained
 
 
 def predict_threshold(model: ThresholdModel, tag: str, mode: str) -> float:

@@ -8,15 +8,20 @@ from tagselect import (
     GroundTruth,
     ScoreTable,
     StrategySpec,
+    SyntheticSpec,
     TagSelectError,
     Vocabulary,
+    evaluate,
     fuse,
+    fusion,
+    generate_synthetic,
     learn_all_thresholds,
     learn_weights,
+    rank_tags,
     run_strategy,
     threshold_selection_strategy,
 )
-from tagselect.selection import select_rows
+from tagselect.selection import learned_pool, select_rows
 
 
 def tables_and_vocab(seed, n_images=10, n_seen=4, n_novel=2, m=2):
@@ -67,6 +72,18 @@ class TestFuse:
             fuse(tables, [1.0])
         with pytest.raises(TagSelectError):
             fuse([], [])
+
+    def test_fused_table_is_checked_and_read_only(self):
+        _, tables = tables_and_vocab(10)
+        fused = fuse(tables, [0.5, 0.5])
+        assert fused.scores.dtype == np.float64 and not fused.scores.flags.writeable
+        fresh = ScoreTable(fused.images, fused.tags, fused.scores)
+        assert [rank_tags(fused, x) for x in fused.images] == [
+            rank_tags(fresh, x) for x in fresh.images
+        ]
+        with pytest.raises(TagSelectError) as exc:
+            tables[0]._derived(np.zeros((2, 3)))
+        assert str(exc.value) == "score matrix shape (2, 3) does not match 10 images x 6 tags"
 
     def test_mismatched_tables_rejected(self):
         _, tables = tables_and_vocab(6)
@@ -228,3 +245,127 @@ class TestThresholdSelectionStrategy:
             for x in table.images:
                 got = [(s.tag, repr(s.score), s.provenance) for s in result.row(x)]
                 assert got == oracles.threshold_oracle(table, x, thresholds)
+
+    def test_follows_each_tables_image_order(self):
+        vocab, tables = tables_and_vocab(16, n_images=12)
+        truth = full_truth(vocab, tables[0].images, np.random.default_rng(16))
+        select = threshold_selection_strategy(truth, vocab)
+        # The images in another order, then the first order with other
+        # scores, then fewer tags: each result is that of learning on the
+        # table it is given.
+        shuffled = ScoreTable(tables[0].images[::-1], vocab.tags, tables[0].scores[::-1])
+        for table in (tables[0], shuffled, tables[1], tables[0].restrict(vocab.seen_tags)):
+            model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
+            want = select_rows(table, *learned_pool(table, vocab, model))
+            got = select(table)
+            assert got.images == table.images == want.images
+            for x in table.images:
+                assert [(s.tag, repr(s.score), s.provenance) for s in got.row(x)] == [
+                    (s.tag, repr(s.score), s.provenance) for s in want.row(x)
+                ]
+
+    def test_non_finite_score_is_named(self):
+        vocab, tables = tables_and_vocab(17, n_images=6)
+        truth = full_truth(vocab, tables[0].images, np.random.default_rng(17))
+        select = threshold_selection_strategy(truth, vocab)
+        select(tables[0])
+        scores = np.array(tables[0].scores)
+        scores[2, 4] = np.nan
+        with pytest.raises(TagSelectError) as exc:
+            select(ScoreTable(tables[0].images, vocab.tags, scores))
+        assert str(exc.value) == (
+            "non-finite score for image 'im2', tag 'n0'; run validate to list every bad cell"
+        )
+
+    def test_overflowing_midpoint_threshold_is_refused(self):
+        # Two scores near the largest double: their midpoint is inf.
+        vocab = Vocabulary.from_partition(["s0", "s1"], [])
+        images = ("im0", "im1", "im2")
+        scores = np.array([[1.7e308, 0.9], [1.6e308, 0.1], [0.0, 0.2]])
+        table = ScoreTable(images, vocab.tags, scores)
+        truth = GroundTruth(images, vocab.tags, [[1, 1], [0, 0], [0, 1]])
+        for select in (
+            threshold_selection_strategy(truth, vocab),
+            lambda t: learn_all_thresholds(t, truth, vocab, fit_coeffs=False),
+        ):
+            # numpy warns of the overflow; the error that follows is checked.
+            with pytest.raises(TagSelectError) as exc, np.errstate(over="ignore"):
+                select(table)
+            assert str(exc.value) == "threshold for 's0' must be finite, got inf"
+
+
+def fusion_problem(seed):
+    """Three noisy copies of a small synthetic training table, and its truth
+    with one label in five dropped, so that the objective masks them."""
+    spec = SyntheticSpec(n_images=4, n_train=40, n_seen=10, n_novel=6, count_max=6)
+    bench = generate_synthetic(spec, seed)
+    base = bench.train_table
+    rng = np.random.default_rng(seed)
+    tables = [
+        ScoreTable(base.images, base.tags, base.scores + rng.normal(0.0, s, base.scores.shape))
+        for s in (0.2, 0.4, 0.8)
+    ]
+    truth = bench.train_truth
+    rows, cols = truth.labels.shape
+    dropped = np.add.outer(np.arange(rows), np.arange(cols)) % 5 == 0
+    truth = GroundTruth(truth.images, truth.coverage, np.where(dropped, -1, truth.labels))
+    return tables, truth, bench.vocab
+
+
+def public_objective(tables, truth, select, objective, weights):
+    """The learner's objective, rebuilt from public functions."""
+    fused = fuse(tables, weights)
+    selections = select(fused)
+    judged = fused.restrict([t for t in fused.tags if truth.covers(t)])
+    rankings = {x: rank_tags(judged, x) for x in selections.images}
+    report = evaluate(truth, selections, rankings, require_full_coverage=False)
+    return report.mf if objective == "mf" else report.map
+
+
+class TestObjective:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("objective", ["mf", "map"])
+    @pytest.mark.parametrize("selector", ["default", "top_k", "reordering"])
+    def test_every_call_equals_the_public_objective(self, monkeypatch, seed, objective, selector):
+        tables, truth, vocab = fusion_problem(seed)
+        given = None
+        select = threshold_selection_strategy(truth, vocab)
+        if selector == "top_k":
+            def given(table):
+                return run_strategy(StrategySpec("top_k", k=3), table, vocab)
+        elif selector == "reordering":
+            # Selections over the images in reverse order for some weights,
+            # picked by a digit of a fused score: an evaluation prepared for
+            # one order cannot score the other.
+            orders = set()
+
+            def given(table):
+                result = select_rows(table, fallback_k=2)
+                flip = int(table.scores[0, 0] * 1e6) % 2 == 1
+                orders.add(flip)
+                return result.reindex(table.images[::-1]) if flip else result
+        if given is not None:
+            select = given
+        calls = []
+        learner_objective = fusion._objective
+
+        def logged(*args):
+            of = learner_objective(*args)
+
+            def score(weights):
+                calls.append((weights, of(weights)))
+                return calls[-1][1]
+
+            return score
+
+        monkeypatch.setattr(fusion, "_objective", logged)
+        model = learn_weights(tables, truth, vocab, given, objective=objective,
+                              grid_step=0.25, max_sweeps=3)
+        assert len(calls) > 10
+        if selector == "reordering":
+            assert orders == {False, True}
+        for weights, value in calls:
+            assert repr(value) == repr(public_objective(tables, truth, select, objective, weights))
+        uniform = public_objective(tables, truth, select, objective, np.full(3, 1 / 3))
+        final = public_objective(tables, truth, select, objective, model.weights)
+        assert (repr(model.history[0]), repr(model.objective)) == (repr(uniform), repr(final))

@@ -2,7 +2,7 @@
 strings without tab or newline characters, with no repeats, and each name
 lookup misses with its owner's message.  Whatever a constructor accepts
 comes back equal through its writer and loader, unless the writer refuses
-it before writing."""
+it before writing; a truth's coverage comes back in order of first label."""
 
 import tempfile
 from pathlib import Path
@@ -195,19 +195,40 @@ def test_scores_round_trip(images, tags, seed):
         assert loaded.scores.tobytes() == table.scores.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(images=unique_ids(min_size=1), coverage=unique_ids(min_size=1), data=st.data())
 def test_truth_round_trip(images, coverage, data):
-    # Every label defined, so that no image or tag is left out of the file.
-    labels = data.draw(st.lists(st.integers(0, 1), min_size=len(images) * len(coverage),
-                                max_size=len(images) * len(coverage)))
-    truth = GroundTruth(
-        tuple(images), tuple(coverage), np.reshape(labels, (len(images), len(coverage)))
+    # Labels may be undefined, so that an image or a coverage tag may have
+    # none, which the file cannot hold.
+    label = st.sampled_from((-1, 0, 1)) if data.draw(st.booleans()) else st.integers(0, 1)
+    labels = np.reshape(
+        data.draw(st.lists(label, min_size=len(images) * len(coverage),
+                           max_size=len(images) * len(coverage))),
+        (len(images), len(coverage)),
     )
+    truth = GroundTruth(tuple(images), tuple(coverage), labels)
+    defined = truth.labels >= 0
+    unlabelled = [f"image {x!r}" for x, ok in zip(images, defined.any(axis=1)) if not ok]
+    unlabelled += [f"coverage tag {t!r}" for t, ok in zip(coverage, defined.any(axis=0)) if not ok]
+    if unlabelled and not any(x.startswith("#") for x in images):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.tsv"
+            with pytest.raises(FormatError) as exc:
+                formats.save_truth(truth, path)
+            assert str(exc.value) == (
+                f"{path}:0: {unlabelled[0]} has no defined label and would not read back"
+            )
+            assert not path.exists()
+        return
     loaded = round_trip(formats.save_truth, formats.load_truth, truth, images, "image id")
     if loaded is not None:
-        assert (loaded.images, loaded.coverage) == (truth.images, truth.coverage)
-        assert loaded.labels.tobytes() == truth.labels.tobytes()
+        # The file lists the labels image by image, so a coverage tag comes
+        # back at its first label.
+        first = np.argmax(defined, axis=0)
+        order = sorted(range(len(coverage)), key=lambda j: (first[j], j))
+        assert loaded.images == truth.images
+        assert loaded.coverage == tuple(coverage[j] for j in order)
+        assert loaded.labels.tobytes() == truth.labels[:, order].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,6 +21,7 @@ from tagselect import (
     rank_columns,
     rank_tags,
 )
+from tagselect.metrics import _prepare, _score
 
 
 class TestFImage:
@@ -454,3 +455,70 @@ class TestOneScoringPath:
         assert evaluate(truth, sels, rank_columns(table)).map == 1.0
         with pytest.raises(TagSelectError, match="ranking contains duplicate tag 'b'"):
             evaluate(truth, sels, {"i": ["a", "b", "b"]})
+
+
+@st.composite
+def prepared_instances(draw):
+    """A truth, rankings from a score table (as ``TagRankings`` or as tag
+    strings) or with per-image universes, and several selections over the
+    ranked images."""
+    if draw(st.booleans()):
+        table, truth, first = draw(column_instances())
+        names = list(table.images)
+        if draw(st.booleans()):
+            rankings = rank_columns(table)
+        else:
+            rankings = {x: rank_tags(table, x) for x in names}
+    else:
+        truth, first, rankings = draw(evaluation_instances())
+        names = list(first.images)
+    tags = st.sampled_from(POOL + STRAYS)
+    more = [
+        selections_of({x: draw(st.lists(tags, unique=True, max_size=5)) for x in names})
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return truth, rankings, [first, *more]
+
+
+class TestPreparedEvaluation:
+    """``evaluate`` is ``_prepare`` then ``_score``; a ranking prepared once
+    scores every selection over its images as ``evaluate`` does."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(prepared_instances(), st.booleans())
+    def test_prepared_once_equals_evaluate_per_selection(self, instance, full):
+        truth, rankings, selections = instance
+        images = selections[0].images
+        try:
+            prepared = _prepare(truth, images, rankings, full)
+        except TagSelectError as exc:
+            for sels in selections:
+                with pytest.raises(TagSelectError) as got:
+                    evaluate(truth, sels, rankings, require_full_coverage=full)
+                assert str(got.value) == str(exc)
+            return
+        for sels in selections:
+            want = report_repr(evaluate(truth, sels, rankings, require_full_coverage=full))
+            assert report_repr(_score(prepared, sels)) == want
+
+    @settings(deadline=None, max_examples=300)
+    @given(prepared_instances(), st.booleans(), st.data())
+    def test_selection_over_other_images_is_refused(self, instance, full, data):
+        truth, rankings, selections = instance
+        images = list(selections[0].images)
+        try:
+            prepared = _prepare(truth, tuple(images), rankings, full)
+        except TagSelectError:
+            return
+        # Other images: reordered, fewer, or with one that has no ranking.
+        others = data.draw(st.permutations(images))[: data.draw(st.integers(1, len(images)))]
+        if data.draw(st.booleans()):
+            others.insert(data.draw(st.integers(0, len(others))), "ghost")
+        sels = selections[-1].reindex(others)
+        if others == images:
+            want = report_repr(evaluate(truth, sels, rankings, require_full_coverage=full))
+            assert report_repr(_score(prepared, sels)) == want
+            return
+        with pytest.raises(TagSelectError) as exc:
+            _score(prepared, sels)
+        assert str(exc.value) == "selections are not over the images of the prepared evaluation"
