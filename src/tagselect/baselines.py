@@ -187,9 +187,9 @@ def compare(
     if not strategies:
         raise TagSelectError("compare needs at least one strategy")
     _check_table(table, vocab)
-    raw_rankings = rank_columns(table)
     # The raw ranking's evaluation is prepared at its first use, after that
-    # strategy's selection, so errors keep evaluate's order.
+    # strategy's selection, so errors keep evaluate's order; the ranking is
+    # not kept once it is prepared.
     raw = None
     rows = []
     for spec in strategies:
@@ -204,7 +204,7 @@ def compare(
         else:
             selections = run_strategy(spec, table, vocab, model, sim)
             if raw is None:
-                raw = _prepare(truth, selections.images, raw_rankings, True)
+                raw = _prepare(truth, selections.images, rank_columns(table), True)
             report = _score(raw, selections)
         mean_selected = int(selections.offsets[-1]) / len(selections.images)
         rows.append(

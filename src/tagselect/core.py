@@ -217,7 +217,7 @@ class GroundTruth:
                 f"label matrix shape {arr.shape} does not match "
                 f"{len(images)} images x {len(coverage)} tags"
             )
-        bad = ~np.isin(arr, (-1, 0, 1))
+        bad = (arr < -1) | (arr > 1)
         if bad.any():
             raise TagSelectError("labels must be 1, 0 or -1 (undefined)")
         arr.setflags(write=False)

@@ -46,7 +46,7 @@ _ROW_FIELDS = {"1": 3, "2": 4, "N": 2}  # co-occurrence row kind -> fields
 #: Physical lines read, checked and converted at a time.  The score, truth,
 #: co-occurrence and selections loaders keep only arrays across blocks, so a
 #: large file never sits in memory whole, as text or as strings.
-BLOCK_LINES = 1 << 16
+BLOCK_LINES = 1 << 12
 
 _NL, _TAB, _HASH = ord("\n"), ord("\t"), ord("#")
 
@@ -418,7 +418,8 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
     if not img_index:
         raise FormatError(path, 0, "ground truth file holds no labels")
     shape = (slice(len(img_index)), slice(len(tag_index)))
-    labels = np.where(filled[shape], relevant[shape], -1).astype(np.int8)
+    labels = relevant[shape].astype(np.int8)
+    labels[~filled[shape]] = -1
     return GroundTruth(tuple(img_index), tuple(tag_index), labels)
 
 
@@ -426,7 +427,7 @@ def save_truth(truth: GroundTruth, path) -> None:
     """Every defined label, one row each.  The file holds nothing else, so
     an image or a coverage tag without a defined label would not read
     back: the first such image, else the first such tag, is refused before
-    anything is written."""
+    anything is written, and so is a truth with no labels at all."""
     _refuse_comments(path, truth.images, "image id")
     defined = truth.labels >= 0
     for kind, ids, labelled in (
@@ -436,6 +437,8 @@ def save_truth(truth: GroundTruth, path) -> None:
         if not labelled.all():
             raise FormatError(path, 0, f"{kind} {ids[int(np.argmin(labelled))]!r} "
                                        "has no defined label and would not read back")
+    if not truth.images:
+        raise FormatError(path, 0, "ground truth holds no labels and would not read back")
     with _create(path, "truth") as fh:
         fh.write("# image_id\ttag\t0|1\n")
         # Row-major, so image-major in stored order, as iter_pairs yields.

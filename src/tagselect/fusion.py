@@ -20,7 +20,7 @@ from .core import (
 from .errors import TagSelectError
 from .metrics import _prepare, _score, evaluate
 from .selection import select_rows
-from .thresholds import _f_optimal_cuts, _finite_threshold, _require_images, _seen_label_rows
+from .thresholds import _f_optimal_cuts, _require_images, _seen_label_rows
 
 _WEIGHT_ATOL = 1e-9
 _SWEEP_TOL = 1e-9
@@ -108,9 +108,6 @@ def threshold_selection_strategy(
             tau, _ = _f_optimal_cuts(
                 table.scores.T[layout.cols][:, layout.img_rows], layout.labels
             )
-            bad = np.flatnonzero(~np.isfinite(tau))
-            if bad.size:
-                _finite_threshold(layout.names[bad[0]], float(tau[bad[0]]))  # raises
         return select_rows(table, layout.pool, tau[layout.pool_order])
 
     return strategy

@@ -171,7 +171,14 @@ def _prepare(
     in_truth = [i for i, x in enumerate(images[: len(found)]) if truth.has_image(x)]
     n_cov = len(truth.coverage)
     if isinstance(rankings, TagRankings):
-        ranked = truth.columns(rankings.tags)[rankings.order[[found[i] for i in in_truth]]]
+        # int32 columns (there are at most n_cov + 1), indexed straight by
+        # ``order`` when it ranks exactly the kept images in their order:
+        # no intp copy of the whole ranking is made.
+        picked = [found[i] for i in in_truth]
+        order = rankings.order
+        if picked != list(range(len(order))):
+            order = order[picked]
+        ranked = truth.columns(rankings.tags).astype(np.int32)[order]
         lengths = np.full(len(in_truth), len(rankings.tags))
     else:
         chosen = [universes[i] for i in in_truth]
@@ -202,6 +209,7 @@ def _prepare(
         i = int(duplicated[0])
         judged = [truth.coverage[c] for c in ranked[i, is_judged[i]].tolist()]
         ap_image([truth.coverage[c] for c in np.flatnonzero(relevant[i])], judged)  # raises
+    del ranked, in_ranking  # so that they do not sit beside the AP arrays
     if len(found) < len(images):
         raise TagSelectError(f"no ranking given for image {images[len(found)]!r}")
     keep = np.flatnonzero(included)
@@ -217,7 +225,7 @@ def _prepare(
     n_hits = np.bincount(r, minlength=n)
     k = np.arange(1, r.size + 1) - (np.cumsum(n_hits) - n_hits)[r]
     precisions = np.zeros((n, int(n_hits.max(initial=0)) + 1))
-    precisions[r, k] = k / np.cumsum(is_judged, axis=1)[r, c]
+    precisions[r, k] = k / np.cumsum(is_judged, axis=1, dtype=np.int32)[r, c]
     ap = (np.cumsum(precisions, axis=1)[keep, -1] / n_relevant[keep]).tolist()
 
     positions = np.array(in_truth, dtype=np.intp)[keep]

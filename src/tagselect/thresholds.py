@@ -66,7 +66,7 @@ def _require_images(table: ScoreTable) -> None:
 
 def _f_optimal_cuts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F1-optimal threshold of the rule "select iff score > tau" for every
-    row: (tau, F at tau), one entry per row.
+    row: (tau, F at tau), one entry per row; every tau is finite.
 
     ``scores`` is a rows x items float64 matrix, finite; ``labels`` has its
     shape, int8 with 1 = relevant, 0 = irrelevant and -1 = undefined (the
@@ -109,7 +109,14 @@ def _f_optimal_cuts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     hi = s[flat[rows, best]]
     tau = hi - 1.0
     mid = best < n_def - 1
-    tau[mid] = (hi[mid] + s[flat[rows[mid], best[mid] + 1]]) / 2.0
+    hi, lo = hi[mid], s[flat[rows[mid], best[mid] + 1]]
+    with np.errstate(over="ignore"):
+        half = (hi + lo) / 2.0
+    # Two scores that sum past the largest double are halved first; every
+    # finite midpoint keeps its bits.
+    wide = ~np.isfinite(half)
+    half[wide] = hi[wide] / 2.0 + lo[wide] / 2.0
+    tau[mid] = half
     return tau, f[rows, best]
 
 

@@ -277,21 +277,25 @@ class TestThresholdSelectionStrategy:
             "non-finite score for image 'im2', tag 'n0'; run validate to list every bad cell"
         )
 
-    def test_overflowing_midpoint_threshold_is_refused(self):
-        # Two scores near the largest double: their midpoint is inf.
+    def test_overflowing_midpoint_threshold_is_finite(self):
+        # Two scores near the largest double: their sum overflows, so the
+        # cut between them is taken from their halves.
         vocab = Vocabulary.from_partition(["s0", "s1"], [])
         images = ("im0", "im1", "im2")
         scores = np.array([[1.7e308, 0.9], [1.6e308, 0.1], [0.0, 0.2]])
         table = ScoreTable(images, vocab.tags, scores)
         truth = GroundTruth(images, vocab.tags, [[1, 1], [0, 0], [0, 1]])
-        for select in (
-            threshold_selection_strategy(truth, vocab),
-            lambda t: learn_all_thresholds(t, truth, vocab, fit_coeffs=False),
-        ):
-            # numpy warns of the overflow; the error that follows is checked.
-            with pytest.raises(TagSelectError) as exc, np.errstate(over="ignore"):
-                select(table)
-            assert str(exc.value) == "threshold for 's0' must be finite, got inf"
+        got = threshold_selection_strategy(truth, vocab)(table)
+        # The column's mean and deviation overflow; selection reads neither.
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
+        assert 1.6e308 < model.tau["s0"] < 1.7e308
+        want = select_rows(table, *learned_pool(table, vocab, model))
+        assert [[s.tag for s in got.row(x)] for x in images] == [["s0", "s1"], [], ["s1"]]
+        for x in images:
+            assert [(s.tag, repr(s.score), s.provenance) for s in got.row(x)] == [
+                (s.tag, repr(s.score), s.provenance) for s in want.row(x)
+            ]
 
 
 def fusion_problem(seed):

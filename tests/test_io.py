@@ -180,6 +180,16 @@ class TestTruthFormat:
         with pytest.raises(FormatError):
             load_truth(path)
 
+    def test_empty_truth_is_not_written(self, tmp_path):
+        # Its file would hold only the header, which load_truth refuses.
+        path = tmp_path / "truth.tsv"
+        with pytest.raises(FormatError) as err:
+            save_truth(GroundTruth((), (), np.zeros((0, 0))), path)
+        assert str(err.value) == (
+            f"{path}:0: ground truth holds no labels and would not read back"
+        )
+        assert not path.exists()
+
     @pytest.mark.parametrize(
         "line, message",
         [("\talpha\t1", "empty image id"), ("im1\t\t1", "empty tag")],

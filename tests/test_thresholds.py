@@ -119,6 +119,13 @@ class TestLearnThreshold:
         with pytest.raises(TagSelectError):
             learn_threshold([(float("nan"), True), (0.0, False)])
 
+    def test_midpoint_past_the_largest_double_stays_finite(self):
+        # 1.7e308 + 1.6e308 overflows; the cut halves each score first, and
+        # with warnings as errors no overflow may be reported.
+        tau, f = learn_threshold([(1.7e308, True), (1.6e308, False)])
+        assert 1.6e308 < tau < 1.7e308
+        assert f == 1.0
+
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
@@ -317,6 +324,17 @@ class TestLearnAllThresholds:
             else:
                 tau, _ = learn_threshold(pairs)
                 assert repr(small_model.tau[t]) == repr(tau)
+
+    def test_learns_a_column_near_the_largest_double(self):
+        vocab = Vocabulary.from_partition(["s0"], [])
+        table = ScoreTable(("a", "b"), ("s0",), np.array([[1.7e308], [1.6e308]]))
+        truth = GroundTruth(("a", "b"), ("s0",), np.array([[1], [0]]))
+        # The column's mean and deviation overflow; only its threshold is
+        # checked here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = learn_all_thresholds(table, truth, vocab, fit_coeffs=False)
+        assert model.tau == {"s0": learn_threshold([(1.7e308, True), (1.6e308, False)])[0]}
+        assert 1.6e308 < model.tau["s0"] < 1.7e308
 
     @settings(deadline=None, max_examples=300)
     @given(problems.threshold_problems())
