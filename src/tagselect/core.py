@@ -31,6 +31,11 @@ FROM_FALLBACK = "from_fallback"
 PROVENANCE_ORDER = (FROM_SEEN_THRESHOLDING, FROM_NOVEL_TOPK, FROM_FALLBACK)
 PROVENANCE_CODE = {p: i for i, p in enumerate(PROVENANCE_ORDER)}
 
+#: Matrix cells, or tag pairs, that a kernel over a whole table or a
+#: vocabulary's pairs handles at a time, so that its transients stay a fixed
+#: size however large the input.
+BLOCK_CELLS = 1 << 16
+
 
 def _check_identifier(value: str, kind: str) -> None:
     if not isinstance(value, str) or not value:

@@ -36,7 +36,7 @@ from .core import (
 )
 from .errors import FormatError, TagSelectError
 from .similarity import CooccurrenceStats
-from .thresholds import TagStats, ThresholdModel
+from .thresholds import TagStats, ThresholdModel, require_finite_stats
 
 _LSQ_ROW = "lsq"
 _LABELS = {"0": False, "1": True}
@@ -680,6 +680,8 @@ def save_thresholds(model: ThresholdModel, path) -> None:
     if _LSQ_ROW in model.stats.tags:
         raise FormatError(path, 0, "the tag name 'lsq' is reserved in this format")
     _refuse_comments(path, model.stats.tags, "tag")
+    # load_thresholds refuses what does not parse as finite.
+    require_finite_stats(model.stats)
     with _create(path, "thresholds") as fh:
         fh.write("# tag\ttau\tmu\tsigma ('-' = no learned threshold)\n")
         if model.lsq_coeffs is not None:

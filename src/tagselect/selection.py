@@ -11,6 +11,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
+    BLOCK_CELLS,
     ScoreTable,
     SelectionResult,
     Vocabulary,
@@ -98,7 +99,12 @@ def select_rows(
     parts.append((take[i], novel[order_rows(key, tag_rank[novel])[i, j]], np.full(i.size, 1)))
     if fallback_k is not None and not a_size.all():
         fallback = np.flatnonzero(a_size == 0)
-        c = order_rows(scores[fallback], tag_rank)[:, :fallback_k].ravel()
+        # Whole rows are ordered a block at a time; only their top k are kept.
+        step = max(1, BLOCK_CELLS // table.n_tags)
+        c = np.concatenate([
+            order_rows(scores[fallback[r0 : r0 + step]], tag_rank)[:, :fallback_k].ravel()
+            for r0 in range(0, fallback.size, step)
+        ])
         parts.append((np.repeat(fallback, fallback_k), c, np.full(c.size, 2)))
 
     # A stable sort by image keeps each image's seen picks before its novel

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Vocabulary, _id_index, _lookup
+from .core import BLOCK_CELLS, Vocabulary, _id_index, _lookup
 from .errors import TagSelectError
 
 
@@ -121,6 +121,7 @@ class CooccurrenceStats:
         asymmetric = arr != arr.T
         if asymmetric.any():
             raise TagSelectError(f"count matrix is not symmetric at {first_pair(asymmetric)!r}")
+        del asymmetric
         for bad, message in (
             (diag < 0, "occurrence count for {!r} must be a non-negative integer"),
             (diag > total, "occurrence count for {!r} exceeds collection size"),
@@ -132,7 +133,7 @@ class CooccurrenceStats:
         for bad, message in (
             (arr < 0, "pair count for {!r} must be a non-negative integer"),
             (
-                arr > np.minimum.outer(diag, diag),
+                (arr > diag[:, None]) | (arr > diag),
                 "pair count for {!r} exceeds one of its single counts",
             ),
         ):
@@ -282,25 +283,36 @@ def similarity_matrix(stats: CooccurrenceStats, vocab: Vocabulary) -> Similarity
         if stats.total < 2:
             raise TagSelectError("collection must hold at least two images")
         cols = col[present]
-        i, j = np.triu_indices(m, 1)
-        fab = stats.counts[cols[i], cols[j]]
-        distinct, inverse = np.unique(
-            np.concatenate((f[present], fab, [stats.total])), return_inverse=True
-        )
-        # log 0 is never used: pairs with fab == 0 are masked below.
-        logs = np.array([math.log(c) if c else 0.0 for c in distinct.tolist()])[inverse]
-        log_f, log_fab, log_total = logs[:m], logs[m:-1], logs[-1]
-        log_fa, log_fb = log_f[i], log_f[j]
-        num = np.maximum(log_fa, log_fb) - log_fab
-        den = log_total - np.minimum(log_fa, log_fb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dist = num / den
-        # ngd's branches, lowest precedence first.
-        dist[den <= 0.0] = math.inf
-        dist[num <= 0.0] = 0.0
-        dist[fab == 0] = math.inf
-        sims = np.fromiter(map(math.exp, (-dist).tolist()), dtype=np.float64, count=len(dist))
-        a, b = present[i], present[j]
-        values[a, b] = sims
-        values[b, a] = sims
+        log_f = np.array([math.log(c) for c in f[present].tolist()])
+        log_total = math.log(stats.total)
+        # Pair p of the upper triangle, row by row, lies in row i where
+        # start[i] <= p < start[i + 1]; blocks of pairs bound the transients.
+        start = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
+        pairs = int(start[-1])
+        for p0 in range(0, pairs, BLOCK_CELLS):
+            p = np.arange(p0, min(p0 + BLOCK_CELLS, pairs))
+            i = np.searchsorted(start, p, side="right") - 1
+            j = p - start[i] + i + 1
+            sims = _fcs_block(stats.counts[cols[i], cols[j]], log_f[i], log_f[j], log_total)
+            a, b = present[i], present[j]
+            values[a, b] = sims
+            values[b, a] = sims
     return SimilarityMatrix(tags, values, missing)
+
+
+def _fcs_block(fab, log_fa, log_fb, log_total):
+    """``fcs`` of a block of pairs, elementwise, from their joint counts
+    ``fab``, the logs of their single counts and the log of the collection
+    size."""
+    distinct, inverse = np.unique(fab, return_inverse=True)
+    # log 0 is never used: pairs with fab == 0 are masked below.
+    log_fab = np.array([math.log(c) if c else 0.0 for c in distinct.tolist()])[inverse]
+    num = np.maximum(log_fa, log_fb) - log_fab
+    den = log_total - np.minimum(log_fa, log_fb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dist = num / den
+    # ngd's branches, lowest precedence first.
+    dist[den <= 0.0] = math.inf
+    dist[num <= 0.0] = 0.0
+    dist[fab == 0] = math.inf
+    return np.fromiter(map(math.exp, (-dist).tolist()), dtype=np.float64, count=len(dist))

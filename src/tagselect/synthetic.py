@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import GroundTruth, ScoreTable, Vocabulary
+from .core import BLOCK_CELLS, GroundTruth, ScoreTable, Vocabulary
 from .errors import TagSelectError
 from .selection import _round_half_up, k_novel
 from .similarity import CooccurrenceStats
@@ -85,8 +85,25 @@ def _relevance_block(rng: np.random.Generator, spec: SyntheticSpec, n: int) -> n
 
 
 def _scores(rng: np.random.Generator, spec: SyntheticSpec, rel: np.ndarray) -> np.ndarray:
-    noise = rng.normal(0.0, spec.noise_std, size=rel.shape)
-    return rel.astype(np.float64) + noise
+    scores = rng.normal(0.0, spec.noise_std, size=rel.shape)
+    scores += rel
+    return scores
+
+
+def _cooccurrence(rels: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The int64 tag x tag count matrix of the boolean label rows ``rels``:
+    how many rows carry each tag and each pair of tags.  Rows are tallied
+    in blocks of at most n_tags**2 cells, the size of the product that each
+    block adds, or ``BLOCK_CELLS`` if that is more."""
+    n_tags = rels[0].shape[1]
+    joint = np.zeros((n_tags, n_tags), dtype=np.int64)
+    step = max(n_tags, BLOCK_CELLS // n_tags)
+    for rel in rels:
+        for r0 in range(0, rel.shape[0], step):
+            x = rel[r0 : r0 + step].astype(np.float64)
+            # Integer-valued float sums are exact below 2**53 on every kernel.
+            np.add(joint, x.T @ x, out=joint, casting="unsafe")
+    return joint
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticBenchmark:
@@ -105,20 +122,16 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticBenchmark:
     train_images = tuple(f"train_{i:05d}" for i in range(spec.n_train))
     eval_images = tuple(f"img_{i:05d}" for i in range(spec.n_images))
 
+    # Each table copies its scores, so none is held here once it is built.
     rel_train = _relevance_block(rng, spec, spec.n_train)
-    train_scores = _scores(rng, spec, rel_train)
+    train_table = ScoreTable(train_images, vocab.tags, _scores(rng, spec, rel_train))
     rel_eval = _relevance_block(rng, spec, spec.n_images)
-    eval_scores = _scores(rng, spec, rel_eval)
-
-    train_table = ScoreTable(train_images, vocab.tags, train_scores)
-    eval_table = ScoreTable(eval_images, vocab.tags, eval_scores)
+    eval_table = ScoreTable(eval_images, vocab.tags, _scores(rng, spec, rel_eval))
     train_truth = GroundTruth(
-        train_images, seen, rel_train[:, : spec.n_seen].astype(np.int8)
+        train_images, seen, rel_train[:, : spec.n_seen].view(np.int8)
     )
-    eval_truth = GroundTruth(eval_images, vocab.tags, rel_eval.astype(np.int8))
+    eval_truth = GroundTruth(eval_images, vocab.tags, rel_eval.view(np.int8))
 
-    rel_all = np.vstack([rel_train, rel_eval]).astype(np.float64)
-    # Integer-valued float sums are exact far beyond these collection sizes.
-    joint = (rel_all.T @ rel_all).astype(np.int64)
+    joint = _cooccurrence((rel_train, rel_eval))
     stats = CooccurrenceStats.from_counts(vocab.tags, joint, spec.n_train + spec.n_images)
     return SyntheticBenchmark(vocab, train_table, train_truth, eval_table, eval_truth, stats)

@@ -52,11 +52,28 @@ class TagStats:
 
 def tag_stats(table: ScoreTable) -> TagStats:
     """Mean and population (divide-by-n) standard deviation per tag, over
-    the image collection held by the table."""
+    the image collection held by the table.  Scores near the largest double
+    overflow them to inf without a warning; ``require_finite_stats`` refuses
+    them where they are fit or written."""
     _require_images(table)
-    mu = table.scores.mean(axis=0)
-    sigma = table.scores.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = table.scores.mean(axis=0)
+        sigma = table.scores.std(axis=0)
     return TagStats(table.tags, mu, sigma)
+
+
+def require_finite_stats(stats: TagStats, tags: Sequence[str] | None = None) -> None:
+    """Raise naming the first of ``tags`` (default: all of the statistics'
+    tags) whose mean or standard deviation is not finite."""
+    idx = np.arange(len(stats.tags)) if tags is None else [stats.index(t) for t in tags]
+    mu, sigma = stats.mu[idx], stats.sigma[idx]
+    bad = ~(np.isfinite(mu) & np.isfinite(sigma))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TagSelectError(
+            f"score statistics of tag {stats.tags[idx[i]]!r} are not finite: "
+            f"mu {float(mu[i])!r}, sigma {float(sigma[i])!r}"
+        )
 
 
 def _require_images(table: ScoreTable) -> None:
@@ -101,13 +118,22 @@ def _f_optimal_cuts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     f *= 2.0
     f /= sel + n_pos[:, None]
     f[~cand] = -np.inf
+    rows = np.arange(k)
+    s = scores.ravel()
+    # The cut below the minimum is 1 less, or the next double down where 1
+    # is below the minimum's spacing; below -max double no finite cut lies,
+    # and that candidate drops out.
+    least = s[flat[rows, n_def - 1]]
+    tau = least - 1.0
+    near = tau == least
+    with np.errstate(over="ignore"):
+        tau[near] = np.nextafter(least[near], -np.inf)
+    floor = np.isinf(tau)
+    f[floor, n_def[floor] - 1] = -np.inf
     # Candidates run in descending-tau order, so the first maximum is the
     # largest threshold among ties.
     best = np.argmax(f, axis=1)
-    rows = np.arange(k)
-    s = scores.ravel()
     hi = s[flat[rows, best]]
-    tau = hi - 1.0
     mid = best < n_def - 1
     hi, lo = hi[mid], s[flat[rows[mid], best[mid] + 1]]
     with np.errstate(over="ignore"):
@@ -117,7 +143,9 @@ def _f_optimal_cuts(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     wide = ~np.isfinite(half)
     half[wide] = hi[wide] / 2.0 + lo[wide] / 2.0
     tau[mid] = half
-    return tau, f[rows, best]
+    # A row whose scores all equal -max double has no candidate left; its
+    # tau, that score, selects nothing, for an F of 0.
+    return tau, np.maximum(f[rows, best], 0.0)
 
 
 def learn_threshold(pairs: Sequence[tuple[float, bool]]) -> tuple[float, float]:
@@ -207,6 +235,7 @@ def fit_lsq(model: ThresholdModel, intercept: bool = False) -> tuple[float, ...]
     tags = list(model.tau)
     if len(tags) < 2:
         raise DegenerateFitError("need at least two learned thresholds to fit")
+    require_finite_stats(model.stats, tags)
     idx = [model.stats.index(t) for t in tags]
     mu, sigma = model.stats.mu[idx], model.stats.sigma[idx]
     tau = np.array([model.tau[t] for t in tags], dtype=np.float64)

@@ -34,6 +34,15 @@ from tagselect.core import PROVENANCE_CODE
 from tagselect.formats import tsv_lines
 
 
+def cut_below(least):
+    """The cut below the minimum score ``least``: 1 less, or the next double
+    down where that rounds back to ``least``; None below -max double."""
+    tau = least - 1.0
+    if tau == least:
+        tau = math.nextafter(least, -math.inf)
+    return tau if math.isfinite(tau) else None
+
+
 def brute_force_threshold(scores, labels):
     """Exhaustively evaluate every candidate cut: one below the minimum and
     the midpoint between each pair of consecutive distinct sorted scores.
@@ -43,7 +52,7 @@ def brute_force_threshold(scores, labels):
     n_pos = sum(labels)
     assert 0 < n_pos < len(scores)
     distinct = sorted(set(scores))
-    candidates = [distinct[0] - 1.0]
+    candidates = [tau for tau in [cut_below(distinct[0])] if tau is not None]
     for lo, hi in zip(distinct, distinct[1:]):
         candidates.append((lo + hi) / 2.0)
     best_tau, best_f = None, -1.0
@@ -71,9 +80,12 @@ def per_tag_threshold(scores, labels):
     boundary = np.flatnonzero(s[:-1] > s[1:])
     cut_tau = (s[boundary] + s[boundary + 1]) / 2.0
     cut_sel = boundary + 1.0
-    taus = np.concatenate([cut_tau, [s[-1] - 1.0]])
-    sel = np.concatenate([cut_sel, [float(n)]])
-    tps = np.concatenate([tp[boundary], [float(n_pos)]]).astype(np.float64)
+    # The cut below the minimum, which selects all n items, if it exists.
+    below = cut_below(float(s[-1]))
+    end = ([], [], []) if below is None else ([below], [float(n)], [float(n_pos)])
+    taus = np.concatenate([cut_tau, end[0]])
+    sel = np.concatenate([cut_sel, end[1]])
+    tps = np.concatenate([tp[boundary], end[2]]).astype(np.float64)
     f = 2.0 * tps / (sel + n_pos)
     best = int(np.argmax(f))
     return float(taus[best]), float(f[best])

@@ -773,6 +773,29 @@ class TestWriterErrors:
         )
 
 
+    @pytest.mark.parametrize("tag", ["seen_003", "novel_002"])
+    def test_overflowing_statistics_fail_before_writing(self, bench_dir, tmp_path, capsys, tag):
+        # A seen column stops the lsq fit, a novel one the writer; under
+        # warnings as errors, the overflow itself reports nothing.
+        vocab = formats.load_vocabulary(bench_dir / "vocabulary.tsv")
+        table = formats.load_scores(bench_dir / "train_scores.tsv", vocab)
+        scores = np.array(table.scores)
+        scores[:, table.tag_index(tag)] = np.linspace(1.6e308, 1.7e308, table.n_images)
+        formats.save_scores(table._derived(scores), tmp_path / "scores.tsv")
+        out = tmp_path / "thresholds.tsv"
+        assert run(
+            "learn-thresholds", "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", tmp_path / "scores.tsv", "--truth", bench_dir / "train_truth.tsv",
+            "--out", out,
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[data]: score statistics of tag {tag!r} are not finite: mu inf, sigma inf\n"
+        )
+        assert not out.exists()
+
+
 class TestConfigExpansion:
     def test_config_file_sets_options(self, bench_dir, tmp_path):
         cfg = tmp_path / "select.cfg"

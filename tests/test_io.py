@@ -562,6 +562,15 @@ class TestThresholdsFormat:
         assert str(err.value) == f"{path}:0: the tag name 'lsq' is reserved in this format"
         assert not path.exists()
 
+    def test_non_finite_statistics_refused_on_save(self, tmp_path):
+        # load_thresholds would refuse the inf that repr writes.
+        stats = TagStats(("a", "b"), np.array([0.0, np.inf]), np.array([1.0, np.inf]))
+        path = tmp_path / "thr.tsv"
+        with pytest.raises(TagSelectError) as err:
+            save_thresholds(ThresholdModel(tau={}, stats=stats), path)
+        assert str(err.value) == "score statistics of tag 'b' are not finite: mu inf, sigma inf"
+        assert not path.exists()
+
 
 class TestReportFormat:
     def test_round_trip_sorted_and_indented(self, tmp_path):

@@ -1,15 +1,25 @@
-"""Peak memory of the loaders and of evaluation's prepared part, traced by
-``tracemalloc`` on a 400-image x 207-tag file set: each call's peak over
-what it started with must stay within a few times the bytes of what it
-returns, independent of file length.  A loader that holds a long run of
-lines as bytes, text and split strings at once, or a prepared evaluation
-that copies the whole ranking as intp, fails these bounds."""
+"""Peak memory of the loaders, of evaluation's prepared part and of the
+kernels whose work grows with the square of the vocabulary, traced by
+``tracemalloc``: each call's peak over what it started with must stay
+within a few times the bytes of what it returns, independent of file
+length and of the number of tag pairs.  A loader that holds a long run of
+lines as bytes, text and split strings at once, a prepared evaluation that
+copies the whole ranking as intp, or a similarity or co-occurrence build
+that holds a transient per tag pair fails these bounds."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from tagselect import SyntheticSpec, formats, generate_synthetic, rank_columns
+from tagselect import (
+    CooccurrenceStats,
+    SyntheticSpec,
+    formats,
+    generate_synthetic,
+    rank_columns,
+    similarity_matrix,
+)
 from tagselect.metrics import _prepare
 from tagselect.selection import select_rows
 
@@ -79,3 +89,45 @@ def test_prepare(files, require_full_coverage):
     )
     size = nbytes(prepared.labels, prepared.relevant)
     assert peak < 11 * size, peak
+
+
+# A 1,000-tag vocabulary: 499,500 tag pairs, an 8 MB similarity matrix.
+WIDE = SyntheticSpec(n_images=400, n_train=1, n_seen=500, n_novel=500, count_max=60)
+
+
+@pytest.fixture(scope="module")
+def wide():
+    return generate_synthetic(WIDE, seed=1)
+
+
+def test_generate_synthetic():
+    bench, peak = traced_peak(lambda: generate_synthetic(WIDE, seed=1))
+    size = nbytes(bench.train_table.scores, bench.train_truth.labels, bench.eval_table.scores,
+                  bench.eval_truth.labels, bench.cooccurrence.counts)
+    assert peak < 2.6 * size, peak
+
+
+def test_similarity_matrix(wide):
+    sim, peak = traced_peak(lambda: similarity_matrix(wide.cooccurrence, wide.vocab))
+    assert sim.values.shape == (1000, 1000)
+    assert peak < 4 * nbytes(sim.values), peak
+
+
+def test_from_counts(wide):
+    stats = wide.cooccurrence
+    # In vocabulary order, which from_counts sorts.
+    index = {t: i for i, t in enumerate(stats.tags)}
+    order = [index[t] for t in wide.vocab.tags]
+    counts = stats.counts[np.ix_(order, order)]
+    built, peak = traced_peak(
+        lambda: CooccurrenceStats.from_counts(wide.vocab.tags, counts, stats.total)
+    )
+    assert np.array_equal(built.counts, stats.counts)
+    assert peak < 1.8 * nbytes(built.counts), peak
+
+
+def test_top_k_fallback(wide):
+    # Every image falls back to its top 5 of 1,000 tags.
+    result, peak = traced_peak(lambda: select_rows(wide.eval_table, fallback_k=5))
+    size = nbytes(result.offsets, result.columns, result.scores, result.provenance)
+    assert peak < 100 * size, peak

@@ -1,6 +1,7 @@
 """Co-occurrence statistics, the normalized distance, and its similarity."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tagselect import similarity
 from tagselect import (
     CooccurrenceStats,
     SimilarityMatrix,
@@ -286,6 +288,33 @@ class TestSimilarityMatrixParity:
             return
         assert got.tags == want.tags
         assert got.missing == want.missing
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    @settings(deadline=None, max_examples=200)
+    @given(cooccurrence_problems(), st.sampled_from([1, 2, 7]))
+    def test_pair_blocks_keep_every_bit(self, problem, block):
+        vocab, stats = problem
+        want = outcome(lambda: similarity_matrix(stats, vocab))
+        with mock.patch.object(similarity, "BLOCK_CELLS", block):
+            got = outcome(lambda: similarity_matrix(stats, vocab))
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert got.missing == want.missing
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_block_edges_inside_and_at_the_ends_of_rows(self, small_bench, block):
+        # 20 present tags and one absent: 190 pairs in rows of 19 down to 1
+        # pairs, so blocks of 7 end inside rows and at the ends of rows 4,
+        # 7, 14 and 18.
+        vocab = Vocabulary.from_partition(small_bench.vocab.seen_tags,
+                                          (*small_bench.vocab.novel_tags, "ghost"))
+        stats = small_bench.cooccurrence
+        with mock.patch.object(similarity, "BLOCK_CELLS", block):
+            got = similarity_matrix(stats, vocab)
+        want = oracles.similarity_matrix_oracle(stats, vocab)
+        assert got.missing == want.missing == ("ghost",)
         assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
     def test_every_branch_of_the_distance(self):

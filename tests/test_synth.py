@@ -1,5 +1,7 @@
 """The seeded synthetic benchmark: determinism, construction invariants,
-and perfect recovery in the noiseless limit."""
+perfect recovery in the noiseless limit, and pinned outputs."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -188,3 +190,92 @@ class TestComparisonOnBenchmark:
             assert 0.0 <= row.mf <= 1.0
             assert 0.0 <= row.map <= 1.0
             assert row.n_excluded == 0
+
+
+def field_digests(bench) -> dict[str, str]:
+    """sha256 of every array (with its dtype and shape) and every id tuple
+    of a benchmark."""
+    fields = {
+        "vocab.tags": bench.vocab.tags,
+        "vocab.seen_tags": bench.vocab.seen_tags,
+    }
+    for name in ("train_table", "eval_table"):
+        table = getattr(bench, name)
+        fields.update({f"{name}.images": table.images, f"{name}.tags": table.tags,
+                       f"{name}.scores": table.scores})
+    for name in ("train_truth", "eval_truth"):
+        truth = getattr(bench, name)
+        fields.update({f"{name}.images": truth.images, f"{name}.coverage": truth.coverage,
+                       f"{name}.labels": truth.labels})
+    fields.update({"cooccurrence.tags": bench.cooccurrence.tags,
+                   "cooccurrence.counts": bench.cooccurrence.counts})
+    digests = {}
+    for key, value in fields.items():
+        h = hashlib.sha256()
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update("\n".join(value).encode())
+        digests[key] = h.hexdigest()
+    return digests
+
+
+# The spec of the benchmark's wide_compare workload: 1,000 tags.
+WIDE_SPEC = SyntheticSpec(
+    n_images=400, n_train=1000, n_seen=500, n_novel=500, count_min=1, count_max=60
+)
+GOLDEN = {
+    ("default", 0): (3000, {
+        "vocab.tags": "b27f8efd3808d441e0805e33026bbac553d9672fe4f6421ee83340b288f90e09",
+        "vocab.seen_tags": "be9fc5ffd6c69f56d00e218ff500a50af5afd38dd9c7f550a5da307ffefc3a3a",
+        "train_table.images": "2304c0f4bcb7a9de1244677e1e18dfbe28fa91185ca297204e702034ac5c22cf",
+        "train_table.tags": "b27f8efd3808d441e0805e33026bbac553d9672fe4f6421ee83340b288f90e09",
+        "train_table.scores": "a2e10800f61161d27453ac01c1f16287a03fa8da25fb49ba2aabb5785192d249",
+        "train_truth.images": "2304c0f4bcb7a9de1244677e1e18dfbe28fa91185ca297204e702034ac5c22cf",
+        "train_truth.coverage": "be9fc5ffd6c69f56d00e218ff500a50af5afd38dd9c7f550a5da307ffefc3a3a",
+        "train_truth.labels": "001248e73fbcec4394f83afab872a42383362cadb45f3016a8fd552b7c7735af",
+        "eval_table.images": "24110a56abddb30714200bc5bcf5a8503d27ee58ccf9df24ceda025ab3afc511",
+        "eval_table.tags": "b27f8efd3808d441e0805e33026bbac553d9672fe4f6421ee83340b288f90e09",
+        "eval_table.scores": "248852bcbd4da4b242e21b0e66455c5caeb6018bdcecb6249e9093dc50625270",
+        "eval_truth.images": "24110a56abddb30714200bc5bcf5a8503d27ee58ccf9df24ceda025ab3afc511",
+        "eval_truth.coverage": "b27f8efd3808d441e0805e33026bbac553d9672fe4f6421ee83340b288f90e09",
+        "eval_truth.labels": "bdc6a4ee2d14c5cf2891b9221558ca98e7055dffe3e531d34a87d4cbd17a2b1f",
+        "cooccurrence.tags": "a72fa148dedd816888d0ddb52fdb215025554ec0aea177ea5b9f6eb8affe0622",
+        "cooccurrence.counts": "edbe8b84fdc434ac69383e945862f1024f187a5855698df6b6c48b8de9c2dcbb",
+    }),
+    ("wide", 1): (1400, {
+        "vocab.tags": "413462c88deb08e3722cbd9ba05dabda4b0817193b67722cff3aefbf5ffc343a",
+        "vocab.seen_tags": "9ace9130110c7085caea4e972dc315b9080933657d373b5439b2b279336035ab",
+        "train_table.images": "2304c0f4bcb7a9de1244677e1e18dfbe28fa91185ca297204e702034ac5c22cf",
+        "train_table.tags": "413462c88deb08e3722cbd9ba05dabda4b0817193b67722cff3aefbf5ffc343a",
+        "train_table.scores": "c5d1e6be65b027d607b1274c592dcb32d00065acf75dbda973087147f26ce604",
+        "train_truth.images": "2304c0f4bcb7a9de1244677e1e18dfbe28fa91185ca297204e702034ac5c22cf",
+        "train_truth.coverage": "9ace9130110c7085caea4e972dc315b9080933657d373b5439b2b279336035ab",
+        "train_truth.labels": "cabd4c55f14960099312a1afdfd934f2c5578e9b617a76b30d8068e29fcb300e",
+        "eval_table.images": "44ff649683f7924881e69ba732905dc193381f1ca598780b0544d5d0d2dce3c0",
+        "eval_table.tags": "413462c88deb08e3722cbd9ba05dabda4b0817193b67722cff3aefbf5ffc343a",
+        "eval_table.scores": "c9af62f1c232d8ad4280639e1a25f0f61f8f97c94e7c172fede81f6f79eac09d",
+        "eval_truth.images": "44ff649683f7924881e69ba732905dc193381f1ca598780b0544d5d0d2dce3c0",
+        "eval_truth.coverage": "413462c88deb08e3722cbd9ba05dabda4b0817193b67722cff3aefbf5ffc343a",
+        "eval_truth.labels": "f76e91aa92cefb4a4b21dd0b4f7d5f2391f7c97a113797624eda88075b1a104e",
+        "cooccurrence.tags": "37992bc2422e31eddf752dd17cfa77686dc48aac35ddad30681c90f799a5c4ac",
+        "cooccurrence.counts": "6409d29097fdbfcb715b1e24328cc371f50ce5f7702d3153b961364cd68b2726",
+    }),
+}
+
+
+class TestGoldenOutputs:
+    """Every array and id list of two benchmarks, pinned bit for bit, so
+    that a change to how the generator computes cannot change what it
+    returns."""
+
+    @pytest.mark.parametrize("name, spec, seed", [
+        ("default", SyntheticSpec(), 0),
+        ("wide", WIDE_SPEC, 1),
+    ])
+    def test_pinned_digests(self, name, spec, seed):
+        bench = generate_synthetic(spec, seed)
+        total, digests = GOLDEN[(name, seed)]
+        assert bench.cooccurrence.total == total
+        assert field_digests(bench) == digests

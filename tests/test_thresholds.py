@@ -25,6 +25,7 @@ from tagselect import (
     predict_threshold,
     tag_stats,
 )
+from tagselect.thresholds import require_finite_stats
 
 
 class TestTagStats:
@@ -50,6 +51,25 @@ class TestTagStats:
             got_mu, got_sigma = stats.get(t)
             assert got_mu == pytest.approx(mu, abs=1e-12)
             assert got_sigma == pytest.approx(sigma, abs=1e-12)
+
+    def test_overflow_gives_inf_without_a_warning(self):
+        # Under warnings as errors: the sums overflow quietly, and the
+        # statistics are refused where they are fit or written.
+        table = ScoreTable(("a", "b"), ("t", "u"), np.array([[1.7e308, 1.0], [1.6e308, 3.0]]))
+        stats = tag_stats(table)
+        assert stats.get("t") == (np.inf, np.inf)
+        assert stats.get("u") == (2.0, 1.0)
+
+    def test_require_finite_names_the_first_bad_tag(self):
+        stats = TagStats(("s", "t", "u"), np.array([0.0, 1.0, np.inf]),
+                         np.array([1.0, np.nan, 1.0]))
+        with pytest.raises(TagSelectError) as exc:
+            require_finite_stats(stats)
+        assert str(exc.value) == "score statistics of tag 't' are not finite: mu 1.0, sigma nan"
+        with pytest.raises(TagSelectError) as exc:
+            require_finite_stats(stats, ["u", "s"])
+        assert str(exc.value) == "score statistics of tag 'u' are not finite: mu inf, sigma 1.0"
+        require_finite_stats(stats, ["s"])
 
     def test_empty_table_rejected(self):
         table = ScoreTable((), ("t",), np.zeros((0, 1)))
@@ -125,6 +145,28 @@ class TestLearnThreshold:
         tau, f = learn_threshold([(1.7e308, True), (1.6e308, False)])
         assert 1.6e308 < tau < 1.7e308
         assert f == 1.0
+
+    @pytest.mark.parametrize("low, high", [(1e17, 2e17), (-1e17, 1.0), (2.0**54, 1e300)])
+    def test_cut_below_a_minimum_beyond_two_to_the_53(self, low, high):
+        # low - 1.0 rounds back to low: the cut is the next double down, so
+        # that selecting everything, the best cut, keeps the positive.
+        tau, f = learn_threshold([(low, True), (high, False)])
+        assert tau == np.nextafter(low, -np.inf)
+        assert f == 2 / 3
+        assert (tau, f) == oracles.brute_force_threshold([low, high], [True, False])
+        assert (tau, f) == oracles.per_tag_threshold(np.array([high, low]), np.array([0, 1]))
+
+    def test_no_cut_below_the_most_negative_double(self):
+        low = -np.finfo(np.float64).max
+        # Selecting everything has no finite cut; the best one left selects
+        # only the negative.
+        tau, f = learn_threshold([(low, True), (1.0, False)])
+        assert (tau, f) == (low / 2.0 + 0.5, 0.0)
+        assert (tau, f) == oracles.brute_force_threshold([low, 1.0], [True, False])
+        assert (tau, f) == oracles.per_tag_threshold(np.array([1.0, low]), np.array([0, 1]))
+        # With every score there, no candidate is left: tau is that score,
+        # which selects nothing.
+        assert learn_threshold([(low, True), (low, False)]) == (low, 0.0)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(17)
@@ -297,6 +339,16 @@ class TestFitLsq:
         model = self.model_from([0.5], [0.1], [0.4])
         with pytest.raises(DegenerateFitError):
             fit_lsq(model)
+
+    def test_non_finite_statistics_refused(self):
+        # Only the fitted tags' statistics are read.
+        model = self.model_from([0.5, 0.1, np.inf], [0.1, np.inf, 0.2], [0.4, 0.3, 0.2])
+        with pytest.raises(TagSelectError) as exc:
+            fit_lsq(model)
+        assert str(exc.value) == "score statistics of tag 't1' are not finite: mu 0.1, sigma inf"
+        fit_lsq(ThresholdModel(tau={"t0": 0.4, "t1": 0.3}, stats=TagStats(
+            ("t0", "t1", "t2"), np.array([0.5, 0.1, np.inf]), np.array([0.1, 0.2, 0.3])
+        )))
 
 
 class TestLearnAllThresholds:
