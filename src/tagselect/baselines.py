@@ -10,7 +10,7 @@ from_fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .errors import TagSelectError
 from .metrics import _prepare, _score, evaluate
 from .selection import AdaptiveConfig, adaptive_rows, refine_table, select_rows
 from .similarity import SimilarityMatrix
-from .thresholds import ThresholdModel, predict_threshold, tag_stats
+from .thresholds import ThresholdModel, _lsq_thresholds, tag_stats
 
 STRATEGY_NAMES = (
     "top_k",
@@ -110,19 +110,21 @@ def run_strategy(
     # The other rows threshold every column: mu_sigma and lsq by batch
     # statistics, the hybrids by learned thresholds where available and
     # batch-statistic predictions for novel (and untrainable seen) tags.
-    if spec.name == "mu_sigma":
-        batch_model = ThresholdModel(tau={}, stats=tag_stats(table))
-    else:
-        batch_model = replace(_require_model(spec, model), stats=tag_stats(table))
-    learned = batch_model.tau if spec.name.startswith("hybrid") else {}
-    mode = "lsq" if spec.name.endswith("lsq") else "mu_sigma"
-    thr = np.array(
-        [
-            learned[t] if t in learned else predict_threshold(batch_model, t, mode)
-            for t in table.tags
-        ],
-        dtype=np.float64,
-    )
+    model = None if spec.name == "mu_sigma" else _require_model(spec, model)
+    stats = tag_stats(table)
+    # A learned threshold for a tag outside the table raises here.
+    learned = [] if model is None else [stats.index(t) for t in model.tau]
+    hybrid = spec.name.startswith("hybrid")
+    # Overflowing statistics give inf or nan quietly, as Python floats do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not spec.name.endswith("lsq"):
+            thr = stats.mu + stats.sigma
+        elif hybrid and len(learned) == table.n_tags:
+            thr = np.empty(table.n_tags)  # every column learned: no coefficient is read
+        else:
+            thr = _lsq_thresholds(model, stats)
+    if hybrid:
+        thr[learned] = list(model.tau.values())
     return select_rows(table, np.arange(table.n_tags), thr)
 
 

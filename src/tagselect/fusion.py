@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,45 +96,22 @@ def threshold_selection_strategy(
     a table has other images or tags.  Each call then learns the thresholds
     only, without the statistics, which selection does not read.
     """
-    layout: _Layout | None = None
+    key = rows = order = None
 
     def strategy(table: ScoreTable) -> SelectionResult:
-        nonlocal layout
+        nonlocal key, rows, order
         require_finite(table)
-        if layout is None or table.images != layout.images or table.tags != layout.tags:
-            layout = _Layout.of(table, truth, vocab)
+        if key != (table.images, table.tags):
+            built = _seen_label_rows(table, truth, vocab)
+            _require_images(table)
+            key, rows, order = (table.images, table.tags), built, np.argsort(built[1])
+        img_rows, cols, labels, _ = rows
         tau = np.zeros(0)
-        if layout.names:
-            tau, _ = _f_optimal_cuts(
-                table.scores.T[layout.cols][:, layout.img_rows], layout.labels
-            )
-        return select_rows(table, layout.pool, tau[layout.pool_order])
+        if cols.size:
+            tau, _ = _f_optimal_cuts(table.scores.T[cols][:, img_rows], labels)
+        return select_rows(table, cols[order], tau[order])
 
     return strategy
-
-
-class _Layout(NamedTuple):
-    """What threshold learning and selection read of a table besides its
-    scores, for ``threshold_selection_strategy``: ``names``, ``cols`` and
-    ``labels`` list the trainable seen tags in seen order, and ``pool`` is
-    ``cols`` ascending, ``cols[pool_order]``."""
-
-    images: tuple[str, ...]
-    tags: tuple[str, ...]
-    img_rows: np.ndarray
-    names: tuple[str, ...]
-    cols: np.ndarray
-    labels: np.ndarray
-    pool: np.ndarray
-    pool_order: np.ndarray
-
-    @classmethod
-    def of(cls, table: ScoreTable, truth: GroundTruth, vocab: Vocabulary) -> "_Layout":
-        img_rows, cols, labels, trained = _seen_label_rows(table, truth, vocab)
-        _require_images(table)
-        names = tuple(t for t, ok in zip(vocab.seen_tags, trained) if ok)
-        order = np.argsort(cols)
-        return cls(table.images, table.tags, img_rows, names, cols, labels, cols[order], order)
 
 
 def _objective(

@@ -12,6 +12,10 @@ import numpy as np
 
 from .core import (
     BLOCK_CELLS,
+    FROM_FALLBACK,
+    FROM_NOVEL_TOPK,
+    FROM_SEEN_THRESHOLDING,
+    PROVENANCE_CODE,
     ScoreTable,
     SelectionResult,
     Vocabulary,
@@ -90,13 +94,14 @@ def select_rows(
     c = pool[j]
     order = np.lexsort((tag_rank[c], -scores[r, c], r))
     # The third array holds provenance codes, which index PROVENANCE_ORDER.
-    parts = [(r[order], c[order], np.full(r.size, 0))]
+    parts = [(r[order], c[order], np.full(r.size, PROVENANCE_CODE[FROM_SEEN_THRESHOLDING]))]
     # An empty pool selects nothing, so its k_novel is 0.
     k = np.minimum(_round_half_up(novel.size * a_size, max(pool.size, 1)), novel.size)
     take = np.flatnonzero(k)
     key = (scores if ranked is None else ranked)[take][:, novel]
     i, j = np.nonzero(np.arange(novel.size) < k[take, None])
-    parts.append((take[i], novel[order_rows(key, tag_rank[novel])[i, j]], np.full(i.size, 1)))
+    c = novel[order_rows(key, tag_rank[novel])[i, j]]
+    parts.append((take[i], c, np.full(i.size, PROVENANCE_CODE[FROM_NOVEL_TOPK])))
     if fallback_k is not None and not a_size.all():
         fallback = np.flatnonzero(a_size == 0)
         # Whole rows are ordered a block at a time; only their top k are kept.
@@ -105,7 +110,9 @@ def select_rows(
             order_rows(scores[fallback[r0 : r0 + step]], tag_rank)[:, :fallback_k].ravel()
             for r0 in range(0, fallback.size, step)
         ])
-        parts.append((np.repeat(fallback, fallback_k), c, np.full(c.size, 2)))
+        parts.append(
+            (np.repeat(fallback, fallback_k), c, np.full(c.size, PROVENANCE_CODE[FROM_FALLBACK]))
+        )
 
     # A stable sort by image keeps each image's seen picks before its novel
     # ones; an image with fallback picks has neither.

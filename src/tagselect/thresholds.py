@@ -317,6 +317,18 @@ def _seen_label_rows(
     return img_rows, cols[trained], labels[trained], trained
 
 
+def _lsq_thresholds(model: ThresholdModel, stats: TagStats) -> np.ndarray:
+    """``predict_threshold(model, t, "lsq")`` for every tag of ``stats``, in
+    its order, by the same operations, so every threshold keeps its bits."""
+    if model.lsq_coeffs is None:
+        raise DegenerateFitError("model carries no least-squares coefficients")
+    a, b, *c = model.lsq_coeffs
+    tau = a * stats.mu + b * stats.sigma
+    if c:
+        tau += c[0]
+    return tau
+
+
 def predict_threshold(model: ThresholdModel, tag: str, mode: str) -> float:
     """Threshold for one tag under a given rule.
 

@@ -16,8 +16,10 @@ from tagselect import (
     ScoreTable,
     StrategySpec,
     TagSelectError,
+    ThresholdModel,
     Vocabulary,
     compare,
+    learn_all_thresholds,
     predict_threshold,
     run_strategy,
     select_by_threshold,
@@ -175,6 +177,139 @@ class TestRunStrategy:
             for p in result.row(x):
                 if p.provenance == FROM_NOVEL_TOPK:
                     assert p.tag in novel_set
+
+
+THRESHOLD_STRATEGIES = ("mu_sigma", "lsq", "hybrid_tau_musigma", "hybrid_tau_lsq")
+
+
+def handed_thresholds(name, table, vocab, model):
+    """The threshold vector that ``run_strategy`` hands to ``select_rows``."""
+    handed = []
+
+    def capture(table, pool, tau, *args):
+        handed.append(tau)
+        return selection.select_rows(table, pool, tau, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baselines, "select_rows", capture)
+        run_strategy(strategy(name), table, vocab, model)
+    (tau,) = handed
+    assert tau.dtype == np.float64 and tau.shape == (table.n_tags,)
+    return [repr(v) for v in tau.tolist()]
+
+
+def scalar_thresholds(name, table, model):
+    """The same vector from ``predict_threshold``, one tag at a time, on the
+    batch statistics; the hybrids take the model's learned thresholds."""
+    stats = tag_stats(table)
+    batch = ThresholdModel({}, stats) if name == "mu_sigma" else replace(model, stats=stats)
+    mode = "lsq" if name.endswith("lsq") else "mu_sigma"
+    learned = model.tau if name.startswith("hybrid") else {}
+    return [
+        repr(learned[t] if t in learned else predict_threshold(batch, t, mode))
+        for t in table.tags
+    ]
+
+
+class TestThresholdVectors:
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems())
+    def test_every_threshold_equals_the_scalar_rule(self, problem):
+        # The model's statistics come from another table, so only the batch
+        # statistics can give the scalar values; models have two or three
+        # coefficients and untrainable seen tags, and tables constant columns.
+        vocab, table, model, _, _ = problem
+        other = ScoreTable(table.images, table.tags, table.scores * 0.5 + 0.125)
+        model = replace(model, stats=tag_stats(other))
+        for name in THRESHOLD_STRATEGIES:
+            assert handed_thresholds(name, table, vocab, model) == scalar_thresholds(
+                name, table, model
+            ), name
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_learned_models_on_the_eval_table(self, small_bench, intercept):
+        bench = small_bench
+        model = learn_all_thresholds(
+            bench.train_table, bench.train_truth, bench.vocab, intercept=intercept
+        )
+        assert len(model.lsq_coeffs) == 2 + intercept
+        for name in THRESHOLD_STRATEGIES:
+            assert handed_thresholds(name, bench.eval_table, bench.vocab, model) == (
+                scalar_thresholds(name, bench.eval_table, model)
+            ), name
+
+    def test_constant_and_overflowing_columns(self):
+        # A constant column (sigma 0); a column whose statistics overflow to
+        # inf and nan; one whose mean is -inf and deviation inf, so mu + sigma
+        # is nan; and one whose mean is finite but 4 * mu overflows.  No
+        # warning is raised, as the scalar rule raises none.
+        vocab = Vocabulary.from_partition(["flat", "huge"], ["sink", "big"])
+        scores = np.array([
+            [0.5, 1.7e308, -1.7e308, 6e307],
+            [0.5, 1.6e308, -1.6e308, 6e307],
+            [0.5, 0.0, 0.0, 6e307],
+        ])
+        table = ScoreTable(("a", "b", "c"), vocab.tags, scores)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = tag_stats(table)
+        for coeffs in [(4.0, 0.5), (4.0, -0.5, -0.25)]:
+            model = ThresholdModel({"flat": 0.25}, stats, coeffs, ("huge",))
+            for name in THRESHOLD_STRATEGIES:
+                got = handed_thresholds(name, table, vocab, model)
+                assert got == scalar_thresholds(name, table, model), (coeffs, name)
+                assert "nan" in got
+
+
+class TestStrategyErrors:
+    """Each threshold strategy's errors, with their text, in the order they
+    are checked: the model, then the table's images, then the model's
+    thresholds against the table's tags, then the lsq coefficients."""
+
+    VOCAB = Vocabulary.from_partition(["a", "b"], ["n"])
+    TABLE = ScoreTable(("x", "y"), VOCAB.tags, [[0.1, 0.5, 0.9], [0.3, 0.2, 0.4]])
+    EMPTY = ScoreTable((), VOCAB.tags, np.zeros((0, 3)))
+    WIDER = ScoreTable(("x", "y"), VOCAB.tags + ("zzz",), [[0.1, 0.5, 0.9, 0.0]] * 2)
+
+    def run(self, name, table, model):
+        with pytest.raises(TagSelectError) as exc:
+            run_strategy(strategy(name), table, self.VOCAB, model)
+        return type(exc.value).__name__, str(exc.value)
+
+    @pytest.mark.parametrize("name", ["lsq", "hybrid_tau_musigma", "hybrid_tau_lsq"])
+    def test_model_is_checked_first(self, name):
+        want = ("TagSelectError", f"strategy {name!r} requires a threshold model")
+        assert self.run(name, self.TABLE, None) == want
+        assert self.run(name, self.EMPTY, None) == want
+
+    @pytest.mark.parametrize("name", THRESHOLD_STRATEGIES)
+    def test_empty_table_before_the_models_thresholds(self, name):
+        # The model's threshold for a tag outside the table is not reached.
+        model = ThresholdModel({"zzz": 0.5}, tag_stats(self.WIDER))
+        want = ("TagSelectError", "cannot compute statistics of an empty score table")
+        assert self.run(name, self.EMPTY, model) == want
+
+    @pytest.mark.parametrize("name", ["lsq", "hybrid_tau_musigma", "hybrid_tau_lsq"])
+    def test_threshold_outside_the_table_before_the_coefficients(self, name):
+        model = ThresholdModel({"a": 0.3, "zzz": 0.5}, tag_stats(self.WIDER))
+        assert self.run(name, self.TABLE, model) == (
+            "TagSelectError", "no statistics for tag 'zzz'"
+        )
+        # mu_sigma reads no model.
+        run_strategy(strategy("mu_sigma"), self.TABLE, self.VOCAB, model)
+
+    @pytest.mark.parametrize("name", ["lsq", "hybrid_tau_lsq"])
+    def test_missing_coefficients(self, name):
+        model = ThresholdModel({"a": 0.3}, tag_stats(self.TABLE))
+        assert self.run(name, self.TABLE, model) == (
+            "DegenerateFitError", "model carries no least-squares coefficients"
+        )
+
+    def test_hybrid_with_every_column_learned_needs_no_coefficients(self):
+        vocab = Vocabulary.from_partition(["a", "b"], [])
+        table = self.TABLE.restrict(vocab.tags)
+        model = ThresholdModel({"b": 0.3, "a": 0.2}, tag_stats(table))
+        result = run_strategy(strategy("hybrid_tau_lsq"), table, vocab, model)
+        assert [result.tags(x) for x in table.images] == [("b",), ("a",)]
 
 
 class TestCompare:

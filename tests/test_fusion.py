@@ -298,6 +298,53 @@ class TestThresholdSelectionStrategy:
             ]
 
 
+class TestSelectorLayoutCache:
+    """The default selector reads the truth's label rows once per table
+    layout (its images and tags), not once per call."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = fusion._seen_label_rows
+
+        def counting(table, *args):
+            builds.append((table.images, table.tags))
+            return build(table, *args)
+
+        monkeypatch.setattr(fusion, "_seen_label_rows", counting)
+        return builds
+
+    @pytest.mark.parametrize("objective", ["mf", "map"])
+    def test_one_build_per_learn_weights(self, monkeypatch, objective):
+        tables, truth, vocab = fusion_problem(1)
+        builds = self.count_builds(monkeypatch)
+        learn_weights(tables, truth, vocab, objective=objective, grid_step=0.25, max_sweeps=3)
+        assert builds == [(tables[0].images, tables[0].tags)]
+
+    def test_rebuilds_on_each_change_of_images_or_tags(self, monkeypatch):
+        vocab, tables = tables_and_vocab(18, n_images=12)
+        truth = full_truth(vocab, tables[0].images, np.random.default_rng(18))
+        shuffled = ScoreTable(tables[0].images[::-1], vocab.tags, tables[0].scores[::-1])
+        seen_only = tables[0].restrict(vocab.seen_tags)
+        feed = [tables[0], tables[1], shuffled, shuffled, tables[0], seen_only, tables[1],
+                seen_only]
+        want = [
+            [(s.tag, repr(s.score), s.provenance) for x in t.images for s in r.row(x)]
+            for t, r in ((t, threshold_selection_strategy(truth, vocab)(t)) for t in feed)
+        ]
+        builds = self.count_builds(monkeypatch)
+        select = threshold_selection_strategy(truth, vocab)
+        for i, table in enumerate(feed):
+            result = select(table)
+            got = [(s.tag, repr(s.score), s.provenance) for x in table.images
+                   for s in result.row(x)]
+            assert got == want[i], i
+        # tables[1] shares tables[0]'s images and tags; every other step
+        # changes one of them.
+        assert builds == [(t.images, t.tags) for t in
+                          (tables[0], shuffled, tables[0], seen_only, tables[1], seen_only)]
+
+
 def fusion_problem(seed):
     """Three noisy copies of a small synthetic training table, and its truth
     with one label in five dropped, so that the objective masks them."""
