@@ -133,13 +133,29 @@ class ScoreTable:
     scores: np.ndarray
 
     def __post_init__(self):
+        self._init(np.array)
+
+    @classmethod
+    def _taking(cls, images: Sequence[str], tags: Sequence[str], scores: np.ndarray) -> "ScoreTable":
+        """``ScoreTable(images, tags, scores)`` that takes over a float64
+        ``scores`` built for it, and makes it read-only, instead of copying
+        it; every check runs, with its message."""
+        table = object.__new__(cls)
+        for name, value in (("images", images), ("tags", tags), ("scores", scores)):
+            object.__setattr__(table, name, value)
+        table._init(np.asarray)
+        return table
+
+    def _init(self, to_array) -> None:
+        """Check the fields and build the indexes; ``to_array`` turns the
+        given scores into the float64 matrix."""
         images, img_index = _id_index(
             self.images, "image id", "score table contains duplicate image ids"
         )
         tags, tag_index = _id_index(self.tags, "tag", "score table contains duplicate tags")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "tags", tags)
-        self._set_scores(np.array(self.scores, dtype=np.float64))
+        self._set_scores(to_array(self.scores, dtype=np.float64))
         object.__setattr__(self, "_img_index", img_index)
         object.__setattr__(self, "_tag_index", tag_index)
         # Each column's rank among the sorted tag strings: tags are unique,
@@ -496,8 +512,51 @@ def rank_tags(table: ScoreTable, image: str) -> list[str]:
 
 def order_rows(scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
     """Column order of each row of ``scores`` by descending score, ties
-    broken by ascending ``tag_rank``: one 2-D lexsort."""
-    return np.lexsort((np.broadcast_to(tag_rank, scores.shape), -scores), axis=-1)
+    broken by ascending ``tag_rank``, as ``np.lexsort`` gives it; the rows
+    are sorted ``BLOCK_CELLS`` cells at a time."""
+    n, m = scores.shape
+    order = np.empty((n, m), dtype=np.intp)
+    step = max(1, BLOCK_CELLS // max(m, 1))
+    for r0 in range(0, n, step):
+        order[r0 : r0 + step] = _argsort_descending(scores[r0 : r0 + step], tag_rank)
+    return order
+
+
+def _argsort_descending(
+    key: np.ndarray, ties: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """The order of ``key`` by descending value, ties broken by ascending
+    ``ties``: ``np.lexsort((ties, -key), axis=-1)`` for a 2-D ``key`` with
+    one tie rank per column or, given ``rows``, the ascending row of each
+    entry of a 1-D ``key``, ``np.lexsort((ties, -key, rows))`` with one tie
+    rank per entry.
+
+    A row whose keys are distinct and not NaN has only one such order, so
+    the reverse of numpy's unstable argsort gives it, whichever SIMD kernel
+    that dispatches to.  Only the rows whose sorted keys are not strictly
+    monotonic (a tie, or a NaN, which compares false) take the lexsort."""
+    if rows is None:
+        ranked = np.sort(key, axis=-1)
+        tied = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=-1)
+        del ranked
+        if not tied.any():
+            return np.argsort(key, axis=-1)[:, ::-1]
+        order = np.empty(key.shape, dtype=np.intp)
+        order[~tied] = np.argsort(key[~tied], axis=-1)[:, ::-1]
+        key = -key[tied]
+        order[tied] = np.lexsort((np.broadcast_to(ties, key.shape), key), axis=-1)
+        return order
+    order = np.argsort(key)[::-1]
+    # A stable regroup by row keeps each row's keys descending; row numbers
+    # of 16 bits or fewer get numpy's radix sort.
+    row_key = rows.astype(np.min_scalar_type(rows.max(initial=0)))
+    order = order[np.argsort(row_key[order], kind="stable")]
+    ranked = key[order]
+    tied_at = ~(ranked[1:] < ranked[:-1]) & (rows[1:] == rows[:-1])
+    if tied_at.any():
+        tied = np.flatnonzero(np.isin(rows, rows[1:][tied_at]))
+        order[tied] = tied[np.lexsort((ties[tied], -key[tied], rows[tied]))]
+    return order
 
 
 class TagRankings(NamedTuple):
@@ -510,7 +569,7 @@ class TagRankings(NamedTuple):
 
 
 def rank_columns(table: ScoreTable) -> TagRankings:
-    """``rank_tags`` for every image, as columns of the table, from one 2-D
-    lexsort."""
+    """``rank_tags`` for every image, as columns of the table, from
+    ``order_rows``."""
     return TagRankings(table.images, table.tags, order_rows(table.scores, table._tag_rank))
 

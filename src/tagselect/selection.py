@@ -19,6 +19,7 @@ from .core import (
     ScoreTable,
     SelectionResult,
     Vocabulary,
+    _argsort_descending,
     order_rows,
     require_finite,
 )
@@ -88,11 +89,11 @@ def select_rows(
     tag_rank = table._tag_rank
     mask = scores[:, pool] > tau
     a_size = np.count_nonzero(mask, axis=1)
-    # Only the selected cells are sorted: a lexsort of whole rows costs more
-    # than the selection itself when A is small.
+    # Only the selected cells are sorted, grouped by image: sorting whole
+    # rows costs more than the selection itself when A is small.
     r, j = np.nonzero(mask)
     c = pool[j]
-    order = np.lexsort((tag_rank[c], -scores[r, c], r))
+    order = _argsort_descending(scores[r, c], tag_rank[c], r)
     # The third array holds provenance codes, which index PROVENANCE_ORDER.
     parts = [(r[order], c[order], np.full(r.size, PROVENANCE_CODE[FROM_SEEN_THRESHOLDING]))]
     # An empty pool selects nothing, so its k_novel is 0.

@@ -240,10 +240,28 @@ class SimilarityMatrix:
     missing: tuple[str, ...]
 
     def __post_init__(self):
+        self._init(np.array)
+
+    @classmethod
+    def _taking(
+        cls, tags: Sequence[str], values: np.ndarray, missing: Sequence[str]
+    ) -> "SimilarityMatrix":
+        """``SimilarityMatrix(tags, values, missing)`` that takes over a
+        float64 ``values`` built for it, and makes it read-only, instead of
+        copying it; every check runs, with its message."""
+        sim = object.__new__(cls)
+        for name, value in (("tags", tags), ("values", values), ("missing", missing)):
+            object.__setattr__(sim, name, value)
+        sim._init(np.asarray)
+        return sim
+
+    def _init(self, to_array) -> None:
+        """Check the fields and build the index; ``to_array`` turns the
+        given values into the float64 matrix."""
         tags, index = _id_index(self.tags, "tag", "similarity matrix contains duplicate tags")
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "missing", tuple(self.missing))
-        arr = np.array(self.values, dtype=np.float64)
+        arr = to_array(self.values, dtype=np.float64)
         n = len(tags)
         if arr.shape != (n, n):
             raise TagSelectError(f"similarity matrix shape {arr.shape} is not {n}x{n}")
@@ -297,7 +315,7 @@ def similarity_matrix(stats: CooccurrenceStats, vocab: Vocabulary) -> Similarity
             a, b = present[i], present[j]
             values[a, b] = sims
             values[b, a] = sims
-    return SimilarityMatrix(tags, values, missing)
+    return SimilarityMatrix._taking(tags, values, missing)
 
 
 def _fcs_block(fab, log_fa, log_fb, log_total):

@@ -122,11 +122,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticBenchmark:
     train_images = tuple(f"train_{i:05d}" for i in range(spec.n_train))
     eval_images = tuple(f"img_{i:05d}" for i in range(spec.n_images))
 
-    # Each table copies its scores, so none is held here once it is built.
+    # Each table takes over its fresh score matrix rather than copying it.
     rel_train = _relevance_block(rng, spec, spec.n_train)
-    train_table = ScoreTable(train_images, vocab.tags, _scores(rng, spec, rel_train))
+    train_table = ScoreTable._taking(train_images, vocab.tags, _scores(rng, spec, rel_train))
     rel_eval = _relevance_block(rng, spec, spec.n_images)
-    eval_table = ScoreTable(eval_images, vocab.tags, _scores(rng, spec, rel_eval))
+    eval_table = ScoreTable._taking(eval_images, vocab.tags, _scores(rng, spec, rel_eval))
     train_truth = GroundTruth(
         train_images, seen, rel_train[:, : spec.n_seen].view(np.int8)
     )

@@ -1,11 +1,17 @@
 """Data model: vocabulary, score tables, ground truth, selections, ranking."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tagselect import core
+from tagselect.core import _argsort_descending, order_rows
+from tagselect.selection import select_rows
 from tagselect import (
     FROM_FALLBACK,
     FROM_NOVEL_TOPK,
@@ -99,6 +105,20 @@ class TestScoreTable:
             make_table(["i", "i"], ["a"], [[1.0], [2.0]])
         with pytest.raises(TagSelectError):
             make_table(["i"], ["a", "a"], [[1.0, 2.0]])
+
+    def test_taking_keeps_the_given_matrix(self):
+        scores = np.array([[1.0, -0.0]])
+        table = ScoreTable._taking(["i"], ["b", "a"], scores)
+        assert table.scores is scores and not scores.flags.writeable
+        assert (table.images, table.tags, table.score("i", "a")) == (("i",), ("b", "a"), -0.0)
+        assert table._tag_rank.tolist() == [1, 0]
+        # The public constructor copies.
+        assert not np.shares_memory(ScoreTable(("i",), ("b", "a"), scores).scores, scores)
+
+    def test_taking_checks_the_shape(self):
+        with pytest.raises(TagSelectError) as exc:
+            ScoreTable._taking(("i",), ("a", "b"), np.zeros((1, 3)))
+        assert str(exc.value) == "score matrix shape (1, 3) does not match 1 images x 2 tags"
 
     def test_restrict_reorders_columns(self, tiny_table):
         sub = tiny_table.restrict(["cat", "apple"])
@@ -317,8 +337,9 @@ class TestRankAllTags:
         return [[rankings.tags[c] for c in row] for row in rankings.order.tolist()]
 
     def assert_batched_equals_scalar(self, table):
-        """``rank_columns`` and ``rank_tags`` share one lexsort, so both are
-        checked against the ``sorted()`` reference as well as each other."""
+        """``rank_columns`` and ``rank_tags`` share ``order_rows``, so both
+        are checked against the ``sorted()`` reference as well as each
+        other."""
         expected = [oracles.sorted_tags(dict(zip(table.tags, row)))
                     for row in table.scores.tolist()]
         assert [rank_tags(table, x) for x in table.images] == expected
@@ -358,3 +379,126 @@ class TestRankAllTags:
         tags = tuple(f"t{i:03d}" for i in rng.permutation(207))
         scores = rng.integers(0, 7, size=(50, 207)) / 4.0
         self.assert_batched_equals_scalar(make_table([f"x{i}" for i in range(50)], tags, scores))
+
+
+def lexsort_rows(scores, tag_rank):
+    """The reference order: one 2-D lexsort by descending score, ties by
+    ascending tag rank."""
+    return np.lexsort((np.broadcast_to(tag_rank, scores.shape), -scores), axis=-1)
+
+
+# Values that tie (0.0 and -0.0 compare equal), sort last (NaN) or sit at
+# the ends (the infinities).
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -0.5)
+
+
+@st.composite
+def mixed_rows(draw, n, m, special=SPECIAL):
+    """``n`` rows of ``m`` scores: each row either ``m`` distinct floats,
+    which have one order only, or draws from ``special``, which tie."""
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            floats = st.floats(allow_nan=False, width=64)
+            rows.append(draw(st.lists(floats, min_size=m, max_size=m, unique=True)))
+        else:
+            rows.append(draw(st.lists(st.sampled_from(special), min_size=m, max_size=m)))
+    return np.array(rows, dtype=np.float64).reshape(n, m)
+
+
+class TestOrderKernel:
+    """``order_rows`` sorts a block of rows at a time with numpy's unstable
+    argsort and reorders only the rows with a tie or a NaN; the seen cells of
+    ``select_rows`` are sorted the same way, grouped by image.  Both must
+    equal the lexsort they replace bit for bit."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_order_rows_matches_lexsort_over_many_blocks(self, data):
+        m = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(0, 30))
+        scores = data.draw(mixed_rows(n, m))
+        tag_rank = np.array(data.draw(st.permutations(range(2 * m)))[:m])
+        # One to four rows per block.
+        with mock.patch.object(core, "BLOCK_CELLS", data.draw(st.integers(1, 4 * m))):
+            order = order_rows(scores, tag_rank)
+        assert order.dtype == np.intp and order.shape == (n, m)
+        assert np.array_equal(order, lexsort_rows(scores, tag_rank))
+        # Tags named so that their string order is their rank order.
+        tags = [f"t{r:02d}" for r in tag_rank.tolist()]
+        for row, ranked in zip(scores.tolist(), order.tolist()):
+            if not any(map(math.isnan, row)):
+                assert [tags[c] for c in ranked] == oracles.sorted_tags(dict(zip(tags, row)))
+
+    def test_more_rows_than_a_block(self):
+        rng = np.random.default_rng(7)
+        tags = tuple(f"t{i:03d}" for i in rng.permutation(207))
+        n = 2 * (core.BLOCK_CELLS // len(tags)) + 17
+        scores = rng.normal(size=(n, len(tags)))
+        scores[::3] = np.round(scores[::3] * 4) / 4  # quarter steps: many ties
+        scores[5, :4] = [0.0, -0.0, 0.0, -0.0]
+        scores[400, 10:13] = [math.inf, -math.inf, math.inf]
+        table = make_table([f"x{i}" for i in range(n)], tags, scores)
+        order = rank_columns(table).order
+        assert np.array_equal(order, lexsort_rows(scores, table._tag_rank))
+        for i in [*range(0, n, 97), 5, 400]:
+            expected = oracles.sorted_tags(dict(zip(tags, scores[i].tolist())))
+            assert [tags[c] for c in order[i].tolist()] == expected
+        scores[n - 1, 7] = math.nan
+        tag_rank = table._tag_rank
+        assert np.array_equal(order_rows(scores, tag_rank), lexsort_rows(scores, tag_rank))
+
+    def test_one_column_and_no_rows(self):
+        assert order_rows(np.array([[math.nan], [1.0], [-0.0]]), np.array([0])).tolist() == [
+            [0], [0], [0]
+        ]
+        empty = order_rows(np.zeros((0, 4)), np.arange(4))
+        assert empty.shape == (0, 4) and empty.dtype == np.intp
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_cell_order_matches_lexsort(self, data):
+        n = data.draw(st.integers(0, 40))
+        values = st.one_of(st.sampled_from(SPECIAL), st.floats(width=64))
+        key = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+        # Row numbers past 2**16 take numpy's non-radix stable sort.
+        rows = np.sort(np.array(
+            data.draw(st.lists(st.integers(0, 70_000), min_size=n, max_size=n)), dtype=np.intp
+        ))
+        ties = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        got = _argsort_descending(key, ties, rows)
+        assert np.array_equal(got, np.lexsort((ties, -key, rows)))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_select_rows_with_some_images_tied(self, data):
+        m = data.draw(st.integers(1, 8))
+        n = data.draw(st.integers(1, 25))
+        # Finite scores only: select_rows refuses the others.
+        scores = data.draw(mixed_rows(n, m, special=(0.0, -0.0, 0.25, 0.5, 1.0)))
+        scores[~np.isfinite(scores)] = 0.75
+        tags = data.draw(st.permutations([f"g{i}" for i in range(m)]))
+        table = make_table([f"x{i}" for i in range(n)], tags, scores)
+        tau = np.array(data.draw(st.lists(
+            st.sampled_from((-1.0, -0.0, 0.2, 0.5)), min_size=m, max_size=m
+        )))
+        result = select_rows(table, np.arange(m), tau)
+        thresholds = dict(zip(tags, tau.tolist()))
+        for x in table.images:
+            got = [(p.tag, repr(p.score), p.provenance) for p in result.row(x)]
+            assert got == oracles.threshold_oracle(table, x, thresholds), x
+
+    def test_select_rows_ties_in_one_image_only(self):
+        # Column order is not tag order, so a tie cannot follow the columns.
+        tags = ("d", "b", "c", "a")
+        scores = [[0.9, 0.7, 0.8, 0.6], [0.5, 0.9, 0.5, 0.5], [0.3, 0.4, 0.2, 0.1]]
+        table = make_table(["x0", "x1", "x2"], tags, scores)
+        tau = np.array([0.15, 0.15, 0.15, 0.15])
+        result = select_rows(table, np.arange(4), tau)
+        assert [result.tags(x) for x in table.images] == [
+            ("d", "c", "b", "a"), ("b", "a", "c", "d"), ("b", "d", "c"),
+        ]
+        thresholds = dict.fromkeys(tags, 0.15)
+        for x in table.images:
+            got = [(p.tag, repr(p.score), p.provenance) for p in result.row(x)]
+            assert got == oracles.threshold_oracle(table, x, thresholds), x

@@ -45,6 +45,14 @@ ID_LISTS = {
         lambda ids: ScoreTable(("i",), ids, np.zeros((1, len(ids)))),
         "tag", "score table contains duplicate tags",
     ),
+    "score table images, taken over": (
+        lambda ids: ScoreTable._taking(ids, ("t",), np.zeros((len(ids), 1))),
+        "image id", "score table contains duplicate image ids",
+    ),
+    "score table tags, taken over": (
+        lambda ids: ScoreTable._taking(("i",), ids, np.zeros((1, len(ids)))),
+        "tag", "score table contains duplicate tags",
+    ),
     "ground truth images": (
         lambda ids: GroundTruth(ids, ("t",), np.zeros((len(ids), 1))),
         "image id", "ground truth contains duplicate image ids",
@@ -63,6 +71,10 @@ ID_LISTS = {
     ),
     "similarity tags": (
         lambda ids: SimilarityMatrix(ids, np.eye(len(ids)), ()),
+        "tag", "similarity matrix contains duplicate tags",
+    ),
+    "similarity tags, taken over": (
+        lambda ids: SimilarityMatrix._taking(ids, np.eye(len(ids)), ()),
         "tag", "similarity matrix contains duplicate tags",
     ),
     "co-occurrence mapping tags": (

@@ -4,8 +4,9 @@ kernels whose work grows with the square of the vocabulary, traced by
 within a few times the bytes of what it returns, independent of file
 length and of the number of tag pairs.  A loader that holds a long run of
 lines as bytes, text and split strings at once, a prepared evaluation that
-copies the whole ranking as intp, or a similarity or co-occurrence build
-that holds a transient per tag pair fails these bounds."""
+copies the whole ranking as intp, a similarity or co-occurrence build that
+holds a transient per tag pair, or a ranking that copies the whole score
+matrix fails these bounds."""
 
 import tracemalloc
 
@@ -14,6 +15,7 @@ import pytest
 
 from tagselect import (
     CooccurrenceStats,
+    ScoreTable,
     SyntheticSpec,
     formats,
     generate_synthetic,
@@ -110,7 +112,22 @@ def test_generate_synthetic():
 def test_similarity_matrix(wide):
     sim, peak = traced_peak(lambda: similarity_matrix(wide.cooccurrence, wide.vocab))
     assert sim.values.shape == (1000, 1000)
-    assert peak < 4 * nbytes(sim.values), peak
+    # The matrix plus one block of pairs' transients (about 2.25x here).
+    assert peak < 2.5 * nbytes(sim.values), peak
+
+
+# order_rows sorts BLOCK_CELLS cells at a time, so what rank_columns holds
+# besides the order is one block's transients, not a copy of the table.  At
+# 400 x 207 one block is 316 of the 400 rows, so the two cannot be told
+# apart there; these tables hold 6 blocks or more.
+@pytest.mark.parametrize("n_images, n_tags", [(400, 1000), (2000, 207)])
+def test_rank_columns(n_images, n_tags):
+    scores = np.random.default_rng(5).normal(size=(n_images, n_tags))
+    table = ScoreTable(
+        tuple(f"x{i}" for i in range(n_images)), tuple(f"t{j}" for j in range(n_tags)), scores
+    )
+    rankings, peak = traced_peak(lambda: rank_columns(table))
+    assert peak < 1.5 * nbytes(rankings.order), peak
 
 
 def test_from_counts(wide):

@@ -195,6 +195,29 @@ class TestSimilarityMatrix:
         with pytest.raises(TagSelectError) as exc:
             SimilarityMatrix(("a", "b"), np.eye(3), ())
         assert str(exc.value) == "similarity matrix shape (3, 3) is not 2x2"
+        with pytest.raises(TagSelectError) as exc:
+            SimilarityMatrix._taking(("a", "b"), np.eye(3), ())
+        assert str(exc.value) == "similarity matrix shape (3, 3) is not 2x2"
+
+    def test_taking_keeps_the_given_matrix(self):
+        values = np.eye(2)
+        sim = SimilarityMatrix._taking(["a", "b"], values, ["b"])
+        assert sim.values is values and not values.flags.writeable
+        assert (sim.tags, sim.missing, sim.index("b")) == (("a", "b"), ("b",), 1)
+        # The public constructor copies.
+        assert not np.shares_memory(SimilarityMatrix(("a", "b"), values, ()).values, values)
+
+    def test_similarity_matrix_result_is_not_copied(self):
+        vocab = Vocabulary.from_partition(["a", "b"], ["c"])
+        stats = CooccurrenceStats.from_counts(
+            ("a", "b", "c"), np.array([[3, 1, 0], [1, 2, 0], [0, 0, 1]]), 10
+        )
+        with mock.patch.object(
+            similarity.SimilarityMatrix, "_taking", wraps=SimilarityMatrix._taking
+        ) as taking:
+            sim = similarity_matrix(stats, vocab)
+        assert taking.call_count == 1
+        assert taking.call_args.args[1] is sim.values
 
     def test_disjoint_tags_give_identity(self):
         vocab = Vocabulary.from_partition(["a"], ["b"])
