@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formats
 from .baselines import STRATEGY_NAMES, StrategySpec, compare, run_strategy, table1_strategies
-from .core import rank_columns, validate_inputs
+from .core import rank_columns, require_finite, validate_inputs
 from .errors import FormatError, TagSelectError
 from .fusion import fuse, learn_weights
 from .metrics import evaluate
@@ -154,6 +154,7 @@ def cmd_evaluate(args) -> int:
         if first < end:
             t = loaded.column_tags[loaded.columns[first]]
             raise TagSelectError(f"selections give image {x!r} the unknown tag {t!r}")
+    require_finite(table)
     # The selections file has no row for an image with an empty selection,
     # so every scored image is evaluated and a missing row counts as empty.
     report = evaluate(
@@ -187,12 +188,14 @@ def cmd_fuse(args) -> int:
             tables, truth, vocab, **_given(args, "objective", "grid_step", "max_sweeps")
         )
         weights = model.weights
-        if args.model_out is not None:
-            formats.save_report(model.to_dict(), args.model_out)
         print("weights: " + " ".join(repr(v) for v in weights))
     else:
         weights = args.weights
     fused = fuse(tables, weights)
+    # Nothing is written for a table that every later command would refuse.
+    require_finite(fused)
+    if args.model_out is not None:
+        formats.save_report(model.to_dict(), args.model_out)
     formats.save_scores(fused, args.out)
     return 0
 

@@ -207,7 +207,7 @@ class ScoreTable:
     def restrict(self, tags: Sequence[str]) -> "ScoreTable":
         """Column subset in the given order; image order is preserved."""
         cols = [self.tag_index(t) for t in tags]
-        return ScoreTable(self.images, tuple(tags), self.scores[:, cols])
+        return ScoreTable._taking(self.images, tuple(tags), self.scores[:, cols])
 
 
 @dataclass(frozen=True, eq=False)

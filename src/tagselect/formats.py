@@ -150,7 +150,7 @@ def _columns(path, kind, width) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
             yield block.linenos[:n], [flat[j::width] for j in range(width)]
             del flat
         if len(wrong):
-            raise _field_count_error(path, block.linenos[n], width, block.ntabs[n] + 1)
+            raise FormatError(path, int(block.linenos[n]), _field_count(width, block.ntabs[n] + 1))
         del block
 
 
@@ -213,16 +213,14 @@ def _int_array(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _first_error(path, linenos, *rules) -> tuple[int, FormatError | None]:
-    """The index of the earliest failing line and its error, or
-    ``(len(linenos), None)`` when no line fails.  ``rules`` are (index of the
-    first line the rule rejects or None, message for a line index) in rule
-    order: on one line, the earlier rule wins."""
+def _check_lines(path, linenos, *rules) -> None:
+    """Raise the FormatError of the earliest failing line, if any.  ``rules``
+    are (index of the first line the rule rejects or None, message for a
+    line index) in rule order: on one line, the earlier rule wins."""
     failing = [(i, rank, message) for rank, (i, message) in enumerate(rules) if i is not None]
-    if not failing:
-        return len(linenos), None
-    i, _, message = min(failing, key=lambda f: f[:2])
-    return i, FormatError(path, int(linenos[i]), message(i))
+    if failing:
+        i, _, message = min(failing, key=lambda f: f[:2])
+        raise FormatError(path, int(linenos[i]), message(i))
 
 
 def _grow(array: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -260,13 +258,13 @@ def _mark_new(filled: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> int | N
     return _first_true(taken | repeat)
 
 
-def _field_count_error(path, lineno, want, got) -> FormatError:
-    return FormatError(path, int(lineno), f"expected {want} tab-separated fields, got {got}")
+def _field_count(want, got) -> str:
+    return f"expected {want} tab-separated fields, got {got}"
 
 
 def _need_fields(path, lineno, fields, n) -> None:
     if len(fields) != n:
-        raise _field_count_error(path, lineno, n, len(fields))
+        raise FormatError(path, lineno, _field_count(n, len(fields)))
 
 
 def _parse_finite(path, lineno, text) -> float:
@@ -337,23 +335,18 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
     filled = np.zeros((0, n), dtype=bool)
     for linenos, (images, tags, texts) in _columns(path, "scores", 3):
         cols = np.fromiter(map(column.get, tags, repeat(-1)), dtype=np.intp, count=len(tags))
+        unknown = _first_true(cols < 0)  # no cell: only the lines before it are marked
         values, bad_value = _parse_all(float, texts)
-        ok, error = _first_error(
+        rows = _indices(img_index, images)
+        filled = _grow(filled, len(img_index), n)
+        _check_lines(
             path, linenos,
             (_find(images, ""), lambda i: "empty image id"),
-            (_first_true(cols < 0), lambda i: f"unknown tag {tags[i]!r}"),
+            (unknown, lambda i: f"unknown tag {tags[i]!r}"),
             (bad_value, lambda i: f"not a number: {texts[i]!r}"),
+            (_mark_new(filled, rows[:unknown], cols[:unknown]),
+             lambda i: f"duplicate score for ({images[i]!r}, {tags[i]!r})"),
         )
-        rows, cols = _indices(img_index, images[:ok]), cols[:ok]
-        filled = _grow(filled, len(img_index), n)
-        repeated = _mark_new(filled, rows, cols)
-        if repeated is not None:
-            raise FormatError(
-                path, int(linenos[repeated]),
-                f"duplicate score for ({images[repeated]!r}, {tags[repeated]!r})",
-            )
-        if error is not None:
-            raise error
         scores = _grow(scores, len(img_index), n)
         scores[rows, cols] = values
         # Drop this block's columns before the next block is read, so that
@@ -393,25 +386,19 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
             outside = [t for t in dict.fromkeys(tags) if t not in vocab]
             unknown = tags.index(outside[0]) if outside else None
         values = list(map(_LABELS.get, labels))
-        ok, error = _first_error(
+        rows, cols = _indices(img_index, images), _indices(tag_index, tags)
+        filled = _grow(filled, len(img_index), len(tag_index))
+        _check_lines(
             path, linenos,
             (_find(images, ""), lambda i: "empty image id"),
             (_find(tags, ""), lambda i: "empty tag"),
             (unknown, lambda i: f"unknown tag {tags[i]!r}"),
             (_find(values, None), lambda i: f"label must be 0 or 1, got {labels[i]!r}"),
+            (_mark_new(filled, rows, cols),
+             lambda i: f"duplicate label for ({images[i]!r}, {tags[i]!r})"),
         )
-        rows, cols = _indices(img_index, images[:ok]), _indices(tag_index, tags[:ok])
-        filled = _grow(filled, len(img_index), len(tag_index))
-        repeated = _mark_new(filled, rows, cols)
-        if repeated is not None:
-            raise FormatError(
-                path, int(linenos[repeated]),
-                f"duplicate label for ({images[repeated]!r}, {tags[repeated]!r})",
-            )
-        if error is not None:
-            raise error
         relevant = _grow(relevant, len(img_index), len(tag_index))
-        relevant[rows, cols] = values[:ok]
+        relevant[rows, cols] = values
         # As in load_scores: the block's columns must not sit in memory
         # beside the next block.
         del images, tags, labels, values, rows, cols
@@ -499,8 +486,9 @@ def load_cooccurrence(path) -> CooccurrenceStats:
                 break
             total = value
         # Rules in order per row kind; rows of different kinds never share a
-        # line, so only the order within a kind matters.
-        _, error = _first_error(
+        # line, so only the order within a kind matters.  The malformed row
+        # comes last: every other rule reads only the lines before it.
+        _check_lines(
             path, linenos,
             (_at(s, s_bad), lambda i: f"not an integer: {cell(i, 2)!r}"),
             (_at(s, _first_true(_int_array(s_counts) < 0)),
@@ -517,18 +505,10 @@ def load_cooccurrence(path) -> CooccurrenceStats:
             (_at(p, _first_true(_int_array(p_counts) < 0)),
              lambda i: f"count must be non-negative: {cell(i, 3)!r}"),
             (t_bad, lambda i: t_why),
+            (wrong, lambda i: f"unknown row kind {kinds[i]!r} (need 1, 2 or N)"
+             if kinds[i] not in _ROW_FIELDS
+             else _field_count(_ROW_FIELDS[kinds[i]], block.ntabs[i] + 1)),
         )
-        if error is not None:
-            raise error
-        if wrong is not None:
-            kind = kinds[wrong]
-            if kind not in _ROW_FIELDS:
-                raise FormatError(
-                    path, int(linenos[wrong]), f"unknown row kind {kind!r} (need 1, 2 or N)"
-                )
-            raise _field_count_error(
-                path, linenos[wrong], _ROW_FIELDS[kind], block.ntabs[wrong] + 1
-            )
         singles.append((ids, _int_array(s_counts), linenos[s]))
         pairs.append((ia, ib, _int_array(p_counts), linenos[p]))
     if total is None:
@@ -590,23 +570,17 @@ def load_selections(path) -> SelectionResult:
     for linenos, (images, tags, texts, provenance) in _columns(path, "selections", 4):
         codes = list(map(PROVENANCE_CODE.get, provenance))
         scores, bad_score = _parse_all(float, texts)
-        ok, error = _first_error(
+        rows, cols = _indices(image_index, images), _indices(tag_index, tags)
+        picked = _grow(picked, len(image_index), len(tag_index))
+        _check_lines(
             path, linenos,
             (_find(images, ""), lambda i: "empty image id"),
             (_find(tags, ""), lambda i: "empty tag"),
             (_find(codes, None), lambda i: f"unknown provenance {provenance[i]!r}"),
             (bad_score, lambda i: f"not a number: {texts[i]!r}"),
+            (_mark_new(picked, rows, cols),
+             lambda i: f"duplicate selection ({images[i]!r}, {tags[i]!r})"),
         )
-        rows, cols = _indices(image_index, images[:ok]), _indices(tag_index, tags[:ok])
-        picked = _grow(picked, len(image_index), len(tag_index))
-        repeated = _mark_new(picked, rows, cols)
-        if repeated is not None:
-            raise FormatError(
-                path, int(linenos[repeated]),
-                f"duplicate selection ({images[repeated]!r}, {tags[repeated]!r})",
-            )
-        if error is not None:
-            raise error
         scores, codes = np.array(scores, dtype=np.float64), np.array(codes, dtype=np.int8)
         parts.append((rows, cols, scores, codes))
     image_of, cols, scores, codes = map(np.concatenate, zip(*parts))

@@ -91,25 +91,27 @@ def threshold_selection_strategy(
     It selects as ``learn_all_thresholds(table, truth, vocab,
     fit_coeffs=False)`` and ``select_rows`` on the learned pool do, and
     raises their errors in their order.  What does not depend on the scores
-    (the seen label rows, the truth images' table rows, the trained columns
-    and their pool order) is kept from the last table and built again when
-    a table has other images or tags.  Each call then learns the thresholds
-    only, without the statistics, which selection does not read.
+    (the seen label rows, the truth images' table rows and the trained
+    columns) is kept from the last table and built again when a table has
+    other images or tags.  Each call then learns the thresholds only,
+    without the statistics, which selection does not read.
     """
-    key = rows = order = None
+    key = rows = None
 
     def strategy(table: ScoreTable) -> SelectionResult:
-        nonlocal key, rows, order
+        nonlocal key, rows
         require_finite(table)
         if key != (table.images, table.tags):
             built = _seen_label_rows(table, truth, vocab)
             _require_images(table)
-            key, rows, order = (table.images, table.tags), built, np.argsort(built[1])
+            key, rows = (table.images, table.tags), built
         img_rows, cols, labels, _ = rows
         tau = np.zeros(0)
         if cols.size:
             tau, _ = _f_optimal_cuts(table.scores.T[cols][:, img_rows], labels)
-        return select_rows(table, cols[order], tau[order])
+        # select_rows orders its picks by (image, -score, tag), whatever
+        # the order of the pool.
+        return select_rows(table, cols, tau)
 
     return strategy
 

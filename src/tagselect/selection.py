@@ -74,12 +74,13 @@ def select_rows(
     ranked: np.ndarray | None = None,
 ) -> SelectionResult:
     """The selection kernel behind every strategy, one array pass over all
-    images.  The ``pool`` columns (ascending) whose scores strictly exceed
-    ``tau`` form each image's set A, by descending score; the top
-    k_novel(|pool|, |novel|, |A|) ``novel`` columns by ``ranked`` (default:
-    the scores) follow.  With ``fallback_k``, which must lie in [1, n_tags]
-    whether or not any image falls back, an image whose A is empty gets the
-    top ``fallback_k`` columns instead.  Ties go to the lexically smaller tag."""
+    images.  The ``pool`` columns whose scores strictly exceed ``tau`` form
+    each image's set A, by descending score; the top k_novel(|pool|,
+    |novel|, |A|) ``novel`` columns by ``ranked`` (default: the scores)
+    follow.  With ``fallback_k``, which must lie in [1, n_tags] whether or
+    not any image falls back, an image whose A is empty gets the top
+    ``fallback_k`` columns instead.  Ties go to the lexically smaller tag,
+    so the result does not depend on the order of ``pool`` or ``novel``."""
     if fallback_k is not None and (
         not isinstance(fallback_k, int) or not 1 <= fallback_k <= table.n_tags
     ):
@@ -223,7 +224,9 @@ def refine_novel_scores(
 def learned_pool(
     table: ScoreTable, vocab: Vocabulary, model: ThresholdModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The trainable seen columns (ascending) and their learned thresholds."""
+    """The trainable seen columns (ascending) and their learned thresholds.
+    ``select_rows`` does not depend on the pool's order, but ``_blend`` sums
+    over A in pool order, and that order fixes the refined scores' bits."""
     pool = sorted(table.tag_index(t) for t in vocab.seen_tags if t in model.tau)
     tau = np.array([model.tau[table.tags[c]] for c in pool], dtype=np.float64)
     return np.array(pool, dtype=np.intp), tau

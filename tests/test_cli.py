@@ -482,7 +482,9 @@ class TestPipeline:
                 t: repr(v) for t, v in want.items()
             }
 
-    @pytest.mark.parametrize("command", ["learn-thresholds", "select", "compare", "refine"])
+    @pytest.mark.parametrize(
+        "command", ["learn-thresholds", "select", "compare", "refine", "evaluate", "fuse"]
+    )
     def test_non_finite_score_is_rejected(self, bench_dir, tmp_path, capsys, command):
         thresholds = tmp_path / "thresholds.tsv"
         run(
@@ -506,11 +508,15 @@ class TestPipeline:
         scores.write_text("\n".join(lines) + "\n")
         io = ["--vocab", bench_dir / "vocabulary.tsv", "--scores", scores]
         model = ["--thresholds", thresholds, "--cooccurrence", bench_dir / "cooccurrence.tsv"]
+        no_selections = tmp_path / "selections.tsv"
+        no_selections.write_text("")
         argv = {
             "learn-thresholds": ["--truth", bench_dir / "train_truth.tsv"],
             "select": [*model, "--strategy", "adaptive", "--refine"],
             "compare": [*model, "--truth", bench_dir / "eval_truth.tsv"],
             "refine": model,
+            "evaluate": ["--truth", bench_dir / "eval_truth.tsv", "--selections", no_selections],
+            "fuse": ["--weights", "1.0"],
         }[command]
         out = tmp_path / "out"
         assert run(command, *io, *argv, "--out", out) == 1

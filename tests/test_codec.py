@@ -358,7 +358,9 @@ class TestBeyondOneBlock:
     ):
         """Line 10's cell repeats in the second block; the third block has
         an unknown tag, or for selections, which take any tag, an empty
-        image id."""
+        image id.  Co-occurrence rows, at three lines to a block: line 3's
+        pair repeats on line 6, in the second block, and line 7, in the
+        third, has an unknown row kind."""
         image, tag, _ = score_lines[10 - 2].split("\t")
         cell = f"({image!r}, {tag!r})"
         for name, lines, load, oracle, args, later, message in [
@@ -377,6 +379,14 @@ class TestBeyondOneBlock:
             assert str(err.value) == f"{path}:{B + 5}: {message}"
             want, got = oracle_and_codec(path, load, oracle, *args)
             same_result(got, want, ())
+        lines = ["N\t10", "2\talpha\tbeta\t2", "1\talpha\t5", "1\tbeta\t4",
+                 "2\talpha\tbeta\t2", "3\tgamma\t3", "1\tgamma\t3"]
+        path = write(tmp_path / "cooccurrence.tsv", lines)
+        with block_lines(3):
+            want, got = oracle_and_codec(
+                path, formats.load_cooccurrence, oracles.load_cooccurrence_oracle)
+        assert str(got) == f"{path}:6: duplicate pair count for ('alpha', 'beta')"
+        same_result(got, want, ())
 
 
 class TestUndecodableInput:

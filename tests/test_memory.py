@@ -81,6 +81,15 @@ def test_load_selections(files):
     assert peak < 9 * size, peak
 
 
+def test_restrict(files):
+    table = files[0].eval_table
+    tags = table.tags[::-1]
+    restricted, peak = traced_peak(lambda: table.restrict(tags))
+    assert np.array_equal(restricted.scores, table.scores[:, ::-1])
+    # The selected columns once: a second copy would be 2x.
+    assert peak < 1.5 * nbytes(restricted.scores), peak
+
+
 @pytest.mark.parametrize("require_full_coverage", [True, False])
 def test_prepare(files, require_full_coverage):
     bench = files[0]

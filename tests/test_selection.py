@@ -33,7 +33,13 @@ from tagselect import (
     select_by_threshold,
     similarity_matrix,
 )
-from tagselect.selection import _round_half_up, refine_table
+from tagselect.selection import (
+    _novel_columns,
+    _round_half_up,
+    learned_pool,
+    refine_table,
+    select_rows,
+)
 
 ADAPTIVE = StrategySpec("adaptive")
 
@@ -431,6 +437,22 @@ class TestSelectionKernel:
             per_image = refine_novel_scores(table, x, vocab, chosen, model, sim, w)
             assert {t: repr(v) for t, v in per_image.items()} == want
             assert {t: repr(refined.score(x, t)) for t in vocab.novel_tags} == want
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems(), st.data())
+    def test_result_does_not_depend_on_pool_or_novel_order(self, problem, data):
+        # Fusion's selector passes its trained columns in seen-tag order.
+        vocab, table, model, _, _ = problem
+        pool, tau = learned_pool(table, vocab, model)
+        novel = _novel_columns(table, vocab)
+        p = np.array(data.draw(st.permutations(range(pool.size))), dtype=np.intp)
+        q = np.array(data.draw(st.permutations(range(novel.size))), dtype=np.intp)
+        k = data.draw(st.sampled_from([None, 1, table.n_tags]))
+        want = select_rows(table, pool, tau, novel, k)
+        got = select_rows(table, pool[p], tau[p], novel[q], k)
+        for name in ("offsets", "columns", "scores", "provenance"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
     def test_default_spec_refined_scores_match_oracle_bit_for_bit(self):
         # Refined scores reported on the default benchmark equal the
