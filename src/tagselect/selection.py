@@ -260,9 +260,9 @@ def refine_table(
     scores = np.array(table.scores)
     mask = scores[:, pool] > tau
     hit = np.flatnonzero(mask.any(axis=1))
-    block = sim.values[np.ix_(
+    block = sim._block(
         [sim.index(table.tags[c]) for c in novel], [sim.index(table.tags[c]) for c in pool]
-    )]
+    )
     ratios = scores[np.ix_(hit, pool)] / tau - 1.0
     cells = np.ix_(hit, novel)
     scores[cells] = _blend(scores[cells], block, ratios, mask[hit], w)

@@ -227,104 +227,133 @@ def pair_similarity(stats: CooccurrenceStats, a: str, b: str) -> float:
     return fcs(stats, a, b)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SimilarityMatrix:
     """Symmetric tag similarity over a fixed tag order.
 
     ``missing`` lists tags that had no occurrences in the statistics; their
-    off-diagonal similarities are 0.
+    off-diagonal similarities are 0.  ``SimilarityMatrix(tags, values,
+    missing)`` copies a dense matrix.  ``similarity_matrix`` gives one that
+    computes from co-occurrence counts: ``values``, read-only, is built on
+    its first access, and ``_block`` computes any block without it.
     """
 
     tags: tuple[str, ...]
-    values: np.ndarray
     missing: tuple[str, ...]
 
-    def __post_init__(self):
-        self._init(np.array)
-
-    @classmethod
-    def _taking(
-        cls, tags: Sequence[str], values: np.ndarray, missing: Sequence[str]
-    ) -> "SimilarityMatrix":
-        """``SimilarityMatrix(tags, values, missing)`` that takes over a
-        float64 ``values`` built for it, and makes it read-only, instead of
-        copying it; every check runs, with its message."""
-        sim = object.__new__(cls)
-        for name, value in (("tags", tags), ("values", values), ("missing", missing)):
-            object.__setattr__(sim, name, value)
-        sim._init(np.asarray)
-        return sim
-
-    def _init(self, to_array) -> None:
-        """Check the fields and build the index; ``to_array`` turns the
-        given values into the float64 matrix."""
-        tags, index = _id_index(self.tags, "tag", "similarity matrix contains duplicate tags")
-        object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "missing", tuple(self.missing))
-        arr = to_array(self.values, dtype=np.float64)
-        n = len(tags)
+    def __init__(self, tags: Sequence[str], values: np.ndarray, missing: Sequence[str]):
+        self._init(tags, missing)
+        arr = np.array(values, dtype=np.float64)
+        n = len(self.tags)
         if arr.shape != (n, n):
             raise TagSelectError(f"similarity matrix shape {arr.shape} is not {n}x{n}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    def _init(self, tags: Sequence[str], missing: Sequence[str]) -> None:
+        tags, index = _id_index(tags, "tag", "similarity matrix contains duplicate tags")
+        object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "missing", tuple(missing))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_memo", None)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The dense matrix, from one ``_compute`` per block of rows [r0,
+        r1) over columns r0 on, mirrored: each unordered pair is computed
+        about once."""
+        n = len(self.tags)
+        values = np.empty((n, n))
+        r0 = 0
+        while r0 < n:
+            r1 = min(n, r0 + max(1, BLOCK_CELLS // (n - r0)))
+            block = self._compute(np.arange(r0, r1), np.arange(r0, n))
+            values[r0:r1, r0:] = block
+            values[r0:, r0:r1] = block.T
+            r0 = r1
+        values.setflags(write=False)
+        return values
+
+    def _block(self, rows, cols) -> np.ndarray:
+        """``values[np.ix_(rows, cols)]`` bit for bit, for sequences of tag
+        indices, without building ``values``.  The last block computed is
+        kept, read-only, and returned again for the same rows and cols."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        if "values" in self.__dict__:
+            return self.values[np.ix_(rows, cols)]
+        key = (rows.tobytes(), cols.tobytes())
+        if self._memo is None or self._memo[0] != key:
+            block = self._compute(rows, cols)
+            block.setflags(write=False)
+            object.__setattr__(self, "_memo", (key, block))
+        return self._memo[1]
+
+    def _compute(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The block over tag indices ``rows`` x ``cols`` from the counts,
+        ``BLOCK_CELLS`` cells at a time: 1 where the tags are equal, 0 where
+        either is absent, ``fcs`` elsewhere.  ``_fcs_block`` is symmetric in
+        its two tags, so a cell's bits do not depend on its side."""
+        out = np.zeros((len(rows), len(cols)))
+        counts, col, log_f, log_total = self._source
+        r = np.flatnonzero(col[rows] >= 0)
+        c = np.flatnonzero(col[cols] >= 0)
+        if len(c):
+            c_col, c_log = col[cols[c]], log_f[cols[c]]
+            step = max(1, BLOCK_CELLS // len(c))
+            for s in range(0, len(r), step):
+                rr = r[s:s + step]
+                r_tags = rows[rr]
+                fab = counts[np.ix_(col[r_tags], c_col)]
+                out[np.ix_(rr, c)] = _fcs_block(fab, log_f[r_tags, None], c_log, log_total)
+        out[rows[:, None] == cols] = 1.0
+        return out
 
     def index(self, tag: str) -> int:
         return _lookup(self._index, tag, "tag {!r} not in similarity matrix")
 
     def value(self, a: str, b: str) -> float:
-        return float(self.values[self.index(a), self.index(b)])
+        return float(self._block([self.index(a)], [self.index(b)])[0, 0])
 
 
 def similarity_matrix(stats: CooccurrenceStats, vocab: Vocabulary) -> SimilarityMatrix:
-    """Dense pairwise similarity for all vocabulary tags.
+    """Pairwise similarity for all vocabulary tags, computed on demand.
 
-    The diagonal is exactly 1.  Tags without occurrence counts are reported
-    in ``missing`` and get 0 against every other tag.  Every other value is
-    ``fcs`` bit for bit, computed once per unordered pair on the upper
-    triangle and mirrored, so the matrix is exactly symmetric.  The logs and
-    exponentials are libm's ``math.log`` and ``math.exp`` (numpy's differ in
-    the last bit); the rest is IEEE arithmetic that numpy rounds as Python
-    does.
+    Only the tag-to-count-column map, ``missing`` and the checks run here;
+    ``values`` is built on its first access and ``_block`` computes just the
+    cells asked for, so refinement computes only the novel x learned-pool
+    block.  The diagonal is exactly 1.  Tags without occurrence counts are
+    reported in ``missing`` and get 0 against every other tag.  Every other
+    value is ``fcs`` bit for bit, so the matrix is exactly symmetric.  The
+    logs and exponentials are libm's ``math.log`` and ``math.exp`` (numpy's
+    differ in the last bit); the rest is IEEE arithmetic that numpy rounds
+    as Python does.
     """
+    sim = object.__new__(SimilarityMatrix)
     tags = vocab.tags
-    n = len(tags)
     col = np.array([stats._index.get(t, -1) for t in tags], dtype=np.intp)
     known = col >= 0
-    f = np.zeros(n, dtype=np.int64)
+    f = np.zeros(len(tags), dtype=np.int64)
     f[known] = stats.counts.diagonal()[col[known]]
-    present = np.flatnonzero(f > 0)
-    missing = tuple(tags[i] for i in np.flatnonzero(f <= 0))
-    values = np.eye(n)
-    m = len(present)
-    if m > 1:
-        if stats.total < 2:
-            raise TagSelectError("collection must hold at least two images")
-        cols = col[present]
-        log_f = np.array([math.log(c) for c in f[present].tolist()])
-        log_total = math.log(stats.total)
-        # Pair p of the upper triangle, row by row, lies in row i where
-        # start[i] <= p < start[i + 1]; blocks of pairs bound the transients.
-        start = np.concatenate(([0], np.cumsum(np.arange(m - 1, 0, -1))))
-        pairs = int(start[-1])
-        for p0 in range(0, pairs, BLOCK_CELLS):
-            p = np.arange(p0, min(p0 + BLOCK_CELLS, pairs))
-            i = np.searchsorted(start, p, side="right") - 1
-            j = p - start[i] + i + 1
-            sims = _fcs_block(stats.counts[cols[i], cols[j]], log_f[i], log_f[j], log_total)
-            a, b = present[i], present[j]
-            values[a, b] = sims
-            values[b, a] = sims
-    return SimilarityMatrix._taking(tags, values, missing)
+    # From here on, col is -1 for every tag without occurrences.
+    col[f <= 0] = -1
+    sim._init(tags, [tags[i] for i in np.flatnonzero(col < 0)])
+    if np.count_nonzero(col >= 0) > 1 and stats.total < 2:
+        raise TagSelectError("collection must hold at least two images")
+    log_f = np.array([math.log(c) if c > 0 else 0.0 for c in f.tolist()])
+    log_total = math.log(stats.total)
+    object.__setattr__(sim, "_source", (stats.counts, col, log_f, log_total))
+    return sim
 
 
 def _fcs_block(fab, log_fa, log_fb, log_total):
     """``fcs`` of a block of pairs, elementwise, from their joint counts
-    ``fab``, the logs of their single counts and the log of the collection
-    size."""
+    ``fab`` (of any shape), the logs of their single counts (arrays that
+    broadcast to it) and the log of the collection size."""
     distinct, inverse = np.unique(fab, return_inverse=True)
     # log 0 is never used: pairs with fab == 0 are masked below.
-    log_fab = np.array([math.log(c) if c else 0.0 for c in distinct.tolist()])[inverse]
+    log_fab = np.array([math.log(c) if c else 0.0 for c in distinct.tolist()])
+    log_fab = log_fab[inverse].reshape(fab.shape)
     num = np.maximum(log_fa, log_fb) - log_fab
     den = log_total - np.minimum(log_fa, log_fb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -333,4 +362,8 @@ def _fcs_block(fab, log_fa, log_fb, log_total):
     dist[den <= 0.0] = math.inf
     dist[num <= 0.0] = 0.0
     dist[fab == 0] = math.inf
-    return np.fromiter(map(math.exp, (-dist).tolist()), dtype=np.float64, count=len(dist))
+    # exp(-inf) is 0: only the finite distances go through math.exp.
+    sims = np.zeros(dist.shape)
+    live = dist < math.inf
+    sims[live] = np.fromiter(map(math.exp, (-dist[live]).tolist()), dtype=np.float64)
+    return sims

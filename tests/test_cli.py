@@ -21,6 +21,7 @@ from tagselect import (
 )
 from tagselect import cli
 from tagselect.cli import _config_args, main
+from test_similarity import dense_builds
 
 BENCH_ARGS = [
     "--n-images", "30",
@@ -481,6 +482,32 @@ class TestPipeline:
             assert {t: repr(got.score(x, t)) for t in vocab.tags} == {
                 t: repr(v) for t, v in want.items()
             }
+
+    @pytest.mark.parametrize("command", ["select", "select-report", "compare", "refine"])
+    def test_refining_commands_never_build_the_dense_similarity(
+        self, bench_dir, tmp_path, command
+    ):
+        thresholds = tmp_path / "thresholds.tsv"
+        run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        )
+        io = ["--vocab", bench_dir / "vocabulary.tsv", "--scores", bench_dir / "eval_scores.tsv"]
+        model = ["--thresholds", thresholds, "--cooccurrence", bench_dir / "cooccurrence.tsv"]
+        refine = ["--strategy", "adaptive", "--refine"]
+        name, argv = {
+            "select": ("select", refine),
+            "select-report": ("select", [*refine, "--report-refined"]),
+            "compare": ("compare", ["--truth", bench_dir / "eval_truth.tsv", "--refine",
+                                    "--refined-rankings"]),
+            "refine": ("refine", []),
+        }[command]
+        with dense_builds() as built:
+            assert run(name, *io, *model, *argv, "--out", tmp_path / "out") == 0
+        assert built == []
 
     @pytest.mark.parametrize(
         "command", ["learn-thresholds", "select", "compare", "refine", "evaluate", "fuse"]

@@ -73,10 +73,6 @@ ID_LISTS = {
         lambda ids: SimilarityMatrix(ids, np.eye(len(ids)), ()),
         "tag", "similarity matrix contains duplicate tags",
     ),
-    "similarity tags, taken over": (
-        lambda ids: SimilarityMatrix._taking(ids, np.eye(len(ids)), ()),
-        "tag", "similarity matrix contains duplicate tags",
-    ),
     "co-occurrence mapping tags": (
         lambda ids: CooccurrenceStats(dict.fromkeys(ids, 1), {}, 2),
         "tag", None,

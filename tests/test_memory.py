@@ -17,13 +17,15 @@ from tagselect import (
     CooccurrenceStats,
     ScoreTable,
     SyntheticSpec,
+    ThresholdModel,
     formats,
     generate_synthetic,
     rank_columns,
     similarity_matrix,
 )
 from tagselect.metrics import _prepare
-from tagselect.selection import select_rows
+from tagselect.selection import refine_table, select_rows
+from tagselect.thresholds import tag_stats
 
 # The README walkthrough's eval vocabulary with a fifth of its images:
 # 82,800 score lines and as many truth lines, many blocks of the codec.
@@ -119,10 +121,25 @@ def test_generate_synthetic():
 
 
 def test_similarity_matrix(wide):
-    sim, peak = traced_peak(lambda: similarity_matrix(wide.cooccurrence, wide.vocab))
-    assert sim.values.shape == (1000, 1000)
-    # The matrix plus one block of pairs' transients (about 2.25x here).
-    assert peak < 2.5 * nbytes(sim.values), peak
+    # The dense build, which similarity_matrix itself leaves to the first
+    # read of values.
+    values, peak = traced_peak(lambda: similarity_matrix(wide.cooccurrence, wide.vocab).values)
+    assert values.shape == (1000, 1000)
+    # The matrix plus one block of rows' transients (about 1.76x here).
+    assert peak < 2.5 * nbytes(values), peak
+
+
+def test_refine_table(wide):
+    # 500 novel x 500 pool cells of similarity, 2 MB; the dense matrix
+    # would add 8 MB.
+    model = ThresholdModel(dict.fromkeys(wide.vocab.seen_tags, 0.5), tag_stats(wide.eval_table))
+    sim = similarity_matrix(wide.cooccurrence, wide.vocab)
+    refined, peak = traced_peak(
+        lambda: refine_table(wide.eval_table, wide.vocab, model, sim, 0.5)
+    )
+    # The copied scores, the similarity block and _blend's novel-column
+    # transients: about 4.28x here.
+    assert peak < 5 * nbytes(refined.scores), peak
 
 
 # order_rows sorts BLOCK_CELLS cells at a time, so what rank_columns holds

@@ -1,6 +1,8 @@
 """Co-occurrence statistics, the normalized distance, and its similarity."""
 
 import math
+from contextlib import contextmanager
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -11,15 +13,21 @@ from hypothesis import strategies as st
 import oracles
 from tagselect import similarity
 from tagselect import (
+    AdaptiveConfig,
     CooccurrenceStats,
     SimilarityMatrix,
+    StrategySpec,
     TagSelectError,
     Vocabulary,
+    compare,
     fcs,
     ngd,
     pair_similarity,
+    run_strategy,
     similarity_matrix,
+    table1_strategies,
 )
+from tagselect.selection import refine_table
 
 
 def make_stats(fa, fb, fab, n):
@@ -195,29 +203,24 @@ class TestSimilarityMatrix:
         with pytest.raises(TagSelectError) as exc:
             SimilarityMatrix(("a", "b"), np.eye(3), ())
         assert str(exc.value) == "similarity matrix shape (3, 3) is not 2x2"
-        with pytest.raises(TagSelectError) as exc:
-            SimilarityMatrix._taking(("a", "b"), np.eye(3), ())
-        assert str(exc.value) == "similarity matrix shape (3, 3) is not 2x2"
 
-    def test_taking_keeps_the_given_matrix(self):
+    def test_constructor_copies_the_given_matrix(self):
         values = np.eye(2)
-        sim = SimilarityMatrix._taking(["a", "b"], values, ["b"])
-        assert sim.values is values and not values.flags.writeable
+        sim = SimilarityMatrix(["a", "b"], values, ["b"])
+        assert not np.shares_memory(sim.values, values) and not sim.values.flags.writeable
         assert (sim.tags, sim.missing, sim.index("b")) == (("a", "b"), ("b",), 1)
-        # The public constructor copies.
-        assert not np.shares_memory(SimilarityMatrix(("a", "b"), values, ()).values, values)
 
-    def test_similarity_matrix_result_is_not_copied(self):
+    def test_values_are_built_once_and_not_copied(self):
         vocab = Vocabulary.from_partition(["a", "b"], ["c"])
         stats = CooccurrenceStats.from_counts(
             ("a", "b", "c"), np.array([[3, 1, 0], [1, 2, 0], [0, 0, 1]]), 10
         )
-        with mock.patch.object(
-            similarity.SimilarityMatrix, "_taking", wraps=SimilarityMatrix._taking
-        ) as taking:
+        with dense_builds() as built:
             sim = similarity_matrix(stats, vocab)
-        assert taking.call_count == 1
-        assert taking.call_args.args[1] is sim.values
+            assert built == []
+            assert sim.values is sim.values
+        assert len(built) == 1 and built[0] is sim.values
+        assert not sim.values.flags.writeable
 
     def test_disjoint_tags_give_identity(self):
         vocab = Vocabulary.from_partition(["a"], ["b"])
@@ -264,8 +267,34 @@ class TestSimilarityMatrix:
     def test_unknown_tag_lookup(self):
         vocab = Vocabulary.from_partition(["a"], ["b"])
         sim = similarity_matrix(make_stats(10, 10, 0, 100), vocab)
-        with pytest.raises(TagSelectError):
+        with pytest.raises(TagSelectError) as exc:
             sim.value("a", "zzz")
+        assert str(exc.value) == "tag 'zzz' not in similarity matrix"
+
+    def test_one_value_does_not_build_the_matrix(self, small_bench):
+        sim = similarity_matrix(small_bench.cooccurrence, small_bench.vocab)
+        seen, novel = small_bench.vocab.seen_tags[0], small_bench.vocab.novel_tags[0]
+        with dense_builds() as built:
+            got = sim.value(novel, seen)
+        assert built == [] and "values" not in vars(sim)
+        assert got == sim.values[sim.index(novel), sim.index(seen)]
+
+
+@contextmanager
+def dense_builds():
+    """Collects the dense ``values`` arrays built while the context is open,
+    in order."""
+    built = []
+    build = SimilarityMatrix.values.func
+
+    def spy(sim):
+        built.append(build(sim))
+        return built[-1]
+
+    spied = cached_property(spy)
+    spied.__set_name__(SimilarityMatrix, "values")
+    with mock.patch.object(SimilarityMatrix, "values", spied):
+        yield built
 
 
 NAMES = ("a", "b", "c", "d", "e", "f")
@@ -314,31 +343,32 @@ class TestSimilarityMatrixParity:
         assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
     @settings(deadline=None, max_examples=200)
-    @given(cooccurrence_problems(), st.sampled_from([1, 2, 7]))
-    def test_pair_blocks_keep_every_bit(self, problem, block):
+    @given(cooccurrence_problems(), st.sampled_from([1, 2, 7, 12]))
+    def test_row_blocks_keep_every_bit(self, problem, block):
         vocab, stats = problem
-        want = outcome(lambda: similarity_matrix(stats, vocab))
+        want = outcome(lambda: oracles.similarity_matrix_oracle(stats, vocab))
         with mock.patch.object(similarity, "BLOCK_CELLS", block):
             got = outcome(lambda: similarity_matrix(stats, vocab))
-        if isinstance(want, str):
-            assert got == want
-            return
-        assert got.missing == want.missing
-        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+            if isinstance(want, str):
+                assert got == want
+                return
+            assert got.missing == want.missing
+            assert_same_bits(got.values, want.values)
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
-    def test_block_edges_inside_and_at_the_ends_of_rows(self, small_bench, block):
-        # 20 present tags and one absent: 190 pairs in rows of 19 down to 1
-        # pairs, so blocks of 7 end inside rows and at the ends of rows 4,
-        # 7, 14 and 18.
-        vocab = Vocabulary.from_partition(small_bench.vocab.seen_tags,
-                                          (*small_bench.vocab.novel_tags, "ghost"))
-        stats = small_bench.cooccurrence
+    @pytest.mark.parametrize("block", [1, 2, 7, 50])
+    def test_row_blocks_of_every_height(self, small_bench, block):
+        # 20 present tags and one absent, 21 in all: the rows [r0, r1) of a
+        # block run against the columns from r0 on, max(1, block // (21 -
+        # r0)) of them.  Blocks of 1, 2 and 7 cells take one row at a time
+        # until the last few rows; blocks of 50 cells take 2, 2, 2, 3, 4, 6
+        # and 2 rows.
+        vocab, stats = ghost_problem(small_bench)
         with mock.patch.object(similarity, "BLOCK_CELLS", block):
             got = similarity_matrix(stats, vocab)
+            values = got.values
         want = oracles.similarity_matrix_oracle(stats, vocab)
         assert got.missing == want.missing == ("ghost",)
-        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+        assert_same_bits(values, want.values)
 
     def test_every_branch_of_the_distance(self):
         # a, b: fab == fa == fb (num <= 0); c, d: on every image with
@@ -380,6 +410,112 @@ class TestSimilarityMatrixParity:
         # With a single present tag there is no pair to compute.
         one = CooccurrenceStats({"a": 1, "b": 0}, {}, 1)
         assert similarity_matrix(one, vocab).missing == ("b",)
+
+
+def ghost_problem(bench):
+    """The bench's statistics over its vocabulary plus one absent novel
+    tag, ``ghost``."""
+    vocab = Vocabulary.from_partition(bench.vocab.seen_tags, (*bench.vocab.novel_tags, "ghost"))
+    return vocab, bench.cooccurrence
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBlock:
+    """``_block(rows, cols)`` is ``values[np.ix_(rows, cols)]`` bit for bit,
+    computed without ``values``."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(cooccurrence_problems(), st.data())
+    def test_equals_the_cells_of_values(self, problem, data):
+        vocab, stats = problem
+        want = outcome(lambda: oracles.similarity_matrix_oracle(stats, vocab))
+        if isinstance(want, str):
+            assert outcome(lambda: similarity_matrix(stats, vocab)) == want
+            return
+        # Unsorted, repeated and overlapping indices, absent tags included.
+        index = st.integers(0, len(vocab.tags) - 1)
+        rows = data.draw(st.lists(index, max_size=8))
+        cols = data.draw(st.lists(index, max_size=8))
+        # 1 to 4 rows per block when every column tag is present.
+        rows_per_block = data.draw(st.integers(1, 4))
+        with mock.patch.object(similarity, "BLOCK_CELLS", rows_per_block * max(1, len(cols))):
+            sim = similarity_matrix(stats, vocab)
+            got = sim._block(rows, cols)
+        assert "values" not in vars(sim)
+        cells = np.ix_(rows, cols)
+        assert_same_bits(got, want.values[cells])
+        assert_same_bits(got, similarity_matrix(stats, vocab).values[cells])
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 32, similarity.BLOCK_CELLS])
+    def test_rows_and_cols_in_any_order(self, small_bench, block):
+        vocab, stats = ghost_problem(small_bench)
+        ghost = len(vocab.tags) - 1
+        assert vocab.tags[ghost] == "ghost"
+        # Both unsorted, with repeats; 3, 7 and the absent tag on both sides.
+        rows = [3, 0, ghost, 3, 19, 7, 1]
+        cols = [ghost, 7, 3, 3, 0, 5, 19, 2]
+        with mock.patch.object(similarity, "BLOCK_CELLS", block):
+            got = similarity_matrix(stats, vocab)._block(rows, cols)
+        want = oracles.similarity_matrix_oracle(stats, vocab).values[np.ix_(rows, cols)]
+        assert_same_bits(got, want)
+        assert (got[2, 0], got[0, 2], got[0, 3], got[5, 1]) == (1.0, 1.0, 1.0, 1.0)
+        assert not got[2, 1:].any() and not got[[0, 1, 3, 4, 5, 6], 0].any()
+
+    def test_slices_a_given_matrix(self):
+        values = np.array([[1.0, 0.25, 0.5], [0.25, 1.0, 0.0], [0.5, 0.0, 1.0]])
+        sim = SimilarityMatrix(("a", "b", "c"), values, ())
+        assert_same_bits(sim._block([2, 0], [0, 0, 1]), values[np.ix_([2, 0], [0, 0, 1])])
+
+    def test_the_last_block_is_kept(self, small_bench):
+        sim = similarity_matrix(small_bench.cooccurrence, small_bench.vocab)
+        with mock.patch.object(
+            SimilarityMatrix, "_compute", autospec=True, side_effect=SimilarityMatrix._compute
+        ) as compute:
+            first = sim._block([0, 1], [2, 3, 4])
+            assert sim._block([0, 1], [2, 3, 4]) is first
+            assert compute.call_count == 1
+            # The same cells split the other way are another block.
+            assert_same_bits(sim._block([0, 1, 2], [3, 4])[:2, :], first[:, 1:])
+            assert compute.call_count == 2
+        assert not first.flags.writeable
+
+
+class TestLazyMatrix:
+    """Refinement computes only the novel x learned-pool block, never the
+    dense matrix."""
+
+    def test_refined_strategies_never_build_values(self, small_bench, small_model):
+        b = small_bench
+        sim = similarity_matrix(b.cooccurrence, b.vocab)
+        with dense_builds() as built:
+            run_strategy(StrategySpec("adaptive", refine=True), b.eval_table, b.vocab,
+                         small_model, sim)
+            run_strategy(StrategySpec("adaptive", refine=True), b.eval_table, b.vocab,
+                         small_model, sim, AdaptiveConfig(refine=True, report_refined=True))
+            for refined_rankings in (False, True):
+                compare(table1_strategies(refine=True), b.eval_table, b.eval_truth, b.vocab,
+                        small_model, sim, refined_rankings=refined_rankings)
+        assert built == [] and "values" not in vars(sim)
+
+    def test_refinement_computes_its_block_once(self, small_bench, small_model):
+        b = small_bench
+        spec = StrategySpec("adaptive", refine=True)
+        want = run_strategy(spec, b.eval_table, b.vocab, small_model,
+                            similarity_matrix(b.cooccurrence, b.vocab))
+        sim = similarity_matrix(b.cooccurrence, b.vocab)
+        with mock.patch.object(
+            SimilarityMatrix, "_compute", autospec=True, side_effect=SimilarityMatrix._compute
+        ) as compute:
+            first = refine_table(b.eval_table, b.vocab, small_model, sim, 0.5)
+            again = refine_table(b.eval_table, b.vocab, small_model, sim, 0.5)
+            got = run_strategy(spec, b.eval_table, b.vocab, small_model, sim)
+        assert compute.call_count == 1
+        assert np.array_equal(first.scores, again.scores)
+        assert [repr(got.row(x)) for x in got.images] == [repr(want.row(x)) for x in want.images]
 
 
 def count_matrix(stats, order):
