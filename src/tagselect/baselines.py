@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import TagSelectError
 from .metrics import _prepare, _score, evaluate
-from .selection import AdaptiveConfig, adaptive_rows, refine_table, select_rows
+from .selection import AdaptiveConfig, adaptive_rows, learned_pool, refine_table, select_rows
 from .similarity import SimilarityMatrix
 from .thresholds import ThresholdModel, _lsq_thresholds, tag_stats
 
@@ -112,19 +112,12 @@ def run_strategy(
     # batch-statistic predictions for novel (and untrainable seen) tags.
     model = None if spec.name == "mu_sigma" else _require_model(spec, model)
     stats = tag_stats(table)
-    # A learned threshold for a tag outside the table raises here.
-    learned = [] if model is None else [stats.index(t) for t in model.tau]
-    hybrid = spec.name.startswith("hybrid")
+    # The thresholds are checked before the coefficients.
+    pool, tau = learned_pool(table, vocab, model) if spec.name.startswith("hybrid") else ([], [])
     # Overflowing statistics give inf or nan quietly, as Python floats do.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not spec.name.endswith("lsq"):
-            thr = stats.mu + stats.sigma
-        elif hybrid and len(learned) == table.n_tags:
-            thr = np.empty(table.n_tags)  # every column learned: no coefficient is read
-        else:
-            thr = _lsq_thresholds(model, stats)
-    if hybrid:
-        thr[learned] = list(model.tau.values())
+        thr = _lsq_thresholds(model, stats) if spec.name.endswith("lsq") else stats.mu + stats.sigma
+    thr[pool] = tau
     return select_rows(table, np.arange(table.n_tags), thr)
 
 

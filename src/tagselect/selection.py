@@ -224,10 +224,15 @@ def refine_novel_scores(
 def learned_pool(
     table: ScoreTable, vocab: Vocabulary, model: ThresholdModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The trainable seen columns (ascending) and their learned thresholds.
-    ``select_rows`` does not depend on the pool's order, but ``_blend`` sums
-    over A in pool order, and that order fixes the refined scores' bits."""
-    pool = sorted(table.tag_index(t) for t in vocab.seen_tags if t in model.tau)
+    """The learned seen columns (ascending) and their thresholds, from the
+    one selection-side reader of ``model.tau``, which refuses a threshold on
+    a tag that is not seen.  ``select_rows`` does not depend on the pool's
+    order, but ``_blend`` sums over A in pool order, and that order fixes
+    the refined scores' bits."""
+    for t in model.tau:
+        if t not in vocab or not vocab.is_seen(t):
+            raise TagSelectError(f"threshold given for {t!r}, not a seen tag")
+    pool = sorted(table.tag_index(t) for t in model.tau)
     tau = np.array([model.tau[table.tags[c]] for c in pool], dtype=np.float64)
     return np.array(pool, dtype=np.intp), tau
 
@@ -246,6 +251,8 @@ def refine_table(
     """The table with ``refine_novel_scores`` applied to every image whose
     selected seen set is non-empty; other images keep their raw scores.
     Every pool threshold must be positive, selected or not."""
+    if model is None:
+        raise TagSelectError("refinement requires a threshold model")
     if sim is None:
         raise TagSelectError("refinement requires a similarity matrix")
     _check_weight(w)

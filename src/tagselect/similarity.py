@@ -313,7 +313,12 @@ class SimilarityMatrix:
         return _lookup(self._index, tag, "tag {!r} not in similarity matrix")
 
     def value(self, a: str, b: str) -> float:
-        return float(self._block([self.index(a)], [self.index(b)])[0, 0])
+        """One cell, from ``values`` if it is built, else computed without
+        touching the block ``_block`` keeps for refinement."""
+        i, j = self.index(a), self.index(b)
+        if "values" in self.__dict__:
+            return float(self.values[i, j])
+        return float(self._compute(np.array([i]), np.array([j]))[0, 0])
 
 
 def similarity_matrix(stats: CooccurrenceStats, vocab: Vocabulary) -> SimilarityMatrix:

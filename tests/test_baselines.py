@@ -13,7 +13,9 @@ from tagselect import (
     FROM_NOVEL_TOPK,
     FROM_SEEN_THRESHOLDING,
     STRATEGY_NAMES,
+    GroundTruth,
     ScoreTable,
+    SimilarityMatrix,
     StrategySpec,
     TagSelectError,
     ThresholdModel,
@@ -263,7 +265,8 @@ class TestThresholdVectors:
 class TestStrategyErrors:
     """Each threshold strategy's errors, with their text, in the order they
     are checked: the model, then the table's images, then the model's
-    thresholds against the table's tags, then the lsq coefficients."""
+    thresholds (read by ``learned_pool`` alone), then the lsq coefficients
+    (read by ``_lsq_thresholds`` alone)."""
 
     VOCAB = Vocabulary.from_partition(["a", "b"], ["n"])
     TABLE = ScoreTable(("x", "y"), VOCAB.tags, [[0.1, 0.5, 0.9], [0.3, 0.2, 0.4]])
@@ -288,15 +291,6 @@ class TestStrategyErrors:
         want = ("TagSelectError", "cannot compute statistics of an empty score table")
         assert self.run(name, self.EMPTY, model) == want
 
-    @pytest.mark.parametrize("name", ["lsq", "hybrid_tau_musigma", "hybrid_tau_lsq"])
-    def test_threshold_outside_the_table_before_the_coefficients(self, name):
-        model = ThresholdModel({"a": 0.3, "zzz": 0.5}, tag_stats(self.WIDER))
-        assert self.run(name, self.TABLE, model) == (
-            "TagSelectError", "no statistics for tag 'zzz'"
-        )
-        # mu_sigma reads no model.
-        run_strategy(strategy("mu_sigma"), self.TABLE, self.VOCAB, model)
-
     @pytest.mark.parametrize("name", ["lsq", "hybrid_tau_lsq"])
     def test_missing_coefficients(self, name):
         model = ThresholdModel({"a": 0.3}, tag_stats(self.TABLE))
@@ -304,12 +298,114 @@ class TestStrategyErrors:
             "DegenerateFitError", "model carries no least-squares coefficients"
         )
 
-    def test_hybrid_with_every_column_learned_needs_no_coefficients(self):
-        vocab = Vocabulary.from_partition(["a", "b"], [])
-        table = self.TABLE.restrict(vocab.tags)
-        model = ThresholdModel({"b": 0.3, "a": 0.2}, tag_stats(table))
-        result = run_strategy(strategy("hybrid_tau_lsq"), table, vocab, model)
-        assert [result.tags(x) for x in table.images] == [("b",), ("a",)]
+    def test_thresholds_before_the_coefficients(self):
+        model = ThresholdModel({"a": 0.3, "n": 0.5}, tag_stats(self.TABLE))
+        assert self.run("hybrid_tau_lsq", self.TABLE, model) == (
+            "TagSelectError", "threshold given for 'n', not a seen tag"
+        )
+        assert self.run("lsq", self.TABLE, model) == (
+            "DegenerateFitError", "model carries no least-squares coefficients"
+        )
+
+    # Each reader: its subject in the missing-model message, the model parts
+    # it reads, and the call, which returns something comparable.
+    READERS = {
+        "lsq": ("strategy 'lsq'", {"coefficients"}, lambda c, m: c.selected("lsq", m)),
+        "hybrid_tau_musigma": (
+            "strategy 'hybrid_tau_musigma'", {"thresholds"},
+            lambda c, m: c.selected("hybrid_tau_musigma", m),
+        ),
+        "hybrid_tau_lsq": (
+            "strategy 'hybrid_tau_lsq'", {"thresholds", "coefficients"},
+            lambda c, m: c.selected("hybrid_tau_lsq", m),
+        ),
+        "adaptive": (
+            "strategy 'adaptive'", {"thresholds"}, lambda c, m: c.selected("adaptive", m)
+        ),
+        "adaptive_refined": (
+            "strategy 'adaptive'", {"thresholds"},
+            lambda c, m: c.selected("adaptive", m, refine=True),
+        ),
+        "compare_refined_rankings": (
+            "strategy 'adaptive'", {"thresholds"},
+            lambda c, m: compare(
+                [strategy("adaptive", k=1, refine=True)], c.table, c.truth, c.vocab, m, c.sim,
+                refined_rankings=True,
+            ).to_dict(),
+        ),
+        "refine_table": (
+            "refinement", {"thresholds"},
+            lambda c, m: refine_table(c.table, c.vocab, m, c.sim, 0.5).scores.tobytes(),
+        ),
+    }
+
+    class Case:
+        """A vocabulary, a table over it, its truth and similarity, and a
+        well-formed model with learned thresholds on every seen tag."""
+
+        def __init__(self, vocab):
+            self.vocab = vocab
+            self.table = TestStrategyErrors.TABLE.restrict(vocab.tags)
+            n = len(vocab)
+            labels = np.array([[0, 1, 1], [1, 0, 0]])
+            self.truth = GroundTruth(("x", "y"), vocab.tags, labels[:, :n])
+            sim = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.75], [0.25, 0.75, 1.0]])
+            self.sim = SimilarityMatrix(vocab.tags, sim[:n, :n], ())
+            self.model = ThresholdModel(
+                {"a": 0.2, "b": 0.3}, tag_stats(TestStrategyErrors.WIDER), (1.0, 0.5)
+            )
+
+        def selected(self, name, model, **kw):
+            spec = strategy(name, k=1, **kw)
+            result = run_strategy(spec, self.table, self.vocab, model, self.sim)
+            return [repr(result.row(x)) for x in result.images]
+
+    # Each defect: the vocabulary, the model part it breaks, the message (None
+    # for the reader's missing-model message) and the model that carries it.
+    NOVEL_COLUMN = Vocabulary.from_partition(["a", "b"], ["n"])
+    ALL_LEARNED = Vocabulary.from_partition(["a", "b"], [])
+    DEFECTS = {
+        "no_model": (NOVEL_COLUMN, "model", None, lambda m: None),
+        "threshold_outside_the_vocabulary": (
+            NOVEL_COLUMN, "thresholds",
+            ("TagSelectError", "threshold given for 'zzz', not a seen tag"),
+            lambda m: replace(m, tau={**m.tau, "zzz": 0.5}),
+        ),
+        "threshold_on_a_novel_tag": (
+            NOVEL_COLUMN, "thresholds",
+            ("TagSelectError", "threshold given for 'n', not a seen tag"),
+            lambda m: replace(m, tau={**m.tau, "n": 0.5}),
+        ),
+        "no_coefficients_with_a_novel_column": (
+            NOVEL_COLUMN, "coefficients",
+            ("DegenerateFitError", "model carries no least-squares coefficients"),
+            lambda m: replace(m, lsq_coeffs=None),
+        ),
+        "no_coefficients_with_every_column_learned": (
+            ALL_LEARNED, "coefficients",
+            ("DegenerateFitError", "model carries no least-squares coefficients"),
+            lambda m: replace(m, lsq_coeffs=None),
+        ),
+    }
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    @pytest.mark.parametrize("defect", list(DEFECTS))
+    def test_each_reader_refuses_the_defects_of_what_it_reads(self, defect, reader):
+        # Every reader needs a model; a reader refuses a defect in a part it
+        # reads, with that part's one message, and otherwise runs as on the
+        # model without the defect.
+        vocab, part, want, corrupt = self.DEFECTS[defect]
+        subject, reads, call = self.READERS[reader]
+        case = self.Case(vocab)
+        bad = corrupt(case.model)
+        if part == "model" or part in reads:
+            if want is None:
+                want = ("TagSelectError", f"{subject} requires a threshold model")
+            with pytest.raises(TagSelectError) as exc:
+                call(case, bad)
+            assert (type(exc.value).__name__, str(exc.value)) == want
+        else:
+            assert call(case, bad) == call(case, case.model)
 
 
 class TestCompare:

@@ -517,6 +517,26 @@ class TestLazyMatrix:
         assert np.array_equal(first.scores, again.scores)
         assert [repr(got.row(x)) for x in got.images] == [repr(want.row(x)) for x in want.images]
 
+    def test_value_keeps_the_refinement_block(self, small_bench, small_model):
+        # A value() call between two refinements computes its one cell and
+        # leaves the kept block alone, so the block is computed once.
+        b = small_bench
+        sim = similarity_matrix(b.cooccurrence, b.vocab)
+        novel, seen = b.vocab.novel_tags[0], b.vocab.seen_tags[0]
+        want = similarity_matrix(b.cooccurrence, b.vocab).values[sim.index(novel),
+                                                                   sim.index(seen)]
+        with mock.patch.object(
+            SimilarityMatrix, "_compute", autospec=True, side_effect=SimilarityMatrix._compute
+        ) as compute:
+            first = refine_table(b.eval_table, b.vocab, small_model, sim, 0.5)
+            got = sim.value(novel, seen)
+            again = refine_table(b.eval_table, b.vocab, small_model, sim, 0.5)
+        shapes = [(len(rows), len(cols)) for (_, rows, cols), _ in compute.call_args_list]
+        assert shapes == [(len(b.vocab.novel_tags), len(small_model.tau)), (1, 1)]
+        assert repr(got) == repr(float(want))
+        assert np.array_equal(first.scores, again.scores)
+        assert "values" not in vars(sim)
+
 
 def count_matrix(stats, order):
     """The count matrix of ``stats`` with rows and columns in ``order``."""
