@@ -24,7 +24,7 @@ from .core import (
     require_finite,
 )
 from .errors import TagSelectError
-from .metrics import _prepare, _score, evaluate
+from .metrics import _mean_f, _prepare, evaluate
 from .selection import AdaptiveConfig, adaptive_rows, learned_pool, refine_table, select_rows
 from .similarity import SimilarityMatrix
 from .thresholds import ThresholdModel, _lsq_thresholds, tag_stats
@@ -178,6 +178,10 @@ def compare(
     scores are instead judged on the rankings of the refined table, so their
     MAP may differ.  Non-finite scores raise, as in ``run_strategy``, before
     any selection.
+
+    The raw ranking is prepared for evaluation once; each row on it then
+    adds up its per-image F, and no per-image report is built.  A row on
+    refined rankings is scored by ``evaluate``.
     """
     if not strategies:
         raise TagSelectError("compare needs at least one strategy")
@@ -196,13 +200,12 @@ def compare(
             refined = refine_table(table, vocab, _require_model(spec, model), sim, spec.w)
             selections = run_strategy(spec, refined, vocab, model, sim, cfg)
             report = evaluate(truth, selections, rank_columns(refined))
+            mf, map_, n_excluded = report.mf, report.map, report.n_excluded
         else:
             selections = run_strategy(spec, table, vocab, model, sim)
             if raw is None:
                 raw = _prepare(truth, selections.images, rank_columns(table), True)
-            report = _score(raw, selections)
+            mf, map_, n_excluded = _mean_f(raw, selections), raw.map, len(raw.excluded)
         mean_selected = int(selections.offsets[-1]) / len(selections.images)
-        rows.append(
-            StrategyRow(spec, report.mf, report.map, mean_selected, report.n_excluded)
-        )
+        rows.append(StrategyRow(spec, mf, map_, mean_selected, n_excluded))
     return ComparisonReport(tuple(rows))

@@ -522,6 +522,16 @@ def order_rows(scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
     return order
 
 
+def _nonzero_2d(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.nonzero`` of a 2-D mask: the rows and columns of its true cells,
+    row-major, split from their flat indices by one ``divmod``, which costs
+    less than numpy's 2-D path.  A mask without columns has no true cell."""
+    flat = np.flatnonzero(mask)
+    if not mask.shape[1]:
+        return flat, flat.copy()
+    return np.divmod(flat, mask.shape[1])
+
+
 def _argsort_descending(
     key: np.ndarray, ties: np.ndarray, rows: np.ndarray | None = None
 ) -> np.ndarray:

@@ -18,7 +18,7 @@ from .core import (
     require_finite,
 )
 from .errors import TagSelectError
-from .metrics import _prepare, _score, evaluate
+from .metrics import _mean_f, _prepare
 from .selection import select_rows
 from .thresholds import _f_optimal_cuts, _require_images, _seen_label_rows
 
@@ -76,9 +76,13 @@ def fuse(tables: Sequence[ScoreTable], weights: Sequence[float]) -> ScoreTable:
         if other.images != first.images or other.tags != first.tags:
             raise TagSelectError("fused tables must share images and tag order")
     w = _check_weights(weights, len(tables))
+    # Each term is rounded, then added, in table order, as in
+    # ``w0*T0 + w1*T1 + ...``; the sum is built in place, with one scratch
+    # array for the terms.
     acc = w[0] * tables[0].scores
+    term = np.empty_like(acc) if len(tables) > 1 else None
     for wi, table in zip(w[1:], tables[1:]):
-        acc = acc + wi * table.scores
+        acc += np.multiply(wi, table.scores, out=term)
     return first._derived(acc)
 
 
@@ -130,9 +134,11 @@ def _objective(
     Under that masking F, the included images and |P| depend on which
     coverage tags are ranked, not on their order, and every fused table
     ranks the same tags; so ``mf`` ranks a fused table and prepares its
-    evaluation once, and only scores each later selection over the same
-    images (its ``map`` is that of the ranked table, and is not read).
-    ``map`` ranks and evaluates every fused table.
+    evaluation once, and only adds up the per-image F of each later
+    selection over the same images, without building a report.  ``map``
+    depends on the ranking only: it ranks and prepares every fused table
+    and scores no selection.  Both equal ``evaluate``'s ``mf`` and ``map``
+    bit for bit.
     """
     prepared = None
 
@@ -142,11 +148,11 @@ def _objective(
         selections = strategy(fused)
         if objective == "map":
             rankings = rank_columns(fused.restrict(coverage))
-            return evaluate(truth, selections, rankings, require_full_coverage=False).map
+            return _prepare(truth, selections.images, rankings, False).map
         if prepared is None or prepared.images != selections.images:
             rankings = rank_columns(fused.restrict(coverage))
             prepared = _prepare(truth, selections.images, rankings, False)
-        return _score(prepared, selections).mf
+        return _mean_f(prepared, selections)
 
     return score
 

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, SelectionResult, TagRankings
+from .core import GroundTruth, SelectionResult, TagRankings, _nonzero_2d
 from .errors import TagSelectError
 
 
@@ -221,7 +221,7 @@ def _prepare(
     # after a zero column; the row-wise cumsum adds them left to right, in
     # rank order, as ``ap_image`` does.  The hits come row by row, so k
     # counts from each row's first hit.
-    r, c = np.nonzero(label == 1)
+    r, c = _nonzero_2d(label == 1)
     n_hits = np.bincount(r, minlength=n)
     k = np.arange(1, r.size + 1) - (np.cumsum(n_hits) - n_hits)[r]
     precisions = np.zeros((n, int(n_hits.max(initial=0)) + 1))
@@ -238,7 +238,28 @@ def _prepare(
 
 
 def _score(p: _Prepared, selections: SelectionResult) -> EvaluationReport:
-    """The report of ``selections``, which must be over the prepared images."""
+    """The report of ``selections``, which must be over the prepared images:
+    ``_image_prf`` with an ``ImageEval`` for each included image."""
+    precision, recall, f = _image_prf(p, selections)
+    f = f.tolist()
+    per_image = dict(zip(
+        [p.images[i] for i in p.positions.tolist()],
+        map(ImageEval, precision.tolist(), recall.tolist(), f, p.ap),
+    ))
+    return EvaluationReport(per_image, sum(f) / len(f), p.map, p.excluded)
+
+
+def _mean_f(p: _Prepared, selections: SelectionResult) -> float:
+    """``_score(p, selections).mf``, without the per-image report."""
+    f = _image_prf(p, selections)[2].tolist()
+    return sum(f) / len(f)
+
+
+def _image_prf(
+    p: _Prepared, selections: SelectionResult
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Precision, recall and F of each included image, in image order, under
+    ``selections``, which must be over the prepared images."""
     images = selections.images
     if images != p.images:
         raise TagSelectError("selections are not over the images of the prepared evaluation")
@@ -260,12 +281,7 @@ def _score(p: _Prepared, selections: SelectionResult) -> EvaluationReport:
         recall = hits / p.n_relevant
         denom = precision + recall
         f = np.where(denom == 0.0, 0.0, 2.0 * precision * recall / denom)
-    f = f.tolist()
-    per_image = dict(zip(
-        [images[i] for i in p.positions.tolist()],
-        map(ImageEval, precision.tolist(), recall.tolist(), f, p.ap),
-    ))
-    return EvaluationReport(per_image, sum(f) / len(f), p.map, p.excluded)
+    return precision, recall, f
 
 
 def _pad_rows(values: np.ndarray, lengths: np.ndarray, fill: int) -> np.ndarray:

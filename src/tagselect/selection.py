@@ -20,6 +20,7 @@ from .core import (
     SelectionResult,
     Vocabulary,
     _argsort_descending,
+    _nonzero_2d,
     order_rows,
     require_finite,
 )
@@ -92,7 +93,7 @@ def select_rows(
     a_size = np.count_nonzero(mask, axis=1)
     # Only the selected cells are sorted, grouped by image: sorting whole
     # rows costs more than the selection itself when A is small.
-    r, j = np.nonzero(mask)
+    r, j = _nonzero_2d(mask)
     c = pool[j]
     order = _argsort_descending(scores[r, c], tag_rank[c], r)
     # The third array holds provenance codes, which index PROVENANCE_ORDER.
@@ -101,7 +102,7 @@ def select_rows(
     k = np.minimum(_round_half_up(novel.size * a_size, max(pool.size, 1)), novel.size)
     take = np.flatnonzero(k)
     key = (scores if ranked is None else ranked)[take][:, novel]
-    i, j = np.nonzero(np.arange(novel.size) < k[take, None])
+    i, j = _nonzero_2d(np.arange(novel.size) < k[take, None])
     c = novel[order_rows(key, tag_rank[novel])[i, j]]
     parts.append((take[i], c, np.full(i.size, PROVENANCE_CODE[FROM_NOVEL_TOPK])))
     if fallback_k is not None and not a_size.all():

@@ -1,6 +1,7 @@
 """Data model: vocabulary, score tables, ground truth, selections, ranking."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tagselect import core
-from tagselect.core import _argsort_descending, order_rows
+from tagselect.core import _argsort_descending, _nonzero_2d, order_rows
 from tagselect.selection import select_rows
 from tagselect import (
     FROM_FALLBACK,
@@ -502,3 +503,31 @@ class TestOrderKernel:
         for x in table.images:
             got = [(p.tag, repr(p.score), p.provenance) for p in result.row(x)]
             assert got == oracles.threshold_oracle(table, x, thresholds), x
+
+
+class TestNonzero2d:
+    """``_nonzero_2d`` gives ``np.nonzero``'s rows and columns, row-major,
+    with its dtype, and warns about nothing, a mask without rows or columns
+    included."""
+
+    @staticmethod
+    def check(mask):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            got = _nonzero_2d(mask)
+        want = np.nonzero(mask)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 9), st.integers(0, 9), st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+           st.integers(0, 2**32 - 1))
+    def test_equals_nonzero_on_random_masks(self, n, m, p, seed):
+        mask = np.random.default_rng(seed).random((n, m)) < p
+        self.check(mask)
+        self.check(mask.T)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        self.check(np.zeros(shape, dtype=bool))

@@ -1,7 +1,11 @@
 """Score-table fusion and simplex weight learning."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tagselect import (
@@ -92,6 +96,72 @@ class TestFuse:
         )
         with pytest.raises(TagSelectError):
             fuse([tables[0], other], [0.5, 0.5])
+
+
+BIG = np.finfo(np.float64).max
+
+
+def fuse_reference(matrices, weights):
+    """``w0*T0 + w1*T1 + ...``, left to right, with the weights as ``fuse``
+    checks them."""
+    w = [float(v) for v in weights]
+    acc = w[0] * matrices[0]
+    for wi, m in zip(w[1:], matrices[1:]):
+        acc = acc + wi * m
+    return acc
+
+
+class TestFuseBits:
+    """``fuse`` builds the sum in place and equals the left-to-right sum
+    bit for bit, overflow to inf included; its inputs stay as they were,
+    and its result is a read-only array of its own."""
+
+    @staticmethod
+    def check(matrices, weights):
+        images = tuple(f"im{i}" for i in range(matrices[0].shape[0]))
+        tags = tuple(f"t{j}" for j in range(matrices[0].shape[1]))
+        tables = [ScoreTable(images, tags, m) for m in matrices]
+        before = [t.scores.tobytes() for t in tables]
+        with np.errstate(over="ignore"):
+            fused = fuse(tables, weights).scores
+            want = fuse_reference([t.scores for t in tables], weights)
+        assert fused.tobytes() == want.tobytes()
+        assert [t.scores.tobytes() for t in tables] == before
+        assert not fused.flags.writeable
+        assert not any(np.shares_memory(fused, t.scores) for t in tables)
+        return fused
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_equals_the_left_to_right_sum(self, data):
+        m = data.draw(st.integers(1, 5))
+        n_rows, n_cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        value = st.one_of(
+            st.floats(-BIG, BIG),
+            st.sampled_from((BIG, -BIG, np.nextafter(BIG, 0.0), 0.0, -0.0)),
+        )
+        matrices = [
+            np.array(data.draw(st.lists(value, min_size=n_rows * n_cols,
+                                        max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+            for _ in range(m)
+        ]
+        raw = data.draw(
+            st.lists(st.sampled_from((0.0, 1.0, 0.25, 0.3, 3.0)), min_size=m, max_size=m)
+            .filter(lambda ws: sum(ws) > 0)
+        )
+        weights = [w / sum(raw) for w in raw]
+        if data.draw(st.booleans()):
+            # Within the tolerance of a unit sum, and enough to overflow.
+            weights[weights.index(max(weights))] += 5e-10
+        self.check(matrices, weights)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_overflow_to_inf(self, m):
+        matrices = [np.array([[BIG, -BIG, 1.0]])] * m
+        weights = [1.0 / m] * m
+        weights[0] += 5e-10
+        fused = self.check(matrices, weights)
+        assert fused.tolist()[0][:2] == [np.inf, -np.inf]
 
 
 def full_truth(vocab, images, rng, p=0.35):
@@ -420,3 +490,48 @@ class TestObjective:
         uniform = public_objective(tables, truth, select, objective, np.full(3, 1 / 3))
         final = public_objective(tables, truth, select, objective, model.weights)
         assert (repr(model.history[0]), repr(model.objective)) == (repr(uniform), repr(final))
+
+
+def golden_problem():
+    """Three noisy copies of a synthetic training table and its truth, as
+    the benchmark's fusion workload builds them, at a size that learns in
+    well under a second."""
+    spec = SyntheticSpec(n_images=4, n_train=150, n_seen=20, n_novel=12, count_max=8)
+    bench = generate_synthetic(spec, 11)
+    base = bench.train_table
+    rng = np.random.default_rng((11, 1))
+    tables = [
+        ScoreTable(base.images, base.tags, base.scores + rng.normal(0.0, s, base.scores.shape))
+        for s in (0.2, 0.4, 0.8)
+    ]
+    return tables, bench.train_truth, bench.vocab
+
+
+class TestGolden:
+    """The learned weights, the ascent history and one fused matrix, pinned
+    as literals: a rewrite of fusion, of its objective or of the kernels
+    under them must keep every float."""
+
+    LEARNED = {
+        "mf": (
+            "(0.8, 0.09999999999999998, 0.09999999999999998)",
+            "(0.7405468975468973, 0.818041366041366, 0.818041366041366)",
+        ),
+        "map": (
+            "(0.8526315789473685, 0.1, 0.047368421052631574)",
+            "(0.8403862395774162, 0.915248148148148, 0.915248148148148)",
+        ),
+    }
+    FUSED_SHA256 = "9c053a8d34e6fd1b7a0739e86f1dae287ee79969ce3da467b83604d0f20733fd"
+
+    @pytest.mark.parametrize("objective", ["mf", "map"])
+    def test_learned_weights_and_history(self, objective):
+        tables, truth, vocab = golden_problem()
+        model = learn_weights(tables, truth, vocab, objective=objective, grid_step=0.1,
+                              max_sweeps=2)
+        assert (repr(model.weights), repr(model.history)) == self.LEARNED[objective]
+
+    def test_fused_bytes(self):
+        tables, _, _ = golden_problem()
+        fused = fuse(tables, [0.2, 0.3, 0.5])
+        assert hashlib.sha256(fused.scores.tobytes()).hexdigest() == self.FUSED_SHA256

@@ -16,12 +16,18 @@ from tagselect import (
     TagRankings,
     TagSelectError,
     ap_image,
+    compare,
     evaluate,
     f_image,
+    learn_weights,
+    metrics,
     rank_columns,
     rank_tags,
+    run_strategy,
+    similarity_matrix,
+    table1_strategies,
 )
-from tagselect.metrics import _prepare, _score
+from tagselect.metrics import _image_prf, _mean_f, _prepare, _score
 
 
 class TestFImage:
@@ -502,6 +508,27 @@ class TestPreparedEvaluation:
             assert report_repr(_score(prepared, sels)) == want
 
     @settings(deadline=None, max_examples=300)
+    @given(prepared_instances(), st.booleans())
+    def test_array_kernel_equals_the_report(self, instance, full):
+        """``_image_prf`` gives the report's per-image precision, recall and
+        F, in image order, and ``_mean_f`` its ``mf``, by repr; an empty
+        selection of every image among them."""
+        truth, rankings, selections = instance
+        images = selections[0].images
+        try:
+            prepared = _prepare(truth, images, rankings, full)
+        except TagSelectError:
+            return
+        for sels in [*selections, selections_of({x: [] for x in images})]:
+            report = evaluate(truth, sels, rankings, require_full_coverage=full)
+            got = [array.tolist() for array in _image_prf(prepared, sels)]
+            assert repr(got) == repr([
+                [getattr(e, name) for e in report.per_image.values()]
+                for name in ("precision", "recall", "f")
+            ])
+            assert repr(_mean_f(prepared, sels)) == repr(report.mf)
+
+    @settings(deadline=None, max_examples=300)
     @given(prepared_instances(), st.booleans(), st.data())
     def test_selection_over_other_images_is_refused(self, instance, full, data):
         truth, rankings, selections = instance
@@ -522,3 +549,58 @@ class TestPreparedEvaluation:
         with pytest.raises(TagSelectError) as exc:
             _score(prepared, sels)
         assert str(exc.value) == "selections are not over the images of the prepared evaluation"
+
+
+class TestReportObjects:
+    """An ``ImageEval`` is built for each included image where a report is
+    returned, by ``evaluate``, and nowhere else: fusion's objective and
+    ``compare``'s rows on the raw ranking add up the per-image F arrays."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        image_eval = metrics.ImageEval
+
+        def counting(*args):
+            built.append(args)
+            return image_eval(*args)
+
+        monkeypatch.setattr(metrics, "ImageEval", counting)
+        return built
+
+    @pytest.mark.parametrize("objective", ["mf", "map"])
+    def test_learn_weights_builds_none(self, monkeypatch, small_bench, objective):
+        base = small_bench.train_table
+        rng = np.random.default_rng(3)
+        tables = [
+            ScoreTable(base.images, base.tags, base.scores + rng.normal(0.0, s, base.scores.shape))
+            for s in (0.2, 0.4, 0.8)
+        ]
+        built = self.count_builds(monkeypatch)
+        learn_weights(tables, small_bench.train_truth, small_bench.vocab, objective=objective,
+                      grid_step=0.25, max_sweeps=2)
+        assert built == []
+
+    def test_compare_on_the_raw_ranking_builds_none(self, monkeypatch, small_bench,
+                                                    small_model):
+        b = small_bench
+        sim = similarity_matrix(b.cooccurrence, b.vocab)
+        specs = table1_strategies(refine=True)
+        want = []
+        for spec in specs:
+            selections = run_strategy(spec, b.eval_table, b.vocab, small_model, sim)
+            report = evaluate(b.eval_truth, selections, rank_columns(b.eval_table))
+            want.append((repr(report.mf), repr(report.map), report.n_excluded))
+        built = self.count_builds(monkeypatch)
+        rows = compare(specs, b.eval_table, b.eval_truth, b.vocab, small_model, sim).rows
+        assert built == []
+        assert [(repr(r.mf), repr(r.map), r.n_excluded) for r in rows] == want
+
+    def test_evaluate_builds_one_per_included_image(self, monkeypatch, small_bench,
+                                                     small_model):
+        b = small_bench
+        selections = run_strategy(table1_strategies()[0], b.eval_table, b.vocab, small_model)
+        built = self.count_builds(monkeypatch)
+        report = evaluate(b.eval_truth, selections, rank_columns(b.eval_table),
+                          require_full_coverage=False)
+        assert len(built) == report.n_included > 0
