@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -177,12 +178,21 @@ class ScoreTable:
         """A table of new ``scores`` over this one's images and tags, which
         are already checked: it shares their indexes and tag ranks, and only
         the matrix is checked.  A float64 ``scores`` is taken over, not
-        copied, and made read-only."""
+        copied, and made read-only.  Nothing cached from the scores is
+        shared."""
         table = object.__new__(ScoreTable)
         for name in ("images", "tags", "_img_index", "_tag_index", "_tag_rank"):
             object.__setattr__(table, name, getattr(self, name))
         table._set_scores(np.asarray(scores, dtype=np.float64))
         return table
+
+    @cached_property
+    def _non_finite(self) -> int | None:
+        """The row-major index of the first non-finite score, None when
+        every score is finite: the scores are read-only, so the table is
+        scanned once however often it is checked."""
+        finite = np.isfinite(self.scores)
+        return None if finite.all() else int(np.argmin(finite))
 
     @property
     def n_images(self) -> int:
@@ -494,9 +504,8 @@ def validate_inputs(
 def require_finite(table: ScoreTable) -> None:
     """Raise a ``TagSelectError`` naming the first non-finite score in
     row-major order; ``validate_inputs`` lists every bad cell instead."""
-    finite = np.isfinite(table.scores)
-    if not finite.all():
-        i, j = divmod(int(np.argmin(finite)), table.n_tags)
+    if table._non_finite is not None:
+        i, j = divmod(table._non_finite, table.n_tags)
         raise TagSelectError(
             f"non-finite score for image {table.images[i]!r}, tag {table.tags[j]!r}; "
             "run validate to list every bad cell"

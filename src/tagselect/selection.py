@@ -101,21 +101,17 @@ def select_rows(
     # An empty pool selects nothing, so its k_novel is 0.
     k = np.minimum(_round_half_up(novel.size * a_size, max(pool.size, 1)), novel.size)
     take = np.flatnonzero(k)
-    key = (scores if ranked is None else ranked)[take][:, novel]
-    i, j = _nonzero_2d(np.arange(novel.size) < k[take, None])
-    c = novel[order_rows(key, tag_rank[novel])[i, j]]
-    parts.append((take[i], c, np.full(i.size, PROVENANCE_CODE[FROM_NOVEL_TOPK])))
+    key = (scores if ranked is None else ranked)[np.ix_(take, novel)]
+    i, j = _top_columns(key, tag_rank[novel], k[take])
+    parts.append((take[i], novel[j], np.full(i.size, PROVENANCE_CODE[FROM_NOVEL_TOPK])))
     if fallback_k is not None and not a_size.all():
         fallback = np.flatnonzero(a_size == 0)
-        # Whole rows are ordered a block at a time; only their top k are kept.
+        # Whole rows are read a block at a time.
         step = max(1, BLOCK_CELLS // table.n_tags)
-        c = np.concatenate([
-            order_rows(scores[fallback[r0 : r0 + step]], tag_rank)[:, :fallback_k].ravel()
-            for r0 in range(0, fallback.size, step)
-        ])
-        parts.append(
-            (np.repeat(fallback, fallback_k), c, np.full(c.size, PROVENANCE_CODE[FROM_FALLBACK]))
-        )
+        for r0 in range(0, fallback.size, step):
+            rows = fallback[r0 : r0 + step]
+            i, c = _top_columns(scores[rows], tag_rank, np.full(rows.size, fallback_k))
+            parts.append((rows[i], c, np.full(c.size, PROVENANCE_CODE[FROM_FALLBACK])))
 
     # A stable sort by image keeps each image's seen picks before its novel
     # ones; an image with fallback picks has neither.
@@ -126,6 +122,43 @@ def select_rows(
     return SelectionResult._from_arrays(
         table.images, table.tags, offsets, c, scores[r, c], p.astype(np.int8)
     )
+
+
+#: ``_top_columns`` partitions its rows while K is at most one in this many
+#: columns; past that, sorting whole rows costs less.
+_PARTITION_RATIO = 4
+
+
+def _top_columns(
+    key: np.ndarray, ties: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k[i]`` columns of row i of ``order_rows(key, ties)``, for
+    counts ``k`` in [0, n_cols]: (rows, columns), rows ascending and each
+    row's columns best first.
+
+    For a small K = max(k), only the cells at or above each row's K-th best
+    key are ordered, so ties at that key stay in.  The K-th best comes from
+    a partition of the negated keys, which puts NaN last as the order does:
+    a row whose K-th best key is NaN keeps every cell."""
+    top = int(k.max(initial=0))
+    if top * _PARTITION_RATIO > key.shape[1]:
+        prefix = np.arange(key.shape[1]) < k[:, None]
+        return np.repeat(np.arange(key.shape[0]), k), order_rows(key, ties)[prefix]
+    if top == 0:
+        return _EMPTY, _EMPTY
+    kth = -key
+    kth.partition(top - 1, axis=1)
+    kth = -kth[:, top - 1, None]
+    keep = key >= kth
+    keep[np.isnan(kth[:, 0])] = True
+    r, c = _nonzero_2d(keep)
+    order = _argsort_descending(key[r, c], ties[c], r)
+    r, c = r[order], c[order]
+    # Each kept cell's place in its row's order.
+    sizes = np.bincount(r, minlength=key.shape[0])
+    place = np.arange(r.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    first = place < k[r]
+    return r[first], c[first]
 
 
 def select_by_threshold(

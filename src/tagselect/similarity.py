@@ -295,17 +295,28 @@ class SimilarityMatrix:
         either is absent, ``fcs`` elsewhere.  ``_fcs_block`` is symmetric in
         its two tags, so a cell's bits do not depend on its side."""
         out = np.zeros((len(rows), len(cols)))
-        counts, col, log_f, log_total = self._source
+        counts, col, f_code, log_f, log_total = self._source
         r = np.flatnonzero(col[rows] >= 0)
         c = np.flatnonzero(col[cols] >= 0)
         if len(c):
-            c_col, c_log = col[cols[c]], log_f[cols[c]]
+            c_col, c_code = col[cols[c]], f_code[cols[c]]
             step = max(1, BLOCK_CELLS // len(c))
             for s in range(0, len(r), step):
                 rr = r[s:s + step]
                 r_tags = rows[rr]
-                fab = counts[np.ix_(col[r_tags], c_col)]
-                out[np.ix_(rr, c)] = _fcs_block(fab, log_f[r_tags, None], c_log, log_total)
+                # A cell's value depends only on its (single, single, joint)
+                # counts: each distinct triple is computed once.
+                joint, joint_code = _dedup(counts[np.ix_(col[r_tags], c_col)].ravel())
+                key = f_code[r_tags, None] * len(log_f) + c_code
+                key *= len(joint)
+                key += joint_code.reshape(key.shape)
+                del joint_code
+                triples, inverse = _dedup(key.ravel())
+                del key
+                pair, fab = np.divmod(triples, len(joint))
+                a, b = np.divmod(pair, len(log_f))
+                sims = _fcs_block(joint[fab], log_f[a], log_f[b], log_total)
+                out[np.ix_(rr, c)] = sims[inverse].reshape(len(rr), len(c))
         out[rows[:, None] == cols] = 1.0
         return out
 
@@ -345,10 +356,33 @@ def similarity_matrix(stats: CooccurrenceStats, vocab: Vocabulary) -> Similarity
     sim._init(tags, [tags[i] for i in np.flatnonzero(col < 0)])
     if np.count_nonzero(col >= 0) > 1 and stats.total < 2:
         raise TagSelectError("collection must hold at least two images")
-    log_f = np.array([math.log(c) if c > 0 else 0.0 for c in f.tolist()])
+    # Each tag's single count is coded by its place among the distinct
+    # ones, whose logs are taken once.
+    distinct, f_code = np.unique(f, return_inverse=True)
+    log_f = np.array([math.log(c) if c > 0 else 0.0 for c in distinct.tolist()])
     log_total = math.log(stats.total)
-    object.__setattr__(sim, "_source", (stats.counts, col, log_f, log_total))
+    object.__setattr__(sim, "_source", (stats.counts, col, f_code, log_f, log_total))
     return sim
+
+
+#: ``_dedup`` takes a presence table while the key range is at most this
+#: many times the number of keys, and sorts otherwise.
+_PRESENCE_RANGE = 4
+
+
+def _dedup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for a 1-D array of
+    non-negative integers: the distinct keys ascending, and each key's
+    position among them.  A key range of at most ``_PRESENCE_RANGE`` times
+    the keys is marked in a presence table, which costs no sort."""
+    bound = int(keys.max(initial=-1)) + 1
+    if bound > _PRESENCE_RANGE * keys.size:
+        return np.unique(keys, return_inverse=True)
+    present = np.zeros(bound, dtype=bool)
+    present[keys] = True
+    position = np.cumsum(present, dtype=np.intp)
+    position -= 1
+    return np.flatnonzero(present).astype(keys.dtype, copy=False), position[keys]
 
 
 def _fcs_block(fab, log_fa, log_fb, log_total):

@@ -29,7 +29,7 @@ from tagselect import (
     table1_strategies,
     tag_stats,
 )
-from tagselect import baselines, selection
+from tagselect import baselines, selection, thresholds
 from tagselect.selection import refine_table
 
 
@@ -484,6 +484,35 @@ class TestCompare:
         compare(specs, small_bench.eval_table, small_bench.eval_truth, small_bench.vocab,
                 small_model, sim, refined_rankings=True)
         assert calls == [small_bench.eval_table] * 2
+
+    def test_one_finite_scan_and_one_tag_stats_per_table(self, small_bench, small_model,
+                                                         monkeypatch):
+        b = small_bench
+        # A new table, so that nothing is cached on it yet.
+        table = ScoreTable(b.eval_table.images, b.eval_table.tags, b.eval_table.scores)
+        sim = similarity_matrix(b.cooccurrence, b.vocab)
+        scanned, built = [], []
+        isfinite, stats_type = np.isfinite, thresholds.TagStats
+
+        def scan(a, *args, **kwargs):
+            if np.shape(a) == table.scores.shape:
+                scanned.append(a)
+            return isfinite(a, *args, **kwargs)
+
+        def build(tags, mu, sigma):
+            built.append(tags)
+            return stats_type(tags, mu, sigma)
+
+        monkeypatch.setattr(np, "isfinite", scan)
+        monkeypatch.setattr(thresholds, "TagStats", build)
+        for refined_rankings in (False, True):
+            compare(table1_strategies(refine=True), table, b.eval_truth, b.vocab, small_model,
+                    sim, refined_rankings=refined_rankings)
+        # The table and, for refined rankings, the refined one: each scanned
+        # once; the statistics of the table built once.
+        assert len(scanned) == 2 and scanned[0] is table.scores
+        assert scanned[1] is not table.scores
+        assert built == [table.tags]
 
     def test_refined_rankings_without_model_name_the_model(self, small_bench):
         sim = similarity_matrix(small_bench.cooccurrence, small_bench.vocab)

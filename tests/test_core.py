@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tagselect import core
+from tagselect import core, selection
 from tagselect.core import _argsort_descending, _nonzero_2d, order_rows
-from tagselect.selection import select_rows
+from tagselect.selection import _top_columns, select_rows
 from tagselect import (
     FROM_FALLBACK,
     FROM_NOVEL_TOPK,
@@ -503,6 +503,53 @@ class TestOrderKernel:
         for x in table.images:
             got = [(p.tag, repr(p.score), p.provenance) for p in result.row(x)]
             assert got == oracles.threshold_oracle(table, x, thresholds), x
+
+
+class TestTopColumns:
+    """``_top_columns(key, ties, k)`` orders only the cells at or above each
+    row's K-th best key; it must give the first ``k[i]`` columns of row i of
+    ``order_rows`` exactly."""
+
+    @staticmethod
+    def check(key, ties, k):
+        i, j = np.nonzero(np.arange(key.shape[1]) < k[:, None])
+        want = order_rows(key, ties)[i, j]
+        # A ratio of 0 partitions every row, even for k = n_cols; one above
+        # the column count sorts every row whole.
+        for ratio in (0, selection._PARTITION_RATIO, key.shape[1] + 1):
+            with mock.patch.object(selection, "_PARTITION_RATIO", ratio):
+                rows, cols = _top_columns(key, ties, k)
+            assert rows.tolist() == i.tolist()
+            assert cols.tolist() == want.tolist()
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.data())
+    def test_prefixes_of_order_rows(self, data):
+        # Rows of distinct floats, or of ties, +-0.0, +-inf and NaN; counts
+        # from 0 to every column, on shapes with no rows or no columns too.
+        m = data.draw(st.integers(0, 7))
+        n = data.draw(st.integers(0, 12))
+        key = data.draw(mixed_rows(n, m))
+        ties = np.array(data.draw(st.permutations(range(m))), dtype=np.intp)
+        k = np.array(data.draw(st.lists(st.integers(0, m), min_size=n, max_size=n)),
+                     dtype=np.intp)
+        self.check(key, ties, k)
+
+    def test_boundary_ties_and_nan_rows(self):
+        nan, inf = math.nan, math.inf
+        key = np.array([
+            [0.5, 0.5, 0.5, 0.1, 0.5],  # four cells tie at the best key
+            [nan, 1.0, nan, -inf, 0.0],  # the 4th best is NaN: at K >= 4 all stay
+            [0.0, -0.0, -0.0, 0.0, 0.0],  # +-0.0 tie
+            [inf, -inf, inf, nan, -inf],
+        ])
+        ties = np.array([3, 1, 4, 0, 2])
+        for k in ([2, 3, 2, 4], [0, 5, 1, 0], [5, 5, 5, 5], [1, 1, 1, 1]):
+            self.check(key, ties, np.array(k))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_no_rows_or_no_columns(self, shape):
+        self.check(np.zeros(shape), np.arange(shape[1]), np.zeros(shape[0], dtype=np.intp))
 
 
 class TestNonzero2d:

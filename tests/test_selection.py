@@ -1,6 +1,8 @@
 """Selection strategies: top-k, thresholding, the novel-count
 extrapolation, score refinement, and the adaptive method."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -535,3 +537,64 @@ class TestKernelOutputPassesCheckedConstructor:
                     assert triples(rebuilt.row(x)) == triples(rows[x])
                     assert rebuilt.tags(x) == result.tags(x)
                 assert int(result.offsets[-1]) == sum(map(len, rows.values()))
+
+
+# The benchmark's wide_compare inputs: 400 eval images over 500 seen and
+# 500 novel tags.
+WIDE = SyntheticSpec(n_images=400, n_train=1000, n_seen=500, n_novel=500, count_min=1,
+                     count_max=60)
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestWideGolden:
+    """Every strategy's selection arrays on the wide inputs (seed 1), pinned
+    as sha256 digests of their bytes: a rewrite of the top-k, the
+    similarity block or the table checks must keep every bit."""
+
+    SELECTIONS = {
+        ("top_k", 1): "d960015683b5a8822c202788c950dc891a71b75d01ebf2df52e473864b7b663e",
+        ("top_k", 5): "dcb369c046f7a43a22dc57aba5956fa525e828487a74a078f09d1b6476ddfe82",
+        ("top_k", 1000): "5575e8a69fc2ab8f5b25c7ebac2e94c8e171da0c455edaca5b45b17feb689ca2",
+        ("mu_sigma", 5): "b77f46c8baa9a1a606d3bb689cfe4bf91e14f5aba57a2be10cf6b6eaa0993cdb",
+        ("lsq", 5): "6b855371d46bc4c268297784a12d9a634a9d81af59fbb30e6216e7f92b73e42e",
+        ("hybrid_tau_musigma", 5):
+            "bc35f6f0bdf14a4f75bd3878d71aa2beae7d8084d7c87268e8afc99961fcb35d",
+        ("hybrid_tau_lsq", 5): "99d4e572ea91f789d7804d89c64becdc9aed1e86f1d5792ffb22574bc6281c1a",
+        ("adaptive", 5): "5b728933c94f36f290526807a74155c50afc242daa2b9f85e0c9fe3cb9191c5d",
+    }
+    REFINED = "34f24022ca5761f247b825edd460f40c3f3fbe7d7a6f21bcfd3f622423883805"
+    REPORT_REFINED = "985ff53616170d008e98c9dbc8afb70c8dfadd65121eac3df5caf8c1858736ac"
+    REFINED_SCORES = "0a441f3c8cc0e80fed598b9c7371308c7835b9f89253dd8248ed9bd676737b66"
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        bench = generate_synthetic(WIDE, 1)
+        model = learn_all_thresholds(bench.train_table, bench.train_truth, bench.vocab)
+        return bench, model
+
+    @staticmethod
+    def select(wide, spec, cfg=None):
+        bench, model = wide
+        sim = similarity_matrix(bench.cooccurrence, bench.vocab)
+        r = run_strategy(spec, bench.eval_table, bench.vocab, model, sim, cfg)
+        return digest(r.offsets, r.columns, r.scores, r.provenance)
+
+    @pytest.mark.parametrize("name, k", list(SELECTIONS))
+    def test_unrefined(self, wide, name, k):
+        assert self.select(wide, StrategySpec(name, k=k)) == self.SELECTIONS[name, k]
+
+    def test_refined(self, wide):
+        bench, model = wide
+        spec = StrategySpec("adaptive", refine=True)
+        assert self.select(wide, spec) == self.REFINED
+        cfg = AdaptiveConfig(refine=True, report_refined=True)
+        assert self.select(wide, spec, cfg) == self.REPORT_REFINED
+        sim = similarity_matrix(bench.cooccurrence, bench.vocab)
+        refined = refine_table(bench.eval_table, bench.vocab, model, sim, 0.5)
+        assert digest(refined.scores) == self.REFINED_SCORES

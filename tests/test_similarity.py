@@ -1,5 +1,6 @@
 """Co-occurrence statistics, the normalized distance, and its similarity."""
 
+import hashlib
 import math
 from contextlib import contextmanager
 from functools import cached_property
@@ -17,10 +18,12 @@ from tagselect import (
     CooccurrenceStats,
     SimilarityMatrix,
     StrategySpec,
+    SyntheticSpec,
     TagSelectError,
     Vocabulary,
     compare,
     fcs,
+    generate_synthetic,
     ngd,
     pair_similarity,
     run_strategy,
@@ -482,6 +485,88 @@ class TestBlock:
             assert_same_bits(sim._block([0, 1, 2], [3, 4])[:2, :], first[:, 1:])
             assert compute.call_count == 2
         assert not first.flags.writeable
+
+
+class TestDedup:
+    """``_compute`` evaluates ``_fcs_block`` once per distinct (single,
+    single, joint) count triple of a row block; ``_dedup`` finds them
+    through a presence table when the keys span a small range, else
+    through ``np.unique``."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(cooccurrence_problems(), st.data(), st.sampled_from([0, similarity._PRESENCE_RANGE]))
+    def test_cells_equal_fcs_block_and_fcs(self, problem, data, presence_range):
+        # Zero joint counts, equal tags, tags without counts and, in blocks of
+        # a few cells, counts up to 10**6 that take np.unique; a presence
+        # range of 0 sends every dedup through np.unique.
+        vocab, stats = problem
+        sim = outcome(lambda: similarity_matrix(stats, vocab))
+        if isinstance(sim, str):
+            return
+        tags = vocab.tags
+        index = st.integers(0, len(tags) - 1)
+        rows = data.draw(st.lists(index, max_size=8))
+        cols = data.draw(st.lists(index, max_size=8))
+        rows_per_block = data.draw(st.integers(1, 4))
+        with mock.patch.object(similarity, "BLOCK_CELLS", rows_per_block * max(1, len(cols))), \
+                mock.patch.object(similarity, "_PRESENCE_RANGE", presence_range):
+            got = sim._block(rows, cols)
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                assert repr(float(got[i, j])) == repr(pair_similarity(stats, tags[r], tags[c]))
+        # The kernel on every cell at once, with no dedup.
+        f = np.array([stats.single_count(t) for t in tags], dtype=np.int64)
+        log_f = np.array([math.log(c) if c else 0.0 for c in f.tolist()])
+        fab = np.array([[stats.pair_count(tags[r], tags[c]) for c in cols] for r in rows],
+                       dtype=np.int64).reshape(len(rows), len(cols))
+        live = (f[rows, None] > 0) & (f[cols] > 0) & (np.array(rows)[:, None] != cols)
+        if live.any():
+            direct = similarity._fcs_block(
+                fab, log_f[rows, None], log_f[cols], math.log(stats.total)
+            )
+            assert_same_bits(got[live], direct[live])
+
+    @staticmethod
+    def check_dedup(keys):
+        got = similarity._dedup(keys)
+        want = np.unique(keys, return_inverse=True)
+        assert len(got) == 2
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        st.lists(st.integers(0, 40), max_size=40), st.lists(st.integers(0, 2**62), max_size=40)
+    ))
+    def test_dedup_equals_unique(self, keys):
+        self.check_dedup(np.array(keys, dtype=np.int64))
+
+    def test_dedup_paths(self):
+        # 10 keys below 40: a presence table, no sort.
+        small = np.array([7, 3, 39, 3, 0, 7, 7, 12, 0, 38], dtype=np.int64)
+        with mock.patch.object(np, "unique", side_effect=AssertionError("sorted")):
+            got = similarity._dedup(small)
+        assert got[0].tolist() == [0, 3, 7, 12, 38, 39]
+        assert got[1].tolist() == [2, 1, 5, 1, 0, 2, 2, 3, 0, 4]
+        self.check_dedup(small)
+        # Counts of order 10**11: np.unique.
+        large = small * 10**10
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            similarity._dedup(large)
+        assert unique.call_count == 1
+        self.check_dedup(large)
+        self.check_dedup(np.zeros(0, dtype=np.int64))
+
+    def test_wide_matrix_keeps_its_bits(self):
+        # The wide benchmark's 1,000-tag matrix, pinned as the sha256 of its
+        # bytes.
+        bench = generate_synthetic(SyntheticSpec(
+            n_images=400, n_train=1000, n_seen=500, n_novel=500, count_min=1, count_max=60
+        ), 1)
+        values = similarity_matrix(bench.cooccurrence, bench.vocab).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == (
+            "33f708725bf16151b91d526975b953307e8805443636c7e037b13fa920bd46f1"
+        )
 
 
 class TestLazyMatrix:
