@@ -194,6 +194,14 @@ class ScoreTable:
         finite = np.isfinite(self.scores)
         return None if finite.all() else int(np.argmin(finite))
 
+    @cached_property
+    def _stats(self) -> "TagStats":
+        """``thresholds.tag_stats`` of the table, computed on first use and
+        kept, as the scores are read-only."""
+        from .thresholds import _tag_stats
+
+        return _tag_stats(self)
+
     @property
     def n_images(self) -> int:
         return len(self.images)

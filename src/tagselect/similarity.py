@@ -307,6 +307,8 @@ class SimilarityMatrix:
                 # A cell's value depends only on its (single, single, joint)
                 # counts: each distinct triple is computed once.
                 joint, joint_code = _dedup(counts[np.ix_(col[r_tags], c_col)].ravel())
+                # log 0 is never used: _fcs_block masks pairs with fab == 0.
+                log_joint = np.array([math.log(c) if c else 0.0 for c in joint.tolist()])
                 key = f_code[r_tags, None] * len(log_f) + c_code
                 key *= len(joint)
                 key += joint_code.reshape(key.shape)
@@ -315,7 +317,7 @@ class SimilarityMatrix:
                 del key
                 pair, fab = np.divmod(triples, len(joint))
                 a, b = np.divmod(pair, len(log_f))
-                sims = _fcs_block(joint[fab], log_f[a], log_f[b], log_total)
+                sims = _fcs_block(joint[fab], log_joint[fab], log_f[a], log_f[b], log_total)
                 out[np.ix_(rr, c)] = sims[inverse].reshape(len(rr), len(c))
         out[rows[:, None] == cols] = 1.0
         return out
@@ -385,14 +387,11 @@ def _dedup(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(present).astype(keys.dtype, copy=False), position[keys]
 
 
-def _fcs_block(fab, log_fa, log_fb, log_total):
+def _fcs_block(fab, log_fab, log_fa, log_fb, log_total):
     """``fcs`` of a block of pairs, elementwise, from their joint counts
-    ``fab`` (of any shape), the logs of their single counts (arrays that
-    broadcast to it) and the log of the collection size."""
-    distinct, inverse = np.unique(fab, return_inverse=True)
-    # log 0 is never used: pairs with fab == 0 are masked below.
-    log_fab = np.array([math.log(c) if c else 0.0 for c in distinct.tolist()])
-    log_fab = log_fab[inverse].reshape(fab.shape)
+    ``fab`` (of any shape) and the logs of those counts (any value where
+    ``fab`` is 0), the logs of their single counts (arrays that broadcast
+    to it) and the log of the collection size."""
     num = np.maximum(log_fa, log_fb) - log_fab
     den = log_total - np.minimum(log_fa, log_fb)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -54,17 +54,18 @@ def tag_stats(table: ScoreTable) -> TagStats:
     """Mean and population (divide-by-n) standard deviation per tag, over
     the image collection held by the table.  Scores near the largest double
     overflow them to inf without a warning; ``require_finite_stats`` refuses
-    them where they are fit or written.  The statistics are computed once
-    per table and kept on it, as its scores are read-only."""
-    stats = vars(table).get("_tag_stats")
-    if stats is None:
-        _require_images(table)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mu = table.scores.mean(axis=0)
-            sigma = table.scores.std(axis=0)
-        stats = TagStats(table.tags, mu, sigma)
-        object.__setattr__(table, "_tag_stats", stats)
-    return stats
+    them where they are fit or written.  The table computes them once and
+    keeps them (``ScoreTable._stats``), as its scores are read-only."""
+    return table._stats
+
+
+def _tag_stats(table: ScoreTable) -> TagStats:
+    """``tag_stats`` computed afresh."""
+    _require_images(table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = table.scores.mean(axis=0)
+        sigma = table.scores.std(axis=0)
+    return TagStats(table.tags, mu, sigma)
 
 
 def require_finite_stats(stats: TagStats, tags: Sequence[str] | None = None) -> None:

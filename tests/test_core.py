@@ -514,10 +514,10 @@ class TestTopColumns:
     def check(key, ties, k):
         i, j = np.nonzero(np.arange(key.shape[1]) < k[:, None])
         want = order_rows(key, ties)[i, j]
-        # A ratio of 0 partitions every row, even for k = n_cols; one above
-        # the column count sorts every row whole.
-        for ratio in (0, selection._PARTITION_RATIO, key.shape[1] + 1):
-            with mock.patch.object(selection, "_PARTITION_RATIO", ratio):
+        # The partition on every shape, even for k = n_cols; whole rows on
+        # every shape; and the rule that chooses between them.
+        for rule in (lambda top, n: True, lambda top, n: False, selection._partitions):
+            with mock.patch.object(selection, "_partitions", rule):
                 rows, cols = _top_columns(key, ties, k)
             assert rows.tolist() == i.tolist()
             assert cols.tolist() == want.tolist()

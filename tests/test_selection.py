@@ -2,6 +2,7 @@
 extrapolation, score refinement, and the adaptive method."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from tagselect import (
     select_by_threshold,
     similarity_matrix,
 )
+from tagselect import selection
 from tagselect.selection import (
     _novel_columns,
     _round_half_up,
@@ -454,6 +456,25 @@ class TestSelectionKernel:
         got = select_rows(table, pool[p], tau[p], novel[q], k)
         for name in ("offsets", "columns", "scores", "provenance"):
             a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems(), st.data())
+    def test_partition_and_whole_rows_select_the_same(self, problem, data):
+        # The novel top-k and the fallback, refined or not, whichever way
+        # _top_columns takes.
+        vocab, table, model, sim, cfg = problem
+        pool, tau = learned_pool(table, vocab, model)
+        novel = _novel_columns(table, vocab)
+        k = data.draw(st.none() | st.integers(1, table.n_tags))
+        ranked = data.draw(st.sampled_from([None, refine_table(table, vocab, model, sim, cfg.w)]))
+        ranked = None if ranked is None else ranked.scores
+        got = []
+        for always in (True, False):
+            with mock.patch.object(selection, "_partitions", lambda top, n: always):
+                got.append(select_rows(table, pool, tau, novel, k, ranked))
+        for name in ("offsets", "columns", "scores", "provenance"):
+            a, b = (getattr(r, name) for r in got)
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
     def test_default_spec_refined_scores_match_oracle_bit_for_bit(self):

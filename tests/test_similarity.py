@@ -521,8 +521,10 @@ class TestDedup:
                        dtype=np.int64).reshape(len(rows), len(cols))
         live = (f[rows, None] > 0) & (f[cols] > 0) & (np.array(rows)[:, None] != cols)
         if live.any():
+            log_fab = np.array([math.log(c) if c else 0.0 for c in fab.ravel().tolist()])
             direct = similarity._fcs_block(
-                fab, log_f[rows, None], log_f[cols], math.log(stats.total)
+                fab, log_fab.reshape(fab.shape), log_f[rows, None], log_f[cols],
+                math.log(stats.total)
             )
             assert_same_bits(got[live], direct[live])
 
