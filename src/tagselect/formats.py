@@ -48,7 +48,7 @@ _ROW_FIELDS = {"1": 3, "2": 4, "N": 2}  # co-occurrence row kind -> fields
 #: large file never sits in memory whole, as text or as strings.
 BLOCK_LINES = 1 << 12
 
-_NL, _TAB, _HASH = ord("\n"), ord("\t"), ord("#")
+_NL, _TAB, _HASH, _ONE = ord("\n"), ord("\t"), ord("#"), ord("1")
 
 
 class _Block(NamedTuple):
@@ -128,7 +128,9 @@ def _split_block(raw: bytes, text: str, first: int) -> tuple[_Block, int]:
     starts = np.concatenate(([0], ends[:-1] + 1))
     data = (ends > starts) & (buf[starts] != _HASH)
     tabs = np.flatnonzero(buf == _TAB)
-    ntabs = np.searchsorted(tabs, ends) - np.searchsorted(tabs, starts)
+    # No tab sits on a newline, so a line's tabs are those before its end
+    # and not before the previous line's end.
+    ntabs = np.diff(np.searchsorted(tabs, ends), prepend=0)
     fields: list[str] = []
     if data.any():
         if not data.all():
@@ -198,6 +200,27 @@ def _indices(index: dict[str, int], keys: list[str]) -> np.ndarray:
     for key in dict.fromkeys(keys):
         index.setdefault(key, len(index))
     return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+
+
+def _cycle_cells(
+    index: dict[str, int], cycle: list[str], images: list[str], tags: list[str]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows and columns of a block in the layout the writers give: ``tags``
+    follow ``cycle`` (distinct tags, each at its column) from some phase, and
+    each cycle-aligned run of lines holds one image.  These are the arrays
+    that looking up each line's image in ``index`` and tag in ``cycle`` would
+    give, with no lookup per line.  Any other block gives None and leaves
+    ``index`` unchanged."""
+    n, m = len(cycle), len(tags)
+    phase = _find(cycle, tags[0]) if n and m else None
+    if phase is None or tags != (cycle * ((phase + m - 1) // n + 1))[phase: phase + m]:
+        return None
+    bounds = [0, *range(n - phase, m, n), m]
+    runs = list(zip(bounds, bounds[1:]))
+    if any(images[a:b].count(images[a]) != b - a for a, b in runs):
+        return None
+    heads = [images[a] for a, _ in runs]
+    return np.repeat(_indices(index, heads), np.diff(bounds)), (phase + np.arange(m)) % n
 
 
 def _at(rows: np.ndarray, i: int | None) -> int | None:
@@ -333,11 +356,16 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
     img_index: dict[str, int] = {}
     scores = np.zeros((0, n), dtype=np.float64)
     filled = np.zeros((0, n), dtype=bool)
+    cycle = list(vocab.tags)
     for linenos, (images, tags, texts) in _columns(path, "scores", 3):
-        cols = np.fromiter(map(column.get, tags, repeat(-1)), dtype=np.intp, count=len(tags))
-        unknown = _first_true(cols < 0)  # no cell: only the lines before it are marked
+        cells = _cycle_cells(img_index, cycle, images, tags)
+        if cells is None:
+            cols = np.fromiter(map(column.get, tags, repeat(-1)), dtype=np.intp, count=len(tags))
+            unknown = _first_true(cols < 0)  # no cell: only the lines before it are marked
+            rows = _indices(img_index, images)
+        else:
+            (rows, cols), unknown = cells, None
         values, bad_value = _parse_all(float, texts)
-        rows = _indices(img_index, images)
         filled = _grow(filled, len(img_index), n)
         _check_lines(
             path, linenos,
@@ -382,18 +410,30 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
     relevant = np.zeros((0, 0), dtype=bool)
     for linenos, (images, tags, labels) in _columns(path, "truth", 3):
         unknown = None
-        if vocab is not None:
-            outside = [t for t in dict.fromkeys(tags) if t not in vocab]
-            unknown = tags.index(outside[0]) if outside else None
-        values = list(map(_LABELS.get, labels))
-        rows, cols = _indices(img_index, images), _indices(tag_index, tags)
+        # A block that passes names only tags of earlier blocks, which passed
+        # the vocabulary check.  The first block sets the coverage order.
+        cells = _cycle_cells(img_index, list(tag_index), images, tags)
+        if cells is None:
+            if vocab is not None:
+                outside = [t for t in dict.fromkeys(tags) if t not in vocab]
+                unknown = tags.index(outside[0]) if outside else None
+            rows, cols = _indices(img_index, images), _indices(tag_index, tags)
+        else:
+            rows, cols = cells
+        # Every label one character, each '0' or '1': one pass over them.
+        joined = "".join(labels)
+        if "" not in labels and len(labels) == len(joined) == sum(map(joined.count, "01")):
+            values, bad_label = np.frombuffer(joined.encode(), np.uint8) == _ONE, None
+        else:
+            values = list(map(_LABELS.get, labels))
+            bad_label = _find(values, None)
         filled = _grow(filled, len(img_index), len(tag_index))
         _check_lines(
             path, linenos,
             (_find(images, ""), lambda i: "empty image id"),
             (_find(tags, ""), lambda i: "empty tag"),
             (unknown, lambda i: f"unknown tag {tags[i]!r}"),
-            (_find(values, None), lambda i: f"label must be 0 or 1, got {labels[i]!r}"),
+            (bad_label, lambda i: f"label must be 0 or 1, got {labels[i]!r}"),
             (_mark_new(filled, rows, cols),
              lambda i: f"duplicate label for ({images[i]!r}, {tags[i]!r})"),
         )
@@ -401,7 +441,7 @@ def load_truth(path, vocab: Vocabulary | None = None) -> GroundTruth:
         relevant[rows, cols] = values
         # As in load_scores: the block's columns must not sit in memory
         # beside the next block.
-        del images, tags, labels, values, rows, cols
+        del images, tags, labels, joined, values, rows, cols
     if not img_index:
         raise FormatError(path, 0, "ground truth file holds no labels")
     shape = (slice(len(img_index)), slice(len(tag_index)))

@@ -1,18 +1,19 @@
 """The block-wise TSV codec of ``tagselect.formats`` against the
 line-at-a-time loaders in ``oracles``: the same objects, or the same error,
 on random files with comment and blank lines, mixed line endings, shuffled
-rows and injected corruptions, at any block size; then fixed files longer
-than one block at the module's own block size."""
+rows or the layout the writers give, and injected corruptions, at any block
+size; then fixed files longer than one block at the module's own block
+size."""
 
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tagselect import PROVENANCE_ORDER, FormatError, Vocabulary, formats
+from tagselect import PROVENANCE_ORDER, FormatError, Vocabulary, cli, formats
 
 VOCAB = Vocabulary.from_partition(["alpha", "beta", "é字"], ["#hash", "g a"])
 # Identifiers include a non-ASCII tag, a space, a form feed and a line
@@ -54,12 +55,12 @@ def block_lines(n):
         yield
 
 
-def render(draw, lines: list[str]) -> bytes:
-    """Interleave comment and blank lines, end each line with a drawn line
-    ending and maybe leave the last one open."""
+def render(draw, lines: list[str], comments=True) -> bytes:
+    """Interleave comment and blank lines (if ``comments``), end each line
+    with a drawn line ending and maybe leave the last one open."""
     out = []
     for line in lines:
-        for _ in range(draw(st.integers(0, 1))):
+        for _ in range(draw(st.integers(0, 1)) if comments else 0):
             out.append(draw(st.sampled_from(["", "# comment", "#", "#\tx\ty\tz"])))
         out.append(line)
     text = "".join(line + draw(st.sampled_from(ENDINGS)) for line in out)
@@ -95,6 +96,7 @@ COMMON_RULES = [
     lambda f, o: "\t".join(["", *f[1:]]),  # empty image id
     lambda f, o: "\t".join([f[0], "delta", *f[2:]]),  # unknown tag
     lambda f, o: "\t".join([*o[:2], *f[2:]]),  # another line's cell
+    lambda f, o: "\t".join([o[0], *f[1:]]),  # another line's image
     lambda f, o: None,  # deleted
     lambda f, o: "# " + "\t".join(f),  # commented out
     lambda f, o: "",  # blanked
@@ -154,6 +156,42 @@ def selection_files(draw):
     return render(draw, lines)
 
 
+def canonical_lines(draw, cycle, value) -> list[str]:
+    """The layout the writers give: image-major, each image's lines in
+    ``cycle`` order, maybe with the last image cut short, and maybe with an
+    earlier image's lines again after the others.  Maybe one image has
+    another number of lines, and the tags run on through the cycle, so that
+    images change within a cycle from there."""
+    images = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=5, unique=True))
+    n = len(cycle)
+    sizes = [n] * (len(images) - 1) + [draw(st.integers(1, n))]
+    if len(images) > 1 and draw(st.booleans()):
+        images.append(draw(st.sampled_from(images[:-1])))
+        sizes.append(n)
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.integers(1, 2 * n))
+    owners = [image for image, size in zip(images, sizes) for _ in range(size)]
+    return [f"{image}\t{cycle[j % n]}\t{draw(value)}" for j, image in enumerate(owners)]
+
+
+@st.composite
+def canonical_score_files(draw):
+    lines = canonical_lines(draw, VOCAB.tags, st.sampled_from(NUMBERS))
+    if draw(st.booleans()):
+        lines = corrupt(draw, lines, SCORE_RULES)
+    return render(draw, lines, comments=draw(st.booleans()))
+
+
+@st.composite
+def canonical_truth_files(draw):
+    """Each image labels the same tags in one coverage order."""
+    cycle = draw(st.lists(st.sampled_from(VOCAB.tags), min_size=1, unique=True))
+    lines = canonical_lines(draw, cycle, st.sampled_from("01"))
+    if draw(st.booleans()):
+        lines = corrupt(draw, lines, TRUTH_RULES)
+    return render(draw, lines, comments=draw(st.booleans()))
+
+
 COOC_LINES = [
     "N\t10", "1\talpha\t5", "1\tbeta\t4", "1\tgamma\t3",
     "2\talpha\tbeta\t2", "2\talpha\tgamma\t1", "2\tbeta\tgamma\t0",
@@ -186,26 +224,48 @@ BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, formats.BLOCK_LINES])
 SELECTION_FIELDS = ("images", "column_tags", "offsets", "columns", "scores", "provenance")
 
 
+def scores_as_oracle(tmp_path_factory, content, block):
+    path = tmp_path_factory.mktemp("codec") / "scores.tsv"
+    path.write_bytes(content)
+    with block_lines(block):
+        want, got = oracle_and_codec(
+            path, formats.load_scores, oracles.load_scores_oracle, VOCAB)
+    same_result(got, want, ("images", "tags", "scores"))
+
+
+def truth_as_oracle(tmp_path_factory, content, block, vocab):
+    path = tmp_path_factory.mktemp("codec") / "truth.tsv"
+    path.write_bytes(content)
+    with block_lines(block):
+        want, got = oracle_and_codec(
+            path, formats.load_truth, oracles.load_truth_oracle, vocab)
+    same_result(got, want, ("images", "coverage", "labels"))
+
+
 class TestAgainstLineOracle:
     @settings(deadline=None, max_examples=200)
     @given(content=score_files(), block=BLOCK_SIZES)
     def test_scores(self, tmp_path_factory, content, block):
-        path = tmp_path_factory.mktemp("codec") / "scores.tsv"
-        path.write_bytes(content)
-        with block_lines(block):
-            want, got = oracle_and_codec(
-                path, formats.load_scores, oracles.load_scores_oracle, VOCAB)
-        same_result(got, want, ("images", "tags", "scores"))
+        scores_as_oracle(tmp_path_factory, content, block)
 
     @settings(deadline=None, max_examples=200)
     @given(content=truth_files(), block=BLOCK_SIZES, vocab=st.sampled_from([VOCAB, None]))
     def test_truth(self, tmp_path_factory, content, block, vocab):
-        path = tmp_path_factory.mktemp("codec") / "truth.tsv"
-        path.write_bytes(content)
-        with block_lines(block):
-            want, got = oracle_and_codec(
-                path, formats.load_truth, oracles.load_truth_oracle, vocab)
-        same_result(got, want, ("images", "coverage", "labels"))
+        truth_as_oracle(tmp_path_factory, content, block, vocab)
+
+    @settings(deadline=None, max_examples=200)
+    @given(content=canonical_score_files(), block=BLOCK_SIZES)
+    def test_canonical_scores(self, tmp_path_factory, content, block):
+        """Blocks in the written layout are indexed by cycle and run; at
+        block sizes of 2 and 3 lines a cycle of 5 tags starts at every
+        phase."""
+        scores_as_oracle(tmp_path_factory, content, block)
+
+    @settings(deadline=None, max_examples=200)
+    @given(content=canonical_truth_files(), block=BLOCK_SIZES,
+           vocab=st.sampled_from([VOCAB, None]))
+    def test_canonical_truth(self, tmp_path_factory, content, block, vocab):
+        truth_as_oracle(tmp_path_factory, content, block, vocab)
 
     @settings(deadline=None, max_examples=200)
     @given(content=cooccurrence_files(), block=BLOCK_SIZES)
@@ -387,6 +447,84 @@ class TestBeyondOneBlock:
                 path, formats.load_cooccurrence, oracles.load_cooccurrence_oracle)
         assert str(got) == f"{path}:6: duplicate pair count for ('alpha', 'beta')"
         same_result(got, want, ())
+
+
+class TestCanonicalLayout:
+    """Files as ``gen-synth`` writes them: image-major, with each image's tags
+    in one order."""
+
+    @pytest.fixture(scope="class")
+    def bench(self, tmp_path_factory):
+        """Four blocks of each eval file at the module's block size."""
+        root = tmp_path_factory.mktemp("canonical")
+        argv = ["gen-synth", "--out-dir", str(root), "--seed", "1",
+                "--n-images", "60", "--n-train", "10"]
+        assert cli.main(argv) == 0
+        return root, formats.load_vocabulary(root / "vocabulary.tsv")
+
+    @staticmethod
+    def cycle_hits(load, *args):
+        """Load, and tell for each block whether ``_cycle_cells`` indexed it."""
+        hits, cells = [], formats._cycle_cells
+
+        def counted(*cell_args):
+            found = cells(*cell_args)
+            hits.append(found is not None)
+            return found
+
+        with mock.patch.object(formats, "_cycle_cells", counted):
+            load(*args)
+        return hits
+
+    def test_every_score_block_is_indexed_by_cycle_and_run(self, bench):
+        root, vocab = bench
+        path = root / "eval_scores.tsv"
+        assert self.cycle_hits(formats.load_scores, path, vocab) == [True] * 4
+        want, got = oracle_and_codec(path, formats.load_scores, oracles.load_scores_oracle, vocab)
+        same_result(got, want, ("images", "tags", "scores"))
+
+    def test_every_truth_block_but_the_first_is_indexed_by_cycle_and_run(self, bench):
+        """The first block sets the coverage order, so it has no cycle."""
+        root, vocab = bench
+        path = root / "eval_truth.tsv"
+        assert self.cycle_hits(formats.load_truth, path, vocab) == [False] + [True] * 3
+        want, got = oracle_and_codec(path, formats.load_truth, oracles.load_truth_oracle, vocab)
+        same_result(got, want, ("images", "coverage", "labels"))
+
+    def test_an_empty_label_beside_a_two_character_one(self, tmp_path):
+        """The labels '' and '01' have as many characters as labels, each
+        '0' or '1'; the empty one is still refused."""
+        path = tmp_path / "truth.tsv"
+        path.write_bytes(b"x1\talpha\t\nx1\tbeta\t01\n")
+        want, got = oracle_and_codec(path, formats.load_truth, oracles.load_truth_oracle)
+        assert str(got) == f"{path}:1: label must be 0 or 1, got ''"
+        same_result(got, want, ())
+
+
+@st.composite
+def tabbed_files(draw):
+    """Lines of tabs and text, some blank or '#' comments, with mixed line
+    endings and maybe an open last line."""
+    lines = draw(st.lists(st.text("a\t#", max_size=5), max_size=12))
+    text = "".join(line + draw(st.sampled_from(ENDINGS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
+@settings(deadline=None, max_examples=200)
+@given(content=tabbed_files(), block=BLOCK_SIZES)
+@example(content=b"a\tb\r\n# c\td\r\n\r\n\t\ta\r\t\n\n#\rb\t", block=2)
+def test_tab_count_of_each_data_line(tmp_path_factory, content, block):
+    path = tmp_path_factory.mktemp("codec") / "lines.tsv"
+    path.write_bytes(content)
+    lines = content.decode().replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    want = [(k, line.count("\t")) for k, line in enumerate(lines, 1)
+            if line and not line.startswith("#")]
+    with block_lines(block):
+        got = [pair for b in formats._blocks(path, "lines")
+               for pair in zip(b.linenos.tolist(), b.ntabs.tolist())]
+    assert got == want
 
 
 class TestUndecodableInput:
