@@ -109,18 +109,12 @@ def select_rows(
         # Whole rows are read a block at a time.
         step = max(1, BLOCK_CELLS // table.n_tags)
         blocks = [fallback[r0 : r0 + step] for r0 in range(0, fallback.size, step)]
-        if _partitions(fallback_k, table.n_tags):
-            picks = [
-                _top_columns(scores[rows], tag_rank, np.full(rows.size, fallback_k))
-                for rows in blocks
-            ]
-            r = np.concatenate([rows[i] for rows, (i, _) in zip(blocks, picks)])
-            c = np.concatenate([c for _, c in picks])
-        else:
-            c = np.concatenate(
-                [order_rows(scores[rows], tag_rank)[:, :fallback_k].ravel() for rows in blocks]
-            )
-            r = np.repeat(fallback, fallback_k)
+        k_block = np.full(step, fallback_k)
+        c = np.concatenate(
+            [_top_columns(scores[rows], tag_rank, k_block[: rows.size])[1] for rows in blocks]
+        )
+        # Every fallback image gets fallback_k picks, which lies in [1, n_tags].
+        r = np.repeat(fallback, fallback_k)
         parts.append((r, c, np.full(c.size, PROVENANCE_CODE[FROM_FALLBACK])))
 
     # A stable sort by image keeps each image's seen picks before its novel
@@ -155,13 +149,16 @@ def _top_columns(
     each row's K-th best key are ordered, so ties at that key stay in.  The
     K-th best comes from a partition of the negated keys, which puts NaN
     last as the order does: a row whose K-th best key is NaN keeps every
-    cell."""
+    cell.  Otherwise whole rows are sorted and row i keeps its first k[i]."""
     top = int(k.max(initial=0))
-    if not _partitions(top, key.shape[1]):
-        i, j = _nonzero_2d(np.arange(key.shape[1]) < k[:, None])
-        return i, order_rows(key, ties)[i, j]
     if top == 0:
         return _EMPTY, _EMPTY
+    if not _partitions(top, key.shape[1]):
+        order = order_rows(key, ties)[:, :top]
+        rows = np.repeat(np.arange(key.shape[0]), k)
+        if (k == top).all():
+            return rows, order.ravel()
+        return rows, order[np.arange(top) < k[:, None]]
     kth = -key
     kth.partition(top - 1, axis=1)
     kth = -kth[:, top - 1, None]
@@ -300,7 +297,9 @@ def refine_table(
 ) -> ScoreTable:
     """The table with ``refine_novel_scores`` applied to every image whose
     selected seen set is non-empty; other images keep their raw scores.
-    Every pool threshold must be positive, selected or not."""
+    Every pool threshold must be positive, selected or not.  A refined
+    score that is not finite, as a tiny threshold can overflow a ratio,
+    raises, naming the first such cell in row-major order."""
     if model is None:
         raise TagSelectError("refinement requires a threshold model")
     if sim is None:
@@ -320,9 +319,17 @@ def refine_table(
     block = sim._block(
         [sim.index(table.tags[c]) for c in novel], [sim.index(table.tags[c]) for c in pool]
     )
-    ratios = scores[np.ix_(hit, pool)] / tau - 1.0
     cells = np.ix_(hit, novel)
-    scores[cells] = _blend(scores[cells], block, ratios, mask[hit], w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = scores[np.ix_(hit, pool)] / tau - 1.0
+        scores[cells] = _blend(scores[cells], block, ratios, mask[hit], w)
+    bad = ~np.isfinite(scores[cells])
+    if bad.any():
+        i = np.flatnonzero(bad.any(axis=1))[0]
+        raise TagSelectError(
+            f"refinement gives a non-finite score for image {table.images[hit[i]]!r}, "
+            f"tag {table.tags[novel[bad[i]].min()]!r}"
+        )
     return table._derived(scores)
 
 

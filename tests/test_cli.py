@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on a tiny generated benchmark."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tagselect import (
 )
 from tagselect import cli
 from tagselect.cli import _config_args, main
+from tagselect.selection import refine_table
 from test_similarity import dense_builds
 
 BENCH_ARGS = [
@@ -508,6 +510,53 @@ class TestPipeline:
         with dense_builds() as built:
             assert run(name, *io, *model, *argv, "--out", tmp_path / "out") == 0
         assert built == []
+
+    @pytest.mark.parametrize(
+        "command", ["select", "select-report", "compare", "compare-refined", "refine"]
+    )
+    def test_refinement_that_overflows_is_refused(self, bench_dir, tmp_path, capsys, command):
+        thresholds = tmp_path / "thresholds.tsv"
+        run(
+            "learn-thresholds",
+            "--vocab", bench_dir / "vocabulary.tsv",
+            "--scores", bench_dir / "train_scores.tsv",
+            "--truth", bench_dir / "train_truth.tsv",
+            "--out", thresholds,
+        )
+        # One learned threshold set to a finite, positive value that a score
+        # divided by overflows.
+        lines = thresholds.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("seen_"))
+        tag, _, *stats = lines[at].split("\t")
+        lines[at] = "\t".join([tag, "1e-310", *stats])
+        thresholds.write_text("\n".join(lines) + "\n")
+        vocab = formats.load_vocabulary(bench_dir / "vocabulary.tsv")
+        with pytest.raises(TagSelectError, match="^refinement gives a non-finite score") as raised:
+            refine_table(
+                formats.load_scores(bench_dir / "eval_scores.tsv", vocab),
+                vocab,
+                formats.load_thresholds(thresholds, vocab),
+                similarity_matrix(formats.load_cooccurrence(bench_dir / "cooccurrence.tsv"), vocab),
+                0.5,
+            )
+        io = ["--vocab", bench_dir / "vocabulary.tsv", "--scores", bench_dir / "eval_scores.tsv"]
+        model = ["--thresholds", thresholds, "--cooccurrence", bench_dir / "cooccurrence.tsv"]
+        refine = ["--strategy", "adaptive", "--refine"]
+        compare = ["--truth", bench_dir / "eval_truth.tsv", "--refine"]
+        name, argv = {
+            "select": ("select", refine),
+            "select-report": ("select", [*refine, "--report-refined"]),
+            "compare": ("compare", compare),
+            "compare-refined": ("compare", [*compare, "--refined-rankings"]),
+            "refine": ("refine", []),
+        }[command]
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(name, *io, *model, *argv, "--out", out) == 1
+        assert caught == []
+        assert f"error[data]: {raised.value}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["learn-thresholds", "select", "compare", "refine", "evaluate", "fuse"]

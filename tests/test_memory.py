@@ -169,11 +169,13 @@ def test_from_counts(wide):
     assert peak < 1.8 * nbytes(built.counts), peak
 
 
-def test_top_k_fallback(wide):
-    # Every image falls back to its top 5 of 1,000 tags.
-    result, peak = traced_peak(lambda: select_rows(wide.eval_table, fallback_k=5))
+# One block of rows at a time, whether partitioned (k = 5) or sorted whole
+# (k = 126): about 0.34x and 1.26x the score matrix here.  Sorting all
+# rows at once takes 2.0x and 2.26x.
+@pytest.mark.parametrize("k, bound", [(5, 0.5), (126, 1.85)])
+def test_top_k_fallback(wide, k, bound):
+    # Every image falls back to its top k of 1,000 tags.
+    result, peak = traced_peak(lambda: select_rows(wide.eval_table, fallback_k=k))
     size = nbytes(result.offsets, result.columns, result.scores, result.provenance)
     assert peak < 100 * size, peak
-    # One block of rows at a time, partitioned, not sorted whole: about
-    # 0.34x the score matrix here.
-    assert peak < 0.5 * nbytes(wide.eval_table.scores), peak
+    assert peak < bound * nbytes(wide.eval_table.scores), peak

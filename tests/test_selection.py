@@ -2,6 +2,7 @@
 extrapolation, score refinement, and the adaptive method."""
 
 import hashlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,7 @@ from tagselect import (
     run_strategy,
     select_by_threshold,
     similarity_matrix,
+    tag_stats,
 )
 from tagselect import selection
 from tagselect.selection import (
@@ -70,13 +72,28 @@ class TestSelectTopk:
         with pytest.raises(TagSelectError):
             run_strategy(top_k(6), tiny_table, tiny_vocab)
 
-    def test_matches_sort_oracle(self):
+    # On 72 tags, k = 1 and 9 are partitioned (8k <= 72); k = 10 and 72
+    # sort whole rows, as do 40 tags at any k.
+    @pytest.mark.parametrize(
+        "n_images, n_tags, k", [(1, 40, 7), (30, 72, 1), (30, 72, 9), (30, 72, 10), (30, 72, 72)]
+    )
+    def test_matches_sort_oracle(self, n_images, n_tags, k):
         rng = np.random.default_rng(19)
-        vocab = Vocabulary.from_partition([f"t{i:02d}" for i in range(40)], [])
-        scores = rng.integers(0, 5, size=(1, 40)) / 2.0
-        table = ScoreTable(("x",), vocab.tags, scores)
-        expected = oracles.sorted_tags({t: table.score("x", t) for t in vocab.tags})[:7]
-        assert [p.tag for p in run_strategy(top_k(7), table, vocab).row("x")] == expected
+        vocab = Vocabulary.from_partition([f"t{i:02d}" for i in range(n_tags)], [])
+        images = ("x",) if n_images == 1 else tuple(f"x{i:02d}" for i in range(n_images))
+        # Half-integer scores, so rows hold ties.
+        scores = rng.integers(0, 5, size=(n_images, n_tags)) / 2.0
+        table = ScoreTable(images, vocab.tags, scores)
+        # Thresholds above every score: every image falls back to its top k.
+        model = ThresholdModel(dict.fromkeys(vocab.tags, 3.0), tag_stats(table))
+        results = (
+            run_strategy(top_k(k), table, vocab),
+            run_strategy(StrategySpec("adaptive", k=k), table, vocab, model),
+        )
+        for x in images:
+            expected = oracles.sorted_tags({t: table.score(x, t) for t in vocab.tags})[:k]
+            for result in results:
+                assert [p.tag for p in result.row(x)] == expected
 
 
 class TestSelectByThreshold:
@@ -532,6 +549,36 @@ class TestSelectionKernel:
                     refined_rankings=True)
         # Without refinement nothing divides by the thresholds.
         run_strategy(StrategySpec("adaptive"), table, vocab, model, sim)
+
+    def test_overflowing_refinement_is_refused_on_every_path(self, small_bench, small_model):
+        vocab, table, truth = small_bench.vocab, small_bench.eval_table, small_bench.eval_truth
+        sim = similarity_matrix(small_bench.cooccurrence, vocab)
+        # A finite, positive threshold that a score divided by overflows.
+        anchor = min(small_model.tau, key=table.tag_index)
+        model = replace(small_model, tau={**small_model.tau, anchor: 1e-310})
+        # The first non-finite refined cell in row-major order, by the
+        # scalar reference.
+        bad = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in table.images:
+                a_set = select_by_threshold(table, x, model.tau, model.tau)
+                if a_set:
+                    refined = refine_novel_scores(table, x, vocab, a_set, model, sim, 0.5)
+                    bad += [(x, t) for t in table.tags if not np.isfinite(refined.get(t, 0.0))]
+        x, t = bad[0]
+        message = f"refinement gives a non-finite score for image {x!r}, tag {t!r}"
+        refining = StrategySpec("adaptive", refine=True)
+        reported = AdaptiveConfig(refine=True, report_refined=True)
+        for call in (
+            lambda: refine_table(table, vocab, model, sim, 0.5),
+            lambda: run_strategy(refining, table, vocab, model, sim),
+            lambda: run_strategy(refining, table, vocab, model, sim, reported),
+            lambda: compare([refining], table, truth, vocab, model, sim),
+            lambda: compare([refining], table, truth, vocab, model, sim, refined_rankings=True),
+        ):
+            with pytest.raises(TagSelectError) as raised:
+                call()
+            assert str(raised.value) == message
 
 
 class TestKernelOutputPassesCheckedConstructor:
