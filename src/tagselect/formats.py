@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import operator
+import os
+import stat
 from itertools import islice, repeat
 from typing import Iterator, NamedTuple
 
@@ -246,6 +248,16 @@ def _check_lines(path, linenos, *rules) -> None:
         raise FormatError(path, int(linenos[i]), message(i))
 
 
+def _file_size(path) -> int:
+    """Bytes in ``path`` if it names a regular file, else 0; a file that
+    cannot be examined gives 0, and the open that follows reports it."""
+    try:
+        info = os.stat(path)
+    except OSError:
+        return 0
+    return info.st_size if stat.S_ISREG(info.st_mode) else 0
+
+
 def _grow(array: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """``array``, zero-padded to at least ``rows`` x ``cols``; a dimension
     that must grow at least doubles, so filling costs amortized linear
@@ -354,8 +366,13 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
     n = len(vocab.tags)
     column = {t: j for j, t in enumerate(vocab.tags)}
     img_index: dict[str, int] = {}
-    scores = np.zeros((0, n), dtype=np.float64)
-    filled = np.zeros((0, n), dtype=bool)
+    # A complete image has a line per tag, of at least its tag's bytes, two
+    # tabs, an image id, a score and a newline: so the file's size bounds
+    # its images.  ``np.zeros`` leaves the pages beyond the images it holds
+    # untouched; a file with more images than that grows by ``_grow``.
+    bound = _file_size(path) // sum(len(t.encode("utf-8")) + 5 for t in vocab.tags)
+    scores = np.zeros((bound, n), dtype=np.float64)
+    filled = np.zeros((bound, n), dtype=bool)
     cycle = list(vocab.tags)
     for linenos, (images, tags, texts) in _columns(path, "scores", 3):
         cells = _cycle_cells(img_index, cycle, images, tags)
@@ -387,7 +404,10 @@ def load_scores(path, vocab: Vocabulary) -> ScoreTable:
         raise FormatError(
             path, 0, f"image {images[incomplete]!r} lacks a score for tag {missing!r}"
         )
-    return ScoreTable(images, vocab.tags, scores[: len(images)])
+    # Shrunk in place, not copied: no other reference to ``scores`` or view
+    # of it exists.
+    scores.resize((len(images), n), refcheck=False)
+    return ScoreTable._taking(images, vocab.tags, scores)
 
 
 def save_scores(table: ScoreTable, path) -> None:

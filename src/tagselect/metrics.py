@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, SelectionResult, TagRankings, _nonzero_2d
+from .core import BLOCK_CELLS, GroundTruth, SelectionResult, TagRankings, _nonzero_2d
 from .errors import TagSelectError
 
 
@@ -169,64 +169,79 @@ def _prepare(
     # error in one of them is raised before the missing ranking, in image
     # order, as a per-image loop would.
     in_truth = [i for i, x in enumerate(images[: len(found)]) if truth.has_image(x)]
+    n = len(in_truth)
     n_cov = len(truth.coverage)
     if isinstance(rankings, TagRankings):
-        # int32 columns (there are at most n_cov + 1), indexed straight by
-        # ``order`` when it ranks exactly the kept images in their order:
-        # no intp copy of the whole ranking is made.
-        picked = [found[i] for i in in_truth]
-        order = rankings.order
-        if picked != list(range(len(order))):
-            order = order[picked]
-        ranked = truth.columns(rankings.tags).astype(np.int32)[order]
-        lengths = np.full(len(in_truth), len(rankings.tags))
+        # int32 columns (there are at most n_cov + 1), gathered by ``order``
+        # a block of rows at a time: no intp copy of the whole ranking is
+        # made.
+        cols32 = truth.columns(rankings.tags).astype(np.int32)
+        picked = np.array([found[i] for i in in_truth], dtype=np.intp)
+
+        def ranked_rows(r0: int, r1: int) -> np.ndarray:
+            return cols32[rankings.order[picked[r0:r1]]]
+
+        lengths = np.full(n, len(rankings.tags))
     else:
         chosen = [universes[i] for i in in_truth]
-        lengths = np.fromiter(map(len, chosen), dtype=np.intp, count=len(chosen))
+        lengths = np.fromiter(map(len, chosen), dtype=np.intp, count=n)
         ranked = _pad_rows(truth.columns(chain.from_iterable(chosen)), lengths, n_cov)
+
+        def ranked_rows(r0: int, r1: int) -> np.ndarray:
+            return ranked[r0:r1]
 
     # Row i of ``ranked`` holds the first ``lengths[i]`` ranked tags of image
     # ``in_truth[i]`` as coverage columns, padded on the right with column
     # ``n_cov``, which stands for every tag outside the coverage and is never
-    # labeled.
-    n = len(in_truth)
+    # labeled.  The rows are taken a block at a time.
     labels = np.full((n, n_cov + 1), -1, dtype=np.int8)
     labels[:, :n_cov] = truth.labels[[truth.image_index(images[i]) for i in in_truth]]
-    rows = np.arange(n)[:, None]
-    label = labels[rows, ranked]
-    is_judged = label >= 0
-    n_judged = np.count_nonzero(is_judged, axis=1)
-    in_ranking = np.zeros(labels.shape, dtype=bool)
-    in_ranking[rows, ranked] = True
-    n_distinct = np.count_nonzero(in_ranking & (labels >= 0), axis=1)
-    relevant = in_ranking & (labels == 1)
-    n_relevant = np.count_nonzero(relevant, axis=1)
-    included = n_relevant > 0
-    if require_full_coverage:
-        included &= n_judged == lengths
-    duplicated = np.flatnonzero(included & (n_judged > n_distinct))
-    if duplicated.size:
-        i = int(duplicated[0])
-        judged = [truth.coverage[c] for c in ranked[i, is_judged[i]].tolist()]
-        ap_image([truth.coverage[c] for c in np.flatnonzero(relevant[i])], judged)  # raises
-    del ranked, in_ranking  # so that they do not sit beside the AP arrays
+    relevant = np.empty(labels.shape, dtype=bool)
+    n_relevant = np.empty(n, dtype=np.intp)
+    included = np.empty(n, dtype=bool)
+    ap_sum = np.empty(n)
+    step = max(1, BLOCK_CELLS // max(int(lengths.max(initial=0)), n_cov + 1))
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        ranked_b = ranked_rows(r0, r1)
+        labels_b = labels[r0:r1]
+        rows = np.arange(r1 - r0)[:, None]
+        label = labels_b[rows, ranked_b]
+        is_judged = label >= 0
+        n_judged = np.count_nonzero(is_judged, axis=1)
+        in_ranking = np.zeros(labels_b.shape, dtype=bool)
+        in_ranking[rows, ranked_b] = True
+        n_distinct = np.count_nonzero(in_ranking & (labels_b >= 0), axis=1)
+        relevant_b = relevant[r0:r1]
+        np.logical_and(in_ranking, labels_b == 1, out=relevant_b)
+        n_relevant[r0:r1] = np.count_nonzero(relevant_b, axis=1)
+        included_b = included[r0:r1]
+        np.greater(n_relevant[r0:r1], 0, out=included_b)
+        if require_full_coverage:
+            included_b &= n_judged == lengths[r0:r1]
+        duplicated = np.flatnonzero(included_b & (n_judged > n_distinct))
+        if duplicated.size:
+            i = int(duplicated[0])
+            judged = [truth.coverage[c] for c in ranked_b[i, is_judged[i]].tolist()]
+            ap_image([truth.coverage[c] for c in np.flatnonzero(relevant_b[i])], judged)  # raises
+        # AP: at the k-th relevant tag of an image, judged at position i, the
+        # precision is k / i.  Column k of an image's row holds that
+        # precision, after a zero column; the row-wise cumsum adds them left
+        # to right, in rank order, as ``ap_image`` does, and the zeros after
+        # a row's last hit keep its sum.  The hits come row by row, so k
+        # counts from each row's first hit.
+        r, c = _nonzero_2d(label == 1)
+        n_hits = np.bincount(r, minlength=r1 - r0)
+        k = np.arange(1, r.size + 1) - (np.cumsum(n_hits) - n_hits)[r]
+        precisions = np.zeros((r1 - r0, int(n_hits.max(initial=0)) + 1))
+        precisions[r, k] = k / np.cumsum(is_judged, axis=1, dtype=np.int32)[r, c]
+        ap_sum[r0:r1] = np.cumsum(precisions, axis=1)[:, -1]
     if len(found) < len(images):
         raise TagSelectError(f"no ranking given for image {images[len(found)]!r}")
     keep = np.flatnonzero(included)
     if not keep.size:
         raise TagSelectError("no evaluable image: every image lacks usable ground truth")
-
-    # AP: at the k-th relevant tag of an image, judged at position i, the
-    # precision is k / i.  Column k of an image's row holds that precision,
-    # after a zero column; the row-wise cumsum adds them left to right, in
-    # rank order, as ``ap_image`` does.  The hits come row by row, so k
-    # counts from each row's first hit.
-    r, c = _nonzero_2d(label == 1)
-    n_hits = np.bincount(r, minlength=n)
-    k = np.arange(1, r.size + 1) - (np.cumsum(n_hits) - n_hits)[r]
-    precisions = np.zeros((n, int(n_hits.max(initial=0)) + 1))
-    precisions[r, k] = k / np.cumsum(is_judged, axis=1, dtype=np.int32)[r, c]
-    ap = (np.cumsum(precisions, axis=1)[keep, -1] / n_relevant[keep]).tolist()
+    ap = (ap_sum[keep] / n_relevant[keep]).tolist()
 
     positions = np.array(in_truth, dtype=np.intp)[keep]
     kept = set(positions.tolist())

@@ -89,32 +89,31 @@ def select_rows(
     require_finite(table)
     scores = table.scores
     tag_rank = table._tag_rank
-    mask = scores[:, pool] > tau
+    # The mask is filled a block of rows at a time, so that no full-height
+    # copy of the pool's scores is made.
+    mask = np.empty((table.n_images, pool.size), dtype=bool)
+    step = max(1, BLOCK_CELLS // max(pool.size, 1))
+    for r0 in range(0, table.n_images, step):
+        np.greater(scores[r0 : r0 + step, pool], tau, out=mask[r0 : r0 + step])
     a_size = np.count_nonzero(mask, axis=1)
     # Only the selected cells are sorted, grouped by image: sorting whole
     # rows costs more than the selection itself when A is small.
-    r, j = _nonzero_2d(mask)
-    c = pool[j]
+    r, c = _nonzero_2d(mask)
+    del mask  # so that it does not sit beside the picks
+    c = pool[c]
     order = _argsort_descending(scores[r, c], tag_rank[c], r)
     # The third array holds provenance codes, which index PROVENANCE_ORDER.
     parts = [(r[order], c[order], np.full(r.size, PROVENANCE_CODE[FROM_SEEN_THRESHOLDING]))]
     # An empty pool selects nothing, so its k_novel is 0.
     k = np.minimum(_round_half_up(novel.size * a_size, max(pool.size, 1)), novel.size)
     take = np.flatnonzero(k)
-    key = (scores if ranked is None else ranked)[np.ix_(take, novel)]
-    i, j = _top_columns(key, tag_rank[novel], k[take])
-    parts.append((take[i], novel[j], np.full(i.size, PROVENANCE_CODE[FROM_NOVEL_TOPK])))
+    r, c = _top_rows(scores if ranked is None else ranked, take, novel, tag_rank, k[take])
+    parts.append((r, c, np.full(r.size, PROVENANCE_CODE[FROM_NOVEL_TOPK])))
     if fallback_k is not None and not a_size.all():
         fallback = np.flatnonzero(a_size == 0)
-        # Whole rows are read a block at a time.
-        step = max(1, BLOCK_CELLS // table.n_tags)
-        blocks = [fallback[r0 : r0 + step] for r0 in range(0, fallback.size, step)]
-        k_block = np.full(step, fallback_k)
-        c = np.concatenate(
-            [_top_columns(scores[rows], tag_rank, k_block[: rows.size])[1] for rows in blocks]
-        )
         # Every fallback image gets fallback_k picks, which lies in [1, n_tags].
-        r = np.repeat(fallback, fallback_k)
+        k_fallback = np.full(fallback.size, fallback_k)
+        r, c = _top_rows(scores, fallback, None, tag_rank, k_fallback)
         parts.append((r, c, np.full(c.size, PROVENANCE_CODE[FROM_FALLBACK])))
 
     # A stable sort by image keeps each image's seen picks before its novel
@@ -126,6 +125,28 @@ def select_rows(
     return SelectionResult._from_arrays(
         table.images, table.tags, offsets, c, scores[r, c], p.astype(np.int8)
     )
+
+
+def _top_rows(
+    key: np.ndarray, rows: np.ndarray, cols: np.ndarray | None, tag_rank: np.ndarray,
+    k: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_columns`` over the ``rows`` x ``cols`` cells of ``key`` (every
+    column when ``cols`` is None), with ``k[i]`` picks for ``rows[i]``:
+    (rows, columns) of the table.  The cells are gathered ``BLOCK_CELLS`` at
+    a time, so no full-height copy of ``key`` is made."""
+    width = key.shape[1] if cols is None else cols.size
+    ties = tag_rank if cols is None else tag_rank[cols]
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    r_parts, c_parts = [_EMPTY], [_EMPTY]
+    for s in range(0, rows.size, step):
+        block = rows[s : s + step]
+        i, j = _top_columns(
+            key[block] if cols is None else key[np.ix_(block, cols)], ties, k[s : s + step]
+        )
+        r_parts.append(block[i])
+        c_parts.append(j if cols is None else cols[j])
+    return np.concatenate(r_parts), np.concatenate(c_parts)
 
 
 def _partitions(top: int, n_cols: int) -> bool:
@@ -210,17 +231,43 @@ def k_novel(seen_size: int, novel_size: int, a_size: int) -> int:
     return min(_round_half_up(novel_size * a_size, seen_size), novel_size)
 
 
-def _blend(raw, block, ratios, mask, w):
+def _blend(raw, block_t, rows, cols, ratios, w):
     """``w * raw + (1-w) * mean over A of sim * ratio`` per image (row):
-    A is the image's ``mask``ed columns (never none) of ``ratios``, and
-    ``block`` holds sim(novel tag, column).  The sum runs in column order,
-    one accumulation per column, so every cell equals a scalar
-    ``acc += sim * ratio`` loop bit for bit; no BLAS kernel picks the order."""
+    the A cells are ``rows`` and ``cols``, row-major with each row's columns
+    ascending, with their ``ratios``, and every row has one at least; row k
+    of ``block_t`` holds sim(column k, novel tag).  Each row adds its products in ascending column order, so
+    every cell equals a scalar ``acc += sim * ratio`` loop bit for bit; no
+    BLAS kernel picks the order.  The rows are taken by |A| descending, so
+    those with a p-th A column form a prefix, and each position p is one
+    accumulation over it."""
+    size = np.bincount(rows, minlength=raw.shape[0])
+    order = np.argsort(-size, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # Row by row, with each row at its rank: the A columns, ascending, and
+    # their ratios.
+    at = (rank[rows], np.arange(rows.size) - (np.cumsum(size) - size)[rows])
+    top = int(size.max(initial=0))
+    columns = np.zeros((raw.shape[0], top), dtype=np.intp)
+    columns[at] = cols
+    weights = np.zeros((raw.shape[0], top))
+    weights[at] = ratios
+    live = np.count_nonzero(size[:, None] > np.arange(top), axis=0)
     acc = np.zeros(raw.shape)
-    for k in range(mask.shape[1]):
-        rows = np.flatnonzero(mask[:, k])
-        acc[rows] += ratios[rows, k, None] * block[:, k]
-    return w * raw + (1.0 - w) * (acc / np.count_nonzero(mask, axis=1)[:, None])
+    terms = np.empty(raw.shape)
+    # The indices are in range: "clip" only spares ``take`` a buffer.
+    for p, n in enumerate(live.tolist()):
+        term = np.take(block_t, columns[:n, p], axis=0, out=terms[:n], mode="clip")
+        term *= weights[:n, p, None]
+        acc[:n] += term
+    # w * raw + (1-w) * (acc / |A|), row by row, in place where it can be.
+    mean = np.take(acc, rank, axis=0, out=terms, mode="clip")
+    del acc
+    mean /= size[:, None]
+    mean *= 1.0 - w
+    blend = w * raw
+    blend += mean
+    return blend
 
 
 def refine_novel_scores(
@@ -264,7 +311,10 @@ def refine_novel_scores(
     novel = vocab.novel_tags
     block = sim.values[np.ix_([sim.index(t) for t in novel], [sim.index(t) for t in a_tags])]
     raw = row[[table.tag_index(t) for t in novel]]
-    refined = _blend(raw[None], block, np.array([ratios]), np.ones((1, len(a_tags)), bool), w)
+    a = np.arange(len(a_tags))
+    refined = _blend(
+        raw[None], np.ascontiguousarray(block.T), np.zeros_like(a), a, np.array(ratios), w
+    )
     return dict(zip(novel, refined[0].tolist()))
 
 
@@ -302,34 +352,62 @@ def refine_table(
     raises, naming the first such cell in row-major order."""
     if model is None:
         raise TagSelectError("refinement requires a threshold model")
+    _check_refinable(table, sim, w)
+    pool, tau = learned_pool(table, vocab, model)
+    return _refined(table, pool, tau, _novel_columns(table, vocab), sim, w)
+
+
+def _check_refinable(table: ScoreTable, sim: SimilarityMatrix | None, w: float) -> None:
+    """The checks that ``refine_table`` makes before it reads the model,
+    in its order."""
     if sim is None:
         raise TagSelectError("refinement requires a similarity matrix")
     _check_weight(w)
     require_finite(table)
-    pool, tau = learned_pool(table, vocab, model)
-    novel = _novel_columns(table, vocab)
+
+
+def _refined(
+    table: ScoreTable,
+    pool: np.ndarray,
+    tau: np.ndarray,
+    novel: np.ndarray,
+    sim: SimilarityMatrix,
+    w: float,
+) -> ScoreTable:
+    """``refine_table`` over the learned ``pool`` and its thresholds
+    ``tau``, and the ``novel`` columns, after ``_check_refinable``.  The
+    copied table is refined a block of rows at a time, so that the masks,
+    ratios and blend of one block are all it holds besides."""
     bad = [repr(table.tags[c]) for c in pool[tau <= 0.0]]
     if bad:
         raise TagSelectError(
             f"thresholds of {', '.join(bad)} are not positive; refinement divides by them"
         )
-    scores = np.array(table.scores)
-    mask = scores[:, pool] > tau
-    hit = np.flatnonzero(mask.any(axis=1))
+    # The block first, so that its transients do not sit beside the copy.
     block = sim._block(
         [sim.index(table.tags[c]) for c in novel], [sim.index(table.tags[c]) for c in pool]
     )
-    cells = np.ix_(hit, novel)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratios = scores[np.ix_(hit, pool)] / tau - 1.0
-        scores[cells] = _blend(scores[cells], block, ratios, mask[hit], w)
-    bad = ~np.isfinite(scores[cells])
-    if bad.any():
-        i = np.flatnonzero(bad.any(axis=1))[0]
-        raise TagSelectError(
-            f"refinement gives a non-finite score for image {table.images[hit[i]]!r}, "
-            f"tag {table.tags[novel[bad[i]].min()]!r}"
-        )
+    block_t = np.ascontiguousarray(block.T)
+    scores = np.array(table.scores)
+    step = max(1, BLOCK_CELLS // max(pool.size, novel.size, 1))
+    for r0 in range(0, table.n_images, step):
+        part = scores[r0 : r0 + step]
+        mask = part[:, pool] > tau
+        hit = np.flatnonzero(mask.any(axis=1))
+        r, j = _nonzero_2d(mask[hit])
+        cells = np.ix_(hit, novel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = part[hit[r], pool[j]] / tau[j] - 1.0
+            refined = _blend(part[cells], block_t, r, j, ratios, w)
+        bad = ~np.isfinite(refined)
+        if bad.any():
+            i = np.flatnonzero(bad.any(axis=1))[0]
+            image, tag = table.images[r0 + hit[i]], table.tags[novel[bad[i]].min()]
+            raise TagSelectError(
+                f"refinement gives a non-finite score for image {image!r}, tag {tag!r}"
+            )
+        part[cells] = refined
+        del refined  # so that it does not sit beside the next block's
     return table._derived(scores)
 
 
@@ -353,7 +431,8 @@ def adaptive_rows(
     novel = _novel_columns(table, vocab)
     ranked = None
     if cfg.refine:
-        refined = refine_table(table, vocab, model, sim, cfg.w)
+        _check_refinable(table, sim, cfg.w)
+        refined = _refined(table, pool, tau, novel, sim, cfg.w)
         ranked = refined.scores
         if cfg.report_refined:
             # Refinement changes no seen column and no fallback image.

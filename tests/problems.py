@@ -9,7 +9,9 @@ shuffled, so their lexical order differs from the column order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from tagselect import (
     Vocabulary,
     tag_stats,
 )
+from tagselect import core, metrics, selection
 
 SCORES = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0)
 THRESHOLDS = (0.25, 0.5, 0.75)
@@ -149,3 +152,18 @@ def refine_modes(cfg):
         replace(cfg, refine=refine, report_refined=report)
         for refine, report in ((False, False), (True, False), (True, True))
     ]
+
+
+#: ``BLOCK_CELLS`` values small enough that the problems above span many
+#: row blocks: one row per block up to a few rows.
+SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 13, 21])
+
+
+@contextmanager
+def small_blocks(cells):
+    """The row-block kernels of ``core``, ``selection`` and ``metrics``, which
+    each import ``BLOCK_CELLS`` by name, with ``cells`` cells per block."""
+    with mock.patch.object(core, "BLOCK_CELLS", cells), \
+            mock.patch.object(selection, "BLOCK_CELLS", cells), \
+            mock.patch.object(metrics, "BLOCK_CELLS", cells):
+        yield

@@ -37,6 +37,39 @@ def strategy(name, **kw):
     return StrategySpec(name, **kw)
 
 
+def check_every_strategy(problem):
+    """Each strategy's rows equal the per-image oracle by (tag, repr(score),
+    provenance), on tie-heavy tables with shuffled tag strings."""
+    vocab, table, model, sim, cfg = problem
+    batch = replace(model, stats=tag_stats(table))
+    mu_sigma = {t: predict_threshold(batch, t, "mu_sigma") for t in vocab.tags}
+    lsq = {t: predict_threshold(batch, t, "lsq") for t in vocab.tags}
+    thresholds = {
+        "mu_sigma": mu_sigma,
+        "lsq": lsq,
+        "hybrid_tau_musigma": {**mu_sigma, **model.tau},
+        "hybrid_tau_lsq": {**lsq, **model.tau},
+    }
+    runs = [(name, cfg) for name in STRATEGY_NAMES[:-1]]
+    runs += [("adaptive", mode) for mode in problems.refine_modes(cfg)]
+    for name, mode in runs:
+        spec = strategy(name, k=cfg.fallback_k)
+        result = run_strategy(spec, table, vocab, model, sim, cfg=mode)
+        assert result.images == table.images
+        for x in table.images:
+            got = [(p.tag, repr(p.score), p.provenance) for p in result.row(x)]
+            if name == "top_k":
+                want = oracles.topk_oracle(table, x, cfg.fallback_k)
+            elif name == "adaptive":
+                want = oracles.adaptive_oracle(
+                    table, x, vocab, model, sim, mode.fallback_k, mode.refine, mode.w,
+                    mode.report_refined,
+                )
+            else:
+                want = oracles.threshold_oracle(table, x, thresholds[name])
+            assert got == want, (name, mode, x)
+
+
 class TestStrategySpec:
     def test_unknown_name_rejected(self):
         with pytest.raises(TagSelectError):
@@ -138,36 +171,15 @@ class TestRunStrategy:
     @settings(deadline=None, max_examples=200)
     @given(problems.selection_problems())
     def test_every_strategy_matches_oracle(self, problem):
-        # Each strategy's rows equal the per-image oracle by (tag, repr(score),
-        # provenance), on tie-heavy tables with shuffled tag strings.
-        vocab, table, model, sim, cfg = problem
-        batch = replace(model, stats=tag_stats(table))
-        mu_sigma = {t: predict_threshold(batch, t, "mu_sigma") for t in vocab.tags}
-        lsq = {t: predict_threshold(batch, t, "lsq") for t in vocab.tags}
-        thresholds = {
-            "mu_sigma": mu_sigma,
-            "lsq": lsq,
-            "hybrid_tau_musigma": {**mu_sigma, **model.tau},
-            "hybrid_tau_lsq": {**lsq, **model.tau},
-        }
-        runs = [(name, cfg) for name in STRATEGY_NAMES[:-1]]
-        runs += [("adaptive", mode) for mode in problems.refine_modes(cfg)]
-        for name, mode in runs:
-            spec = strategy(name, k=cfg.fallback_k)
-            result = run_strategy(spec, table, vocab, model, sim, cfg=mode)
-            assert result.images == table.images
-            for x in table.images:
-                got = [(p.tag, repr(p.score), p.provenance) for p in result.row(x)]
-                if name == "top_k":
-                    want = oracles.topk_oracle(table, x, cfg.fallback_k)
-                elif name == "adaptive":
-                    want = oracles.adaptive_oracle(
-                        table, x, vocab, model, sim, mode.fallback_k, mode.refine, mode.w,
-                        mode.report_refined,
-                    )
-                else:
-                    want = oracles.threshold_oracle(table, x, thresholds[name])
-                assert got == want, (name, mode, x)
+        check_every_strategy(problem)
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems(), problems.SMALL_BLOCKS)
+    def test_every_strategy_matches_oracle_in_small_row_blocks(self, problem, cells):
+        # The threshold mask, the novel top-k, the fallback and refinement
+        # over many row blocks of a few images each.
+        with problems.small_blocks(cells):
+            check_every_strategy(problem)
 
     def test_adaptive_novel_picks_flagged(self, small_bench, small_model):
         table = small_bench.eval_table

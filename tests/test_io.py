@@ -1,8 +1,13 @@
 """TSV and JSON round-trips, parse errors with line numbers, and the
 byte-determinism of writers."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
+
+import oracles
 
 from tagselect import (
     CooccurrenceStats,
@@ -90,6 +95,40 @@ class TestScoresFormat:
         table = load_scores(path, vocab)
         assert table.images == ()
         assert table.scores.shape == (0, 3)
+
+    def test_more_images_than_complete_ones_would_fit(self, tmp_path, vocab):
+        # One line per image: the file's 90 bytes bound complete images at
+        # three, and its six images outgrow that bound before the missing
+        # scores are named.
+        path = tmp_path / "scores.tsv"
+        path.write_text("".join(f"im{i}\talpha\t0.5\n" for i in range(6)))
+        message = f"{path}:0: image 'im0' lacks a score for tag 'beta'"
+        for load in (load_scores, oracles.load_scores_oracle):
+            with pytest.raises(FormatError) as err:
+                load(path, vocab)
+            assert str(err.value) == message
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_loads_as_the_file_does(self, tmp_path, vocab):
+        # A pipe has no size to bound the images by.
+        rng = np.random.default_rng(5)
+        table = ScoreTable(tuple(f"im{i}" for i in range(40)), vocab.tags,
+                           rng.normal(size=(40, 3)))
+        path = tmp_path / "scores.tsv"
+        save_scores(table, path)
+        pipe = tmp_path / "scores.pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(
+            target=lambda: pipe.write_bytes(path.read_bytes()), daemon=True
+        )
+        writer.start()
+        try:
+            loaded = load_scores(pipe, vocab)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert loaded.images == table.images
+        assert loaded.scores.tobytes() == table.scores.tobytes()
 
     def test_unknown_tag_names_line(self, tmp_path, vocab):
         path = tmp_path / "scores.tsv"

@@ -1,12 +1,14 @@
-"""Peak memory of the loaders, of evaluation's prepared part and of the
-kernels whose work grows with the square of the vocabulary, traced by
-``tracemalloc``: each call's peak over what it started with must stay
-within a few times the bytes of what it returns, independent of file
-length and of the number of tag pairs.  A loader that holds a long run of
-lines as bytes, text and split strings at once, a prepared evaluation that
-copies the whole ranking as intp, a similarity or co-occurrence build that
-holds a transient per tag pair, or a ranking that copies the whole score
-matrix fails these bounds."""
+"""Peak memory of the loaders, of evaluation's prepared part, of selection
+and refinement, and of the kernels whose work grows with the square of the
+vocabulary, traced by ``tracemalloc``: each call's peak over what it
+started with must stay within a few times the bytes of what it returns or
+reads, independent of file length and of the number of tag pairs.  A
+loader that holds a long run of lines as bytes, text and split strings at
+once, a prepared evaluation that copies the whole ranking as intp, a
+similarity or co-occurrence build that holds a transient per tag pair, a
+ranking that copies the whole score matrix, or a selection or refinement
+that builds its masks, ratios or blend over the whole table fails these
+bounds."""
 
 import tracemalloc
 
@@ -16,11 +18,14 @@ import pytest
 from tagselect import (
     CooccurrenceStats,
     ScoreTable,
+    StrategySpec,
     SyntheticSpec,
     ThresholdModel,
     formats,
     generate_synthetic,
+    learn_all_thresholds,
     rank_columns,
+    run_strategy,
     similarity_matrix,
 )
 from tagselect.metrics import _prepare
@@ -65,6 +70,9 @@ def test_load_scores(files):
     bench, paths = files
     table, peak = traced_peak(lambda: formats.load_scores(paths["scores"], bench.vocab))
     assert table.scores.shape == (400, 207)
+    # The loader sizes its matrix by the rows the file's length allows,
+    # about 2.9x the rows here; tracemalloc counts those pages, which stay
+    # untouched and outside the resident set, so the peak is about 6.1x.
     assert peak < 8 * nbytes(table.scores), peak
 
 
@@ -137,9 +145,52 @@ def test_refine_table(wide):
     refined, peak = traced_peak(
         lambda: refine_table(wide.eval_table, wide.vocab, model, sim, 0.5)
     )
-    # The copied scores, the similarity block and _blend's novel-column
-    # transients: about 4.28x here.
-    assert peak < 5 * nbytes(refined.scores), peak
+    # The similarity block and its transpose, the copied scores and one
+    # row block's transients: about 2.9x here.  Masks, ratios and blend
+    # over the whole table take 4.28x.
+    assert peak < 3.5 * nbytes(refined.scores), peak
+
+
+def test_mu_sigma(wide):
+    # Every column is in the pool.  The threshold mask is built a block of
+    # rows at a time, with no full-height copy of the scores: about 1.32x
+    # here, 1.44x with that copy.
+    result, peak = traced_peak(
+        lambda: run_strategy(StrategySpec("mu_sigma"), wide.eval_table, wide.vocab)
+    )
+    assert peak < 1.6 * nbytes(wide.eval_table.scores), peak
+
+
+# The README walkthrough's sizes, 2,000 images x 207 tags: a row block is
+# 316 images, so the table holds seven.
+@pytest.fixture(scope="module")
+def walkthrough():
+    bench = generate_synthetic(SyntheticSpec(), seed=1)
+    model = learn_all_thresholds(bench.train_table, bench.train_truth, bench.vocab)
+    return bench, model, similarity_matrix(bench.cooccurrence, bench.vocab)
+
+
+def test_refined_adaptive(walkthrough):
+    bench, model, sim = walkthrough
+    spec = StrategySpec("adaptive", refine=True)
+    result, peak = traced_peak(
+        lambda: run_strategy(spec, bench.eval_table, bench.vocab, model, sim)
+    )
+    # The refined copy of the table, the similarity block and one row
+    # block's transients: about 1.64x here.  Refinement and selection over
+    # the whole table take 3.63x.
+    assert peak < 2.5 * nbytes(bench.eval_table.scores), peak
+
+
+def test_prepare_by_row_blocks(walkthrough):
+    bench = walkthrough[0]
+    table, truth = bench.eval_table, bench.eval_truth
+    rankings = rank_columns(table)
+    prepared, peak = traced_peak(lambda: _prepare(truth, table.images, rankings, True))
+    # The labels and relevant masks, and one row block's gathered ranking
+    # and AP transients: about 0.75x here.  The whole ranking gathered at
+    # once, and its AP arrays, take 1.85x.
+    assert peak < 1.2 * nbytes(table.scores), peak
 
 
 # order_rows sorts BLOCK_CELLS cells at a time, so what rank_columns holds

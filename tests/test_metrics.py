@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import problems
 from tagselect import (
     FROM_FALLBACK,
     GroundTruth,
@@ -302,16 +303,19 @@ def evaluation_instances(draw, duplicates=False, missing=False):
     return truth, selections_of(rows), rankings
 
 
-def assert_matches_per_image(truth, sels, rankings, full):
+def assert_matches_per_image(truth, sels, rankings, full, batched=None):
+    """``evaluate`` on ``batched`` (default: ``rankings``, the same ranked
+    tags) equals the per-image loop on ``rankings``, or raises its error."""
+    batched = rankings if batched is None else batched
     try:
         want = evaluate_per_image(truth, sels, rankings, require_full_coverage=full)
     except TagSelectError as exc:
         with pytest.raises(TagSelectError) as got:
-            evaluate(truth, sels, rankings, require_full_coverage=full)
+            evaluate(truth, sels, batched, require_full_coverage=full)
         assert str(got.value) == str(exc)
         return
     per_image, mf, mean_ap, excluded = want
-    report = evaluate(truth, sels, rankings, require_full_coverage=full)
+    report = evaluate(truth, sels, batched, require_full_coverage=full)
     assert (repr(report.mf), repr(report.map)) == (repr(mf), repr(mean_ap))
     assert list(report.per_image) == list(per_image)
     for x, values in per_image.items():
@@ -330,6 +334,39 @@ class TestBatchedEvaluate:
     @given(evaluation_instances(duplicates=True, missing=True), st.booleans())
     def test_errors_match_per_image_scalar_loop(self, instance, full):
         assert_matches_per_image(*instance, full)
+
+    @settings(deadline=None, max_examples=300)
+    @given(evaluation_instances(duplicates=True, missing=True), st.booleans(),
+           problems.SMALL_BLOCKS)
+    def test_small_row_blocks_equal_per_image_scalar_loop(self, instance, full, cells):
+        # The preparation over many row blocks of a few images each.
+        with problems.small_blocks(cells):
+            assert_matches_per_image(*instance, full)
+
+    def test_duplicate_in_a_later_block_is_raised_first(self):
+        # One image per block.  im0..im2 have no relevant tag; im3 ranks b
+        # twice; im4 has no ranking.  The duplicate comes first, then the
+        # missing ranking, then the lack of an evaluable image.
+        truth = GroundTruth(
+            [f"im{i}" for i in range(5)], ["a", "b"],
+            np.array([[0, 0], [0, 0], [0, 0], [1, 0], [1, 0]], dtype=np.int8),
+        )
+        sels = selections_of({f"im{i}": ["a"] for i in range(5)})
+        rankings = {f"im{i}": ["a", "b"] for i in range(3)}
+        cases = [
+            ({"im3": ["a", "b", "b"]}, "ranking contains duplicate tag 'b'"),
+            ({"im3": ["a", "b"]}, "no ranking given for image 'im4'"),
+        ]
+        with problems.small_blocks(1):
+            for im3, message in cases:
+                for full in (True, False):
+                    assert_matches_per_image(truth, sels, {**rankings, **im3}, full)
+                    with pytest.raises(TagSelectError, match=message):
+                        evaluate(truth, sels, {**rankings, **im3}, require_full_coverage=full)
+            no_relevant = GroundTruth(truth.images, truth.coverage, np.zeros((5, 2), np.int8))
+            everyone = {**rankings, "im3": ["a", "b"], "im4": ["b", "a"]}
+            with pytest.raises(TagSelectError, match="no evaluable image"):
+                evaluate(no_relevant, sels, everyone)
 
     def test_different_universes_and_stray_tags(self):
         truth = GroundTruth.from_pairs(
@@ -436,6 +473,17 @@ class TestOneScoringPath:
             return
         got = evaluate(truth, sels, columns, require_full_coverage=full)
         assert report_repr(got) == want
+
+    @settings(deadline=None, max_examples=300)
+    @given(column_instances(), st.booleans(), problems.SMALL_BLOCKS)
+    def test_columns_in_small_row_blocks_equal_per_image_scalar_loop(
+        self, instance, full, cells
+    ):
+        # The int32 ranking is gathered a block of rows at a time.
+        table, truth, sels = instance
+        strings = {x: rank_tags(table, x) for x in table.images}
+        with problems.small_blocks(cells):
+            assert_matches_per_image(truth, sels, strings, full, rank_columns(table))
 
     def test_rank_columns_index_the_table_tags(self):
         scores = np.array([[0.5, 0.5, 1.0], [0.0, 1.0, 0.0]])

@@ -581,6 +581,120 @@ class TestSelectionKernel:
             assert str(raised.value) == message
 
 
+def blocks_problem():
+    """Four seen tags and three novel ones in a shuffled column order, with
+    continuous scores and similarities, over six images: x0, x1 and x5 tie
+    at |A| = 2, x2 has an empty A, x3 has |A| = 1 and x4 every pool
+    column."""
+    vocab = Vocabulary.from_partition(["s0", "s1", "s2", "s3"], ["n0", "n1", "n2"])
+    tags = ("n1", "s2", "s0", "n0", "s3", "s1", "n2")
+    tau = {"s0": 0.3, "s1": 0.45, "s2": 0.6, "s3": 0.35}
+    above = [{"s0", "s2"}, {"s1", "s3"}, set(), {"s1"}, set(tau), {"s2", "s3"}]
+    rng = np.random.default_rng(17)
+    rows = []
+    for a in above:
+        row = {t: v + (rng.uniform(0.01, 0.5) if t in a else -rng.uniform(0.01, 0.3))
+               for t, v in tau.items()}
+        row.update({t: rng.uniform(-0.5, 1.0) for t in vocab.novel_tags})
+        rows.append([row[t] for t in tags])
+    table = ScoreTable(tuple(f"x{i}" for i in range(len(rows))), tags, np.array(rows))
+    model = ThresholdModel(tau=tau, stats=tag_stats(table))
+    values = rng.uniform(size=(7, 7))
+    values = (values + values.T) / 2
+    np.fill_diagonal(values, 1.0)
+    return vocab, table, model, SimilarityMatrix(vocab.tags, values, ())
+
+
+class TestRefinementRowBlocks:
+    """``refine_table`` refines a block of rows at a time; with
+    ``BLOCK_CELLS`` patched small, small problems span many blocks, and the
+    result must not depend on where the blocks end."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems.refinement_problems(), problems.SMALL_BLOCKS)
+    def test_equals_scalar_loop(self, problem, cells):
+        vocab, table, model, sim, w = problem
+        with problems.small_blocks(cells):
+            refined = refine_table(table, vocab, model, sim, w)
+        for x in table.images:
+            chosen = select_by_threshold(table, x, model.tau, vocab.seen_tags)
+            want = oracles.refine_loop(table, x, vocab, chosen, model, sim, w)
+            assert {t: repr(refined.score(x, t)) for t in vocab.novel_tags} == {
+                t: repr(v) for t, v in want.items()
+            }
+
+    @settings(deadline=None, max_examples=200)
+    @given(problems.selection_problems(), problems.SMALL_BLOCKS)
+    def test_refined_table_matches_oracle(self, problem, cells):
+        vocab, table, model, sim, cfg = problem
+        with problems.small_blocks(cells):
+            refined = refine_table(table, vocab, model, sim, cfg.w)
+        for x in table.images:
+            want = oracles.refined_scores_oracle(table, x, vocab, model, sim, cfg.w)
+            assert {t: repr(refined.score(x, t)) for t in table.tags} == {
+                t: repr(v) for t, v in want.items()
+            }
+
+    def test_ties_empty_and_single_anchor_rows_at_every_block_edge(self):
+        # Four pool columns: 1 to 4 images per block, then all six.
+        vocab, table, model, sim = blocks_problem()
+        digests = set()
+        for cells in (1, 4, 8, 12, 16, 20, 1 << 16):
+            with problems.small_blocks(cells):
+                refined = refine_table(table, vocab, model, sim, 0.5)
+            digests.add(digest(refined.scores))
+            for x in table.images:
+                want = oracles.refined_scores_oracle(table, x, vocab, model, sim, 0.5)
+                assert {t: repr(refined.score(x, t)) for t in table.tags} == {
+                    t: repr(v) for t, v in want.items()
+                }, (cells, x)
+        assert len(digests) == 1
+        # x2's A is empty: its scores stay raw.
+        assert np.array_equal(refined.scores[2], table.scores[2])
+
+    def test_one_pool_column(self):
+        vocab, table, model, sim = blocks_problem()
+        solo = ThresholdModel(tau={"s1": 0.45}, stats=model.stats,
+                              untrainable=("s0", "s2", "s3"))
+        for cells in (1, 2, 3, 6):
+            with problems.small_blocks(cells):
+                refined = refine_table(table, vocab, solo, sim, 0.3)
+            for x in table.images:
+                want = oracles.refined_scores_oracle(table, x, vocab, solo, sim, 0.3)
+                assert {t: repr(refined.score(x, t)) for t in table.tags} == {
+                    t: repr(v) for t, v in want.items()
+                }
+
+    def test_overflow_in_two_blocks_names_the_earlier_cell(self):
+        # A tiny s0 threshold overflows the ratios of x1 and x4, the two
+        # images whose s0 score is positive, which lie in different blocks.
+        # The first bad cell in row-major order is x1's leftmost novel
+        # column, n1, not n0, the first novel tag.
+        vocab, table, model, sim = blocks_problem()
+        scores = np.array(table.scores)
+        scores[[0, 2, 3, 5], table.tag_index("s0")] = -1.0
+        table = ScoreTable(table.images, table.tags, scores)
+        model = replace(model, tau={**model.tau, "s0": 1e-310})
+        message = "refinement gives a non-finite score for image 'x1', tag 'n1'"
+        for cells in (4, 8, 12):
+            with problems.small_blocks(cells), pytest.raises(TagSelectError) as raised:
+                refine_table(table, vocab, model, sim, 0.5)
+            assert str(raised.value) == message
+
+
+class TestOneRefinementSetUp:
+    def test_refined_adaptive_finds_pool_and_novel_columns_once(
+        self, small_bench, small_model
+    ):
+        # Both are loops over every tag in Python.
+        sim = similarity_matrix(small_bench.cooccurrence, small_bench.vocab)
+        spec = StrategySpec("adaptive", refine=True)
+        with mock.patch.object(selection, "learned_pool", wraps=learned_pool) as pool, \
+                mock.patch.object(selection, "_novel_columns", wraps=_novel_columns) as novel:
+            run_strategy(spec, small_bench.eval_table, small_bench.vocab, small_model, sim)
+        assert (pool.call_count, novel.call_count) == (1, 1)
+
+
 class TestKernelOutputPassesCheckedConstructor:
     """The kernel builds its array-backed result unchecked; rebuilt from its
     rows through the public constructor, every result must be accepted and
