@@ -529,10 +529,15 @@ def rank_tags(table: ScoreTable, image: str) -> list[str]:
 
 def order_rows(scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
     """Column order of each row of ``scores`` by descending score, ties
-    broken by ascending ``tag_rank``, as ``np.lexsort`` gives it; the rows
-    are sorted ``BLOCK_CELLS`` cells at a time."""
+    broken by ascending ``tag_rank``, as ``np.lexsort`` gives it, as intp;
+    the rows are sorted ``BLOCK_CELLS`` cells at a time."""
+    return _order_into(np.empty(scores.shape, dtype=np.intp), scores, tag_rank)
+
+
+def _order_into(order: np.ndarray, scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
+    """``order_rows(scores, tag_rank)`` written into ``order``, an integer
+    array of the shape of ``scores``, a block of rows at a time."""
     n, m = scores.shape
-    order = np.empty((n, m), dtype=np.intp)
     step = max(1, BLOCK_CELLS // max(m, 1))
     for r0 in range(0, n, step):
         order[r0 : r0 + step] = _argsort_descending(scores[r0 : r0 + step], tag_rank)
@@ -588,7 +593,9 @@ def _argsort_descending(
 
 class TagRankings(NamedTuple):
     """Every image's ranking as column indices, best first: row i of
-    ``order`` ranks the tags of ``tags`` for ``images[i]``."""
+    ``order`` ranks the tags of ``tags`` for ``images[i]``.  ``rank_columns``
+    gives ``order`` the narrowest unsigned dtype that holds ``len(tags) - 1``:
+    uint8 up to 256 tags, uint16 up to 65,536."""
 
     images: tuple[str, ...]
     tags: tuple[str, ...]
@@ -597,6 +604,9 @@ class TagRankings(NamedTuple):
 
 def rank_columns(table: ScoreTable) -> TagRankings:
     """``rank_tags`` for every image, as columns of the table, from
-    ``order_rows``."""
-    return TagRankings(table.images, table.tags, order_rows(table.scores, table._tag_rank))
+    ``order_rows``, in the narrowest unsigned dtype that holds every column
+    index; it is filled a block of rows at a time, so no intp copy of the
+    whole order is made."""
+    order = np.empty(table.scores.shape, dtype=np.min_scalar_type(max(table.n_tags - 1, 0)))
+    return TagRankings(table.images, table.tags, _order_into(order, table.scores, table._tag_rank))
 

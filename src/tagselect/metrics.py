@@ -185,15 +185,15 @@ def _prepare(
     else:
         chosen = [universes[i] for i in in_truth]
         lengths = np.fromiter(map(len, chosen), dtype=np.intp, count=n)
-        ranked = _pad_rows(truth.columns(chain.from_iterable(chosen)), lengths, n_cov)
 
         def ranked_rows(r0: int, r1: int) -> np.ndarray:
-            return ranked[r0:r1]
+            columns = truth.columns(chain.from_iterable(chosen[r0:r1]))
+            return _pad_rows(columns, lengths[r0:r1], n_cov)
 
-    # Row i of ``ranked`` holds the first ``lengths[i]`` ranked tags of image
-    # ``in_truth[i]`` as coverage columns, padded on the right with column
-    # ``n_cov``, which stands for every tag outside the coverage and is never
-    # labeled.  The rows are taken a block at a time.
+    # Row i of a block of ``ranked_rows`` holds the ranked tags of image
+    # ``in_truth[r0 + i]`` as coverage columns, padded on the right with
+    # column ``n_cov``, which stands for every tag outside the coverage and
+    # is never labeled.  The rows are taken a block at a time.
     labels = np.full((n, n_cov + 1), -1, dtype=np.int8)
     labels[:, :n_cov] = truth.labels[[truth.image_index(images[i]) for i in in_truth]]
     relevant = np.empty(labels.shape, dtype=bool)

@@ -77,76 +77,91 @@ def select_rows(
     """The selection kernel behind every strategy, one array pass over all
     images.  The ``pool`` columns whose scores strictly exceed ``tau`` form
     each image's set A, by descending score; the top k_novel(|pool|,
-    |novel|, |A|) ``novel`` columns by ``ranked`` (default: the scores)
-    follow.  With ``fallback_k``, which must lie in [1, n_tags] whether or
-    not any image falls back, an image whose A is empty gets the top
-    ``fallback_k`` columns instead.  Ties go to the lexically smaller tag,
-    so the result does not depend on the order of ``pool`` or ``novel``."""
+    |novel|, |A|) ``novel`` columns follow, by their scores or, given
+    ``ranked``, an n_images x |novel| matrix, by its column j for
+    ``novel[j]``.  With ``fallback_k``, which must lie in [1, n_tags]
+    whether or not any image falls back, an image whose A is empty gets the
+    top ``fallback_k`` columns instead.  Ties go to the lexically smaller
+    tag, so the result does not depend on the order of ``pool`` or
+    ``novel``.  The images are selected a block of rows at a time, and only
+    their picks are kept."""
     if fallback_k is not None and (
         not isinstance(fallback_k, int) or not 1 <= fallback_k <= table.n_tags
     ):
         raise TagSelectError(f"k must lie in [1, {table.n_tags}], got {fallback_k!r}")
     require_finite(table)
     scores = table.scores
-    tag_rank = table._tag_rank
-    # The mask is filled a block of rows at a time, so that no full-height
-    # copy of the pool's scores is made.
-    mask = np.empty((table.n_images, pool.size), dtype=bool)
-    step = max(1, BLOCK_CELLS // max(pool.size, 1))
+    # Rows per block by the widest gather but the fallback's: it gathers
+    # every column of its images, which are few unless the pool is empty,
+    # in blocks of its own.
+    width = max(pool.size, novel.size) if pool.size else table.n_tags
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    sizes = np.empty(table.n_images, dtype=np.intp)
+    parts = [(_EMPTY, np.zeros(0), np.zeros(0, dtype=np.int8))]
     for r0 in range(0, table.n_images, step):
-        np.greater(scores[r0 : r0 + step, pool], tau, out=mask[r0 : r0 + step])
-    a_size = np.count_nonzero(mask, axis=1)
-    # Only the selected cells are sorted, grouped by image: sorting whole
-    # rows costs more than the selection itself when A is small.
-    r, c = _nonzero_2d(mask)
-    del mask  # so that it does not sit beside the picks
-    c = pool[c]
-    order = _argsort_descending(scores[r, c], tag_rank[c], r)
-    # The third array holds provenance codes, which index PROVENANCE_ORDER.
-    parts = [(r[order], c[order], np.full(r.size, PROVENANCE_CODE[FROM_SEEN_THRESHOLDING]))]
-    # An empty pool selects nothing, so its k_novel is 0.
-    k = np.minimum(_round_half_up(novel.size * a_size, max(pool.size, 1)), novel.size)
-    take = np.flatnonzero(k)
-    r, c = _top_rows(scores if ranked is None else ranked, take, novel, tag_rank, k[take])
-    parts.append((r, c, np.full(r.size, PROVENANCE_CODE[FROM_NOVEL_TOPK])))
-    if fallback_k is not None and not a_size.all():
-        fallback = np.flatnonzero(a_size == 0)
-        # Every fallback image gets fallback_k picks, which lies in [1, n_tags].
-        k_fallback = np.full(fallback.size, fallback_k)
-        r, c = _top_rows(scores, fallback, None, tag_rank, k_fallback)
-        parts.append((r, c, np.full(c.size, PROVENANCE_CODE[FROM_FALLBACK])))
-
-    # A stable sort by image keeps each image's seen picks before its novel
-    # ones; an image with fallback picks has neither.
-    r, c, p = (np.concatenate(arrays) for arrays in zip(*parts))
-    order = np.argsort(r, kind="stable")
-    r, c, p = r[order], c[order], p[order]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=table.n_images))))
+        block = scores[r0 : r0 + step]
+        key = None if ranked is None else ranked[r0 : r0 + step]
+        r, c, p = _select_block(block, pool, tau, novel, fallback_k, key, table._tag_rank)
+        sizes[r0 : r0 + step] = np.bincount(r, minlength=len(block))
+        parts.append((c, block[r, c], p))
+    columns, picked, provenance = (np.concatenate(arrays) for arrays in zip(*parts))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     return SelectionResult._from_arrays(
-        table.images, table.tags, offsets, c, scores[r, c], p.astype(np.int8)
+        table.images, table.tags, offsets, columns, picked, provenance
     )
 
 
-def _top_rows(
-    key: np.ndarray, rows: np.ndarray, cols: np.ndarray | None, tag_rank: np.ndarray,
-    k: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_top_columns`` over the ``rows`` x ``cols`` cells of ``key`` (every
-    column when ``cols`` is None), with ``k[i]`` picks for ``rows[i]``:
-    (rows, columns) of the table.  The cells are gathered ``BLOCK_CELLS`` at
-    a time, so no full-height copy of ``key`` is made."""
-    width = key.shape[1] if cols is None else cols.size
-    ties = tag_rank if cols is None else tag_rank[cols]
-    step = max(1, BLOCK_CELLS // max(width, 1))
-    r_parts, c_parts = [_EMPTY], [_EMPTY]
-    for s in range(0, rows.size, step):
-        block = rows[s : s + step]
-        i, j = _top_columns(
-            key[block] if cols is None else key[np.ix_(block, cols)], ties, k[s : s + step]
-        )
-        r_parts.append(block[i])
-        c_parts.append(j if cols is None else cols[j])
-    return np.concatenate(r_parts), np.concatenate(c_parts)
+def _select_block(
+    scores: np.ndarray,
+    pool: np.ndarray,
+    tau: np.ndarray,
+    novel: np.ndarray,
+    fallback_k: int | None,
+    ranked: np.ndarray | None,
+    tag_rank: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``select_rows`` over one block of rows of ``scores`` (and of
+    ``ranked``): the rows and columns of the block's picks, row by row and
+    each row's in selection order, and their int8 provenance codes, which
+    index PROVENANCE_ORDER."""
+    parts = [(_EMPTY, _EMPTY, FROM_SEEN_THRESHOLDING)]
+    # An empty pool selects nothing, and its k_novel is 0.
+    a_size = np.zeros(len(scores), dtype=np.intp)
+    if pool.size:
+        mask = scores[:, pool] > tau
+        a_size = np.count_nonzero(mask, axis=1)
+        # Only the selected cells are sorted, grouped by image: sorting
+        # whole rows costs more than the selection itself when A is small.
+        r, c = _nonzero_2d(mask)
+        del mask
+        c = pool[c]
+        order = _argsort_descending(scores[r, c], tag_rank[c], r)
+        parts.append((r[order], c[order], FROM_SEEN_THRESHOLDING))
+        k = np.minimum(_round_half_up(novel.size * a_size, pool.size), novel.size)
+        take = np.flatnonzero(k)
+        if take.size:
+            key = scores[np.ix_(take, novel)] if ranked is None else ranked[take]
+            r, c = _top_columns(key, tag_rank[novel], k[take])
+            parts.append((take[r], novel[c], FROM_NOVEL_TOPK))
+    if fallback_k is not None and not a_size.all():
+        fallback = np.flatnonzero(a_size == 0)
+        # Every fallback image gets fallback_k picks, which lies in [1, n_tags].
+        k = np.full(fallback.size, fallback_k)
+        step = max(1, BLOCK_CELLS // scores.shape[1])
+        for s in range(0, fallback.size, step):
+            rows = fallback[s : s + step]
+            r, c = _top_columns(scores[rows], tag_rank, k[s : s + step])
+            parts.append((rows[r], c, FROM_FALLBACK))
+    r, c, p = (np.concatenate(arrays) for arrays in zip(*(
+        (r, c, np.full(r.size, PROVENANCE_CODE[source], dtype=np.int8))
+        for r, c, source in parts
+    )))
+    if len(parts) > 2:
+        # A stable sort by image keeps each image's seen picks before its
+        # novel ones; an image with fallback picks has neither.
+        order = np.argsort(r, kind="stable")
+        r, c, p = r[order], c[order], p[order]
+    return r, c, p
 
 
 def _partitions(top: int, n_cols: int) -> bool:
@@ -354,7 +369,7 @@ def refine_table(
         raise TagSelectError("refinement requires a threshold model")
     _check_refinable(table, sim, w)
     pool, tau = learned_pool(table, vocab, model)
-    return _refined(table, pool, tau, _novel_columns(table, vocab), sim, w)
+    return table._derived(_refined(table, pool, tau, _novel_columns(table, vocab), sim, w, True))
 
 
 def _check_refinable(table: ScoreTable, sim: SimilarityMatrix | None, w: float) -> None:
@@ -373,11 +388,14 @@ def _refined(
     novel: np.ndarray,
     sim: SimilarityMatrix,
     w: float,
-) -> ScoreTable:
-    """``refine_table`` over the learned ``pool`` and its thresholds
-    ``tau``, and the ``novel`` columns, after ``_check_refinable``.  The
-    copied table is refined a block of rows at a time, so that the masks,
-    ratios and blend of one block are all it holds besides."""
+    whole: bool,
+) -> np.ndarray:
+    """The scores of ``refine_table``'s result, over the learned ``pool``
+    and its thresholds ``tau``, after ``_check_refinable``: the whole
+    matrix, or only its ``novel`` columns, n_images x |novel|, which is all
+    a selection ranks.  The one copy is refined a block of rows at a time,
+    so that the masks, ratios and blend of one block are all it is held
+    beside."""
     bad = [repr(table.tags[c]) for c in pool[tau <= 0.0]]
     if bad:
         raise TagSelectError(
@@ -388,27 +406,30 @@ def _refined(
         [sim.index(table.tags[c]) for c in novel], [sim.index(table.tags[c]) for c in pool]
     )
     block_t = np.ascontiguousarray(block.T)
-    scores = np.array(table.scores)
+    if whole:
+        refined, columns = np.array(table.scores), novel
+    else:
+        refined, columns = table.scores[:, novel], np.arange(novel.size)
     step = max(1, BLOCK_CELLS // max(pool.size, novel.size, 1))
     for r0 in range(0, table.n_images, step):
-        part = scores[r0 : r0 + step]
+        part, out = table.scores[r0 : r0 + step], refined[r0 : r0 + step]
         mask = part[:, pool] > tau
         hit = np.flatnonzero(mask.any(axis=1))
         r, j = _nonzero_2d(mask[hit])
-        cells = np.ix_(hit, novel)
+        cells = np.ix_(hit, columns)
         with np.errstate(over="ignore", invalid="ignore"):
             ratios = part[hit[r], pool[j]] / tau[j] - 1.0
-            refined = _blend(part[cells], block_t, r, j, ratios, w)
-        bad = ~np.isfinite(refined)
+            values = _blend(out[cells], block_t, r, j, ratios, w)
+        bad = ~np.isfinite(values)
         if bad.any():
             i = np.flatnonzero(bad.any(axis=1))[0]
             image, tag = table.images[r0 + hit[i]], table.tags[novel[bad[i]].min()]
             raise TagSelectError(
                 f"refinement gives a non-finite score for image {image!r}, tag {tag!r}"
             )
-        part[cells] = refined
-        del refined  # so that it does not sit beside the next block's
-    return table._derived(scores)
+        out[cells] = values
+        del values  # so that it does not sit beside the next block's
+    return refined
 
 
 def adaptive_rows(
@@ -432,9 +453,9 @@ def adaptive_rows(
     ranked = None
     if cfg.refine:
         _check_refinable(table, sim, cfg.w)
-        refined = _refined(table, pool, tau, novel, sim, cfg.w)
-        ranked = refined.scores
+        ranked = _refined(table, pool, tau, novel, sim, cfg.w, cfg.report_refined)
         if cfg.report_refined:
-            # Refinement changes no seen column and no fallback image.
-            table = refined
+            # Refinement changes no seen column and no fallback image, so
+            # the refined table, ranked by its own scores, selects the same.
+            table, ranked = table._derived(ranked), None
     return select_rows(table, pool, tau, novel, cfg.fallback_k, ranked)

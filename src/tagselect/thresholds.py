@@ -12,7 +12,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundTruth, ScoreTable, Vocabulary, _id_index, _lookup, require_finite
+from .core import (
+    BLOCK_CELLS,
+    GroundTruth,
+    ScoreTable,
+    Vocabulary,
+    _id_index,
+    _lookup,
+    require_finite,
+)
 from .errors import DegenerateFitError, TagSelectError, UntrainableTagError
 
 # Relative tolerance for declaring the 2x2 (or 3x3) normal matrix singular.
@@ -60,12 +68,39 @@ def tag_stats(table: ScoreTable) -> TagStats:
 
 
 def _tag_stats(table: ScoreTable) -> TagStats:
-    """``tag_stats`` computed afresh."""
+    """``tag_stats`` computed afresh.  The standard deviation equals
+    ``np.std``'s bit for bit, without its full-size temporary: numpy's
+    axis-0 sum of a C-contiguous matrix of two or more columns adds the rows
+    to a running sum in order, and so does ``_squared_deviations``.  A
+    single column, or another memory layout, takes ``np.std``, whose sum
+    runs in another order there."""
     _require_images(table)
+    scores = table.scores
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = table.scores.mean(axis=0)
-        sigma = table.scores.std(axis=0)
+        mu = scores.mean(axis=0)
+        if scores.shape[1] < 2 or not scores.flags.c_contiguous:
+            sigma = scores.std(axis=0)
+        else:
+            sigma = np.sqrt(_squared_deviations(scores, mu) / scores.shape[0])
     return TagStats(table.tags, mu, sigma)
+
+
+def _squared_deviations(scores: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Each column's sum of squared deviations from ``mu``, a block of
+    ``BLOCK_CELLS`` cells at a time: each block's squares follow the running
+    sum in one buffer, which one axis-0 sum adds up row after row."""
+    n, m = scores.shape
+    step = max(1, BLOCK_CELLS // m)
+    buffer = np.empty((min(n, step) + 1, m))
+    for r0 in range(0, n, step):
+        part = scores[r0 : r0 + step]
+        squares = buffer[1 : len(part) + 1]
+        np.subtract(part, mu, out=squares)
+        np.square(squares, out=squares)
+        # The first block starts the sum itself, as numpy's does.
+        start = 1 if r0 == 0 else 0
+        buffer[0] = buffer[start : len(part) + 1].sum(axis=0)
+    return buffer[0].copy()
 
 
 def require_finite_stats(stats: TagStats, tags: Sequence[str] | None = None) -> None:

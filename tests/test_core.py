@@ -578,3 +578,17 @@ class TestNonzero2d:
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
     def test_empty_shapes(self, shape):
         self.check(np.zeros(shape, dtype=bool))
+
+
+class TestNarrowRankings:
+    @pytest.mark.parametrize("m, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_order_is_the_lexsort_in_the_narrowest_dtype(self, m, dtype):
+        rng = np.random.default_rng(m)
+        tags = tuple(f"t{i:03d}" for i in rng.permutation(m))
+        scores = np.round(rng.normal(size=(300, m)) * 4) / 4  # many ties
+        table = make_table([f"x{i}" for i in range(300)], tags, scores)
+        for cells in (1, 1000, 1 << 16):
+            with mock.patch.object(core, "BLOCK_CELLS", cells):
+                order = rank_columns(table).order
+            assert order.dtype == dtype
+            assert np.array_equal(order, lexsort_rows(scores, table._tag_rank))

@@ -21,16 +21,20 @@ from tagselect import (
     StrategySpec,
     SyntheticSpec,
     ThresholdModel,
+    compare,
+    evaluate,
     formats,
     generate_synthetic,
     learn_all_thresholds,
     rank_columns,
+    rank_tags,
     run_strategy,
     similarity_matrix,
+    table1_strategies,
 )
 from tagselect.metrics import _prepare
 from tagselect.selection import refine_table, select_rows
-from tagselect.thresholds import tag_stats
+from tagselect.thresholds import _tag_stats, tag_stats
 
 # The README walkthrough's eval vocabulary with a fifth of its images:
 # 82,800 score lines and as many truth lines, many blocks of the codec.
@@ -152,13 +156,14 @@ def test_refine_table(wide):
 
 
 def test_mu_sigma(wide):
-    # Every column is in the pool.  The threshold mask is built a block of
-    # rows at a time, with no full-height copy of the scores: about 1.32x
-    # here, 1.44x with that copy.
+    # Every column is in the pool.  Statistics, mask, picks and merge are
+    # built a block of rows at a time: about 0.60x here.  Whole-table
+    # statistics and picks take 1.32x, and a full-height copy of the scores
+    # 1.44x.
     result, peak = traced_peak(
         lambda: run_strategy(StrategySpec("mu_sigma"), wide.eval_table, wide.vocab)
     )
-    assert peak < 1.6 * nbytes(wide.eval_table.scores), peak
+    assert peak < 0.8 * nbytes(wide.eval_table.scores), peak
 
 
 # The README walkthrough's sizes, 2,000 images x 207 tags: a row block is
@@ -176,10 +181,10 @@ def test_refined_adaptive(walkthrough):
     result, peak = traced_peak(
         lambda: run_strategy(spec, bench.eval_table, bench.vocab, model, sim)
     )
-    # The refined copy of the table, the similarity block and one row
-    # block's transients: about 1.64x here.  Refinement and selection over
-    # the whole table take 3.63x.
-    assert peak < 2.5 * nbytes(bench.eval_table.scores), peak
+    # The refined novel columns, the similarity block and one row block's
+    # transients: about 1.12x here.  A refined copy of the whole table takes
+    # 1.64x, and refinement and selection over the whole table 3.63x.
+    assert peak < 1.3 * nbytes(bench.eval_table.scores), peak
 
 
 def test_prepare_by_row_blocks(walkthrough):
@@ -193,6 +198,47 @@ def test_prepare_by_row_blocks(walkthrough):
     assert peak < 1.2 * nbytes(table.scores), peak
 
 
+def test_prepare_mapping_by_row_blocks(walkthrough):
+    bench = walkthrough[0]
+    table, truth = bench.eval_table, bench.eval_truth
+    rankings = {x: rank_tags(table, x) for x in table.images}
+    prepared, peak = traced_peak(lambda: _prepare(truth, table.images, rankings, True))
+    # Each row block's rankings padded as intp: about 0.93x here.  The whole
+    # padded ranking takes 2.2x.
+    assert peak < 1.2 * nbytes(table.scores), peak
+
+
+def test_tag_stats_by_row_blocks(walkthrough):
+    table = walkthrough[0].eval_table
+    stats, peak = traced_peak(lambda: _tag_stats(table))
+    # One block's squared deviations: about 0.18x here; np.std's
+    # full-size temporary takes 1.0x.
+    assert peak < 0.5 * nbytes(table.scores), peak
+
+
+def test_compare(walkthrough):
+    bench, model, sim = walkthrough
+    table = bench.eval_table
+    report, peak = traced_peak(
+        lambda: compare(table1_strategies(), table, bench.eval_truth, bench.vocab, model, sim)
+    )
+    # About 1.12x here; whole-table statistics, picks and an intp ranking
+    # take 1.83x.
+    assert peak < 1.3 * nbytes(table.scores), peak
+
+
+def test_evaluate_on_rank_columns(walkthrough):
+    bench, model, _ = walkthrough
+    table = bench.eval_table
+    selections = run_strategy(StrategySpec("adaptive"), table, bench.vocab, model)
+    report, peak = traced_peak(
+        lambda: evaluate(bench.eval_truth, selections, rank_columns(table))
+    )
+    # A narrow order and one row block's transients: about 0.86x here; an
+    # intp order takes 1.75x.
+    assert peak < 1.0 * nbytes(table.scores), peak
+
+
 # order_rows sorts BLOCK_CELLS cells at a time, so what rank_columns holds
 # besides the order is one block's transients, not a copy of the table.  At
 # 400 x 207 one block is 316 of the 400 rows, so the two cannot be told
@@ -204,7 +250,10 @@ def test_rank_columns(n_images, n_tags):
         tuple(f"x{i}" for i in range(n_images)), tuple(f"t{j}" for j in range(n_tags)), scores
     )
     rankings, peak = traced_peak(lambda: rank_columns(table))
-    assert peak < 1.5 * nbytes(rankings.order), peak
+    # The order in its narrow dtype (uint16 and uint8 here) and one block's
+    # transients: about 0.47x and 0.34x the score matrix.  An intp order
+    # takes 1.22x.
+    assert peak < 0.6 * nbytes(table.scores), peak
 
 
 def test_from_counts(wide):

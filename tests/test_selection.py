@@ -485,7 +485,7 @@ class TestSelectionKernel:
         novel = _novel_columns(table, vocab)
         k = data.draw(st.none() | st.integers(1, table.n_tags))
         ranked = data.draw(st.sampled_from([None, refine_table(table, vocab, model, sim, cfg.w)]))
-        ranked = None if ranked is None else ranked.scores
+        ranked = None if ranked is None else ranked.scores[:, novel]
         got = []
         for always in (True, False):
             with mock.patch.object(selection, "_partitions", lambda top, n: always):

@@ -25,7 +25,7 @@ from tagselect import (
     predict_threshold,
     tag_stats,
 )
-from tagselect.thresholds import require_finite_stats
+from tagselect.thresholds import _tag_stats, require_finite_stats
 
 
 class TestTagStats:
@@ -536,3 +536,55 @@ class TestPredictThreshold:
     def test_unknown_mode(self):
         with pytest.raises(TagSelectError):
             predict_threshold(self.make_model(), "t", "median")
+
+
+class TestBlockedSigma:
+    """``_tag_stats`` sums the squared deviations a block of rows at a time;
+    its standard deviations must equal ``np.std``'s byte for byte, whether
+    or not the rows fill the last block, and overflow as ``np.std`` does."""
+
+    @staticmethod
+    def assert_equals_np_std(scores):
+        table = ScoreTable(
+            tuple(f"x{i}" for i in range(scores.shape[0])),
+            tuple(f"t{j}" for j in range(scores.shape[1])),
+            scores,
+        )
+        stats = _tag_stats(table)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_mu, want_sigma = scores.mean(axis=0), scores.std(axis=0)
+        assert stats.mu.tobytes() == want_mu.tobytes()
+        assert stats.sigma.tobytes() == want_sigma.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           problems.SMALL_BLOCKS)
+    def test_equals_np_std_in_small_blocks(self, n, m, seed, cells):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=(n, m))
+        with problems.small_blocks(cells):
+            self.assert_equals_np_std(scores)
+
+    @pytest.mark.parametrize("n, m", [(5000, 1), (5000, 2), (65536, 2), (65537, 2),
+                                      (1000, 207), (999, 207), (100, 1000)])
+    def test_equals_np_std_at_the_block_size(self, n, m):
+        # 65,536 rows of two columns fill one block each; 999 x 207 leaves
+        # the last block short.
+        rng = np.random.default_rng(n + m)
+        self.assert_equals_np_std(rng.uniform(-1.0, 1.0, size=(n, m)) + 1e6)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_overflow_matches_np_std(self, m):
+        scores = np.full((10, m), 1.7e308)
+        scores[::2] *= -1.0
+        scores[1, 0] = 1.79e308
+        if m > 1:
+            scores[:, 1] = 1.7e308  # the sum overflows to inf, the mean too
+        for cells in (1, 4, 1 << 16):
+            with problems.small_blocks(cells):
+                self.assert_equals_np_std(scores)
+
+    def test_fortran_order_matches_np_std(self):
+        scores = np.asfortranarray(np.random.default_rng(3).normal(size=(300, 4)))
+        with problems.small_blocks(5):
+            self.assert_equals_np_std(scores)
