@@ -47,6 +47,38 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.mark.parametrize("n_images", [50, 1000])
+def test_report_refined_selection_equals_selection_on_refined_table(tmp_path, n_images):
+    # 400 tags.  The refined select and refine compute only the similarity
+    # block of the 200 novel tags against the learned seen tags.  At 50 eval
+    # images four novel tags (novel_000, novel_005, novel_150, novel_152)
+    # have no co-occurrence counts, so zero rows reach the block kernel; at
+    # 1,000 every tag has counts, and refinement runs in four row blocks of
+    # 327 images.  Refining while selecting, with the refined scores
+    # reported, and selecting on the refined table without refining again
+    # choose on the same scores: the two files must be byte-identical.
+    bench = tmp_path / "bench"
+    assert run("gen-synth", "--out-dir", bench, "--seed", 1, "--n-images", n_images,
+               "--n-train", 100, "--n-seen", 200, "--n-novel", 200) == 0
+    vocab = ["--vocab", bench / "vocabulary.tsv"]
+    model = ["--thresholds", tmp_path / "thresholds.tsv",
+             "--cooccurrence", bench / "cooccurrence.tsv"]
+    assert run("learn-thresholds", *vocab, "--scores", bench / "train_scores.tsv",
+               "--truth", bench / "train_truth.tsv", "--out", tmp_path / "thresholds.tsv") == 0
+    assert run("select", *vocab, "--scores", bench / "eval_scores.tsv", "--strategy",
+               "adaptive", *model, "--refine", "--out", tmp_path / "selections.tsv") == 0
+    assert run("refine", *vocab, "--scores", bench / "eval_scores.tsv", *model,
+               "--out", tmp_path / "refined.tsv") == 0
+    assert run("select", *vocab, "--scores", bench / "eval_scores.tsv", "--strategy",
+               "adaptive", *model, "--refine", "--report-refined",
+               "--out", tmp_path / "reported.tsv") == 0
+    assert run("select", *vocab, "--scores", tmp_path / "refined.tsv", "--strategy",
+               "adaptive", "--thresholds", tmp_path / "thresholds.tsv",
+               "--out", tmp_path / "on_refined.tsv") == 0
+    reported = (tmp_path / "reported.tsv").read_bytes()
+    assert reported == (tmp_path / "on_refined.tsv").read_bytes()
+
+
 class TestGenSynth:
     def test_writes_all_files(self, bench_dir):
         names = {p.name for p in bench_dir.iterdir()}
