@@ -83,14 +83,18 @@ def select_rows(
     whether or not any image falls back, an image whose A is empty gets the
     top ``fallback_k`` columns instead.  Ties go to the lexically smaller
     tag, so the result does not depend on the order of ``pool`` or
-    ``novel``.  The images are selected a block of rows at a time, and only
-    their picks are kept."""
+    ``novel``, whose columns are distinct.  The images are selected a block
+    of rows at a time, and only their picks are kept."""
     if fallback_k is not None and (
         not isinstance(fallback_k, int) or not 1 <= fallback_k <= table.n_tags
     ):
         raise TagSelectError(f"k must lie in [1, {table.n_tags}], got {fallback_k!r}")
     require_finite(table)
     scores = table.scores
+    # Each column's threshold, +inf off the pool, which no finite score
+    # exceeds: a block's mask then needs no copy of the pool's scores.
+    cut = np.full(table.n_tags, np.inf)
+    cut[pool] = tau
     # Rows per block by the widest gather but the fallback's: it gathers
     # every column of its images, which are few unless the pool is empty,
     # in blocks of its own.
@@ -101,7 +105,7 @@ def select_rows(
     for r0 in range(0, table.n_images, step):
         block = scores[r0 : r0 + step]
         key = None if ranked is None else ranked[r0 : r0 + step]
-        r, c, p = _select_block(block, pool, tau, novel, fallback_k, key, table._tag_rank)
+        r, c, p = _select_block(block, cut, pool.size, novel, fallback_k, key, table._tag_rank)
         sizes[r0 : r0 + step] = np.bincount(r, minlength=len(block))
         parts.append((c, block[r, c], p))
     columns, picked, provenance = (np.concatenate(arrays) for arrays in zip(*parts))
@@ -113,31 +117,32 @@ def select_rows(
 
 def _select_block(
     scores: np.ndarray,
-    pool: np.ndarray,
-    tau: np.ndarray,
+    cut: np.ndarray,
+    n_pool: int,
     novel: np.ndarray,
     fallback_k: int | None,
     ranked: np.ndarray | None,
     tag_rank: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``select_rows`` over one block of rows of ``scores`` (and of
-    ``ranked``): the rows and columns of the block's picks, row by row and
+    ``ranked``), for a pool of ``n_pool`` columns, whose scores must exceed
+    their ``cut`` to be picked; ``cut`` is +inf on every other column.  It
+    returns the rows and columns of the block's picks, row by row and
     each row's in selection order, and their int8 provenance codes, which
     index PROVENANCE_ORDER."""
     parts = [(_EMPTY, _EMPTY, FROM_SEEN_THRESHOLDING)]
     # An empty pool selects nothing, and its k_novel is 0.
     a_size = np.zeros(len(scores), dtype=np.intp)
-    if pool.size:
-        mask = scores[:, pool] > tau
+    if n_pool:
+        mask = scores > cut
         a_size = np.count_nonzero(mask, axis=1)
         # Only the selected cells are sorted, grouped by image: sorting
         # whole rows costs more than the selection itself when A is small.
         r, c = _nonzero_2d(mask)
         del mask
-        c = pool[c]
         order = _argsort_descending(scores[r, c], tag_rank[c], r)
         parts.append((r[order], c[order], FROM_SEEN_THRESHOLDING))
-        k = np.minimum(_round_half_up(novel.size * a_size, pool.size), novel.size)
+        k = np.minimum(_round_half_up(novel.size * a_size, n_pool), novel.size)
         take = np.flatnonzero(k)
         if take.size:
             key = scores[np.ix_(take, novel)] if ranked is None else ranked[take]
@@ -156,6 +161,10 @@ def _select_block(
         (r, c, np.full(r.size, PROVENANCE_CODE[source], dtype=np.int8))
         for r, c, source in parts
     )))
+    # Each part's rows ascend, as ``_argsort_descending`` (given rows) and
+    # ``_top_columns`` order them, so a block with one part needs no merge:
+    # this spares a sort per block to the selections of fusion and of the
+    # mu-sigma baseline (seen picks only) and of top-k (fallback only).
     if len(parts) > 2:
         # A stable sort by image keeps each image's seen picks before its
         # novel ones; an image with fallback picks has neither.
