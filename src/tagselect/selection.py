@@ -83,8 +83,8 @@ def select_rows(
     whether or not any image falls back, an image whose A is empty gets the
     top ``fallback_k`` columns instead.  Ties go to the lexically smaller
     tag, so the result does not depend on the order of ``pool`` or
-    ``novel``, whose columns are distinct.  The images are selected a block
-    of rows at a time, and only their picks are kept."""
+    ``novel``; the columns of each are distinct.  The images are selected a
+    block of rows at a time, and only their picks are kept."""
     if fallback_k is not None and (
         not isinstance(fallback_k, int) or not 1 <= fallback_k <= table.n_tags
     ):
