@@ -20,7 +20,7 @@ from .core import (
 from .errors import TagSelectError
 from .metrics import _mean_f, _prepare
 from .selection import select_rows
-from .thresholds import _f_optimal_cuts, _require_images, _seen_label_rows
+from .thresholds import _learned_cuts, _require_images, _seen_label_rows
 
 _WEIGHT_ATOL = 1e-9
 _SWEEP_TOL = 1e-9
@@ -110,9 +110,7 @@ def threshold_selection_strategy(
             _require_images(table)
             key, rows = (table.images, table.tags), built
         img_rows, cols, labels, _ = rows
-        tau = np.zeros(0)
-        if cols.size:
-            tau, _ = _f_optimal_cuts(table.scores.T[cols][:, img_rows], labels)
+        tau = _learned_cuts(table, img_rows, cols, labels)
         # select_rows orders its picks by (image, -score, tag), whatever
         # the order of the pool.
         return select_rows(table, cols, tau)

@@ -274,23 +274,36 @@ def _image_prf(
     p: _Prepared, selections: SelectionResult
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Precision, recall and F of each included image, in image order, under
-    ``selections``, which must be over the prepared images."""
+    ``selections``, which must be over the prepared images.  The predictions
+    are taken as coverage columns, through one map of the selection's tags,
+    and padded and gathered a block of images of at most ``BLOCK_CELLS``
+    cells at a time."""
     images = selections.images
     if images != p.images:
         raise TagSelectError("selections are not over the images of the prepared evaluation")
     n_cov = len(p.truth.coverage)
-    # Predictions as coverage columns, through one map of the selection's tags.
-    n_pred = np.diff(selections.offsets)
+    cover = p.truth.columns(selections.column_tags)
+    offsets = selections.offsets
+    n_pred = np.diff(offsets)
     kept = np.zeros(len(images), dtype=bool)
     kept[p.positions] = True
-    picks = p.truth.columns(selections.column_tags)[selections.columns]
-    pred = _pad_rows(picks[np.repeat(kept, n_pred)], n_pred[kept], n_cov)
-    rows = np.arange(len(p.positions))[:, None]
-    hits = np.count_nonzero(p.relevant[rows, pred], axis=1)
-    if p.require_full_coverage:
-        n_pred = n_pred[kept]
-    else:
-        n_pred = np.count_nonzero(p.labels[rows, pred] >= 0, axis=1)
+    hits = np.empty(len(p.positions), dtype=np.intp)
+    judged = np.empty_like(hits)
+    step = max(1, BLOCK_CELLS // max(int(n_pred.max(initial=0)), 1))
+    j1 = 0
+    for i0 in range(0, len(images), step):
+        keep, lengths = kept[i0 : i0 + step], n_pred[i0 : i0 + step]
+        # The block's images hold included images j0 up to j1.
+        j0, j1 = j1, j1 + int(np.count_nonzero(keep))
+        picks = cover[selections.columns[offsets[i0] : offsets[i0 + len(keep)]]]
+        pred = _pad_rows(picks[np.repeat(keep, lengths)], lengths[keep], n_cov)
+        # Each prediction's cell in the flat rows of the included images.
+        pred += np.arange(0, (j1 - j0) * (n_cov + 1), n_cov + 1)[:, None]
+        hits[j0:j1] = np.count_nonzero(p.relevant[j0:j1].reshape(-1).take(pred), axis=1)
+        if not p.require_full_coverage:
+            labels = p.labels[j0:j1].reshape(-1).take(pred)
+            judged[j0:j1] = np.count_nonzero(labels >= 0, axis=1)
+    n_pred = n_pred[kept] if p.require_full_coverage else judged
     with np.errstate(divide="ignore", invalid="ignore"):
         precision = np.where(n_pred > 0, hits / n_pred, 0.0)
         recall = hits / p.n_relevant

@@ -143,6 +143,18 @@ class CooccurrenceStats:
         stats._init(tags, arr.astype(np.int64, copy=False), total)
         return stats
 
+    @classmethod
+    def _taking(cls, tags: Sequence[str], counts: np.ndarray, total: int) -> "CooccurrenceStats":
+        """Statistics that take over ``counts``, an int64 matrix over the
+        sorted ``tags`` built for them, and make it read-only.  Its builder
+        guarantees the count rules of ``from_counts``, which are not checked
+        again; the total and the tags are."""
+        _check_total(total)
+        tags, _ = _id_index(tags, "tag", _DUPLICATE_TAGS)
+        stats = cls.__new__(cls)
+        stats._init(tags, counts, total)
+        return stats
+
     def _init(self, tags: tuple[str, ...], counts: np.ndarray, total: int) -> None:
         counts.setflags(write=False)
         object.__setattr__(self, "tags", tags)

@@ -90,19 +90,40 @@ def _scores(rng: np.random.Generator, spec: SyntheticSpec, rel: np.ndarray) -> n
     return scores
 
 
-def _cooccurrence(rels: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The int64 tag x tag count matrix of the boolean label rows ``rels``:
-    how many rows carry each tag and each pair of tags.  Rows are tallied
-    in blocks of at most n_tags**2 cells, the size of the product that each
-    block adds, or ``BLOCK_CELLS`` if that is more."""
-    n_tags = rels[0].shape[1]
+def _cooccurrence(rels: tuple[np.ndarray, ...], rank: np.ndarray) -> np.ndarray:
+    """The int64 tag x tag count matrix of the boolean label rows ``rels``,
+    with column c of each at place ``rank[c]``: how many rows carry each tag
+    and each pair of tags.  Each label of a row is paired with every label
+    of its row, itself included, and each pair adds one to its cell: exact
+    integer counting.  The rows are read ``BLOCK_CELLS`` cells at a time,
+    and their pairs tallied ``BLOCK_CELLS // 8`` at a time, or one label's
+    pairs where its row holds more tags than that."""
+    n_tags = len(rank)
     joint = np.zeros((n_tags, n_tags), dtype=np.int64)
-    step = max(n_tags, BLOCK_CELLS // n_tags)
+    cells = joint.reshape(-1)
+    step = max(1, BLOCK_CELLS // n_tags)
+    most = max(1, BLOCK_CELLS // 8)
     for rel in rels:
         for r0 in range(0, rel.shape[0], step):
-            x = rel[r0 : r0 + step].astype(np.float64)
-            # Integer-valued float sums are exact below 2**53 on every kernel.
-            np.add(joint, x.T @ x, out=joint, casting="unsafe")
+            rows, cols = np.nonzero(rel[r0 : r0 + step])
+            labels = rank[cols]
+            length = np.bincount(rows)
+            # Label e has ``width[e]`` pairs: pairs end[e] - width[e] up to
+            # end[e] pair it with its row's labels, which start at first.
+            first = np.cumsum(length) - length
+            width = length[rows]
+            end = np.cumsum(width)
+            e0 = 0
+            while e0 < len(labels):
+                start = int(end[e0] - width[e0])
+                e1 = max(e0 + 1, int(np.searchsorted(end, start + most, "right")))
+                w = width[e0:e1]
+                partner = np.arange(start, int(end[e1 - 1]))
+                partner -= np.repeat(end[e0:e1] - w - first[rows[e0:e1]], w)
+                code = labels[partner]
+                code += np.repeat(labels[e0:e1] * n_tags, w)
+                np.add.at(cells, code, 1)
+                e0 = e1
     return joint
 
 
@@ -132,6 +153,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticBenchmark:
     )
     eval_truth = GroundTruth(eval_images, vocab.tags, rel_eval.view(np.int8))
 
-    joint = _cooccurrence((rel_train, rel_eval))
-    stats = CooccurrenceStats.from_counts(vocab.tags, joint, spec.n_train + spec.n_images)
+    # The counts are tallied in sorted tag order, which the statistics
+    # keep; by construction they are symmetric and within their marginals.
+    order = sorted(range(len(vocab.tags)), key=vocab.tags.__getitem__)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    joint = _cooccurrence((rel_train, rel_eval), rank)
+    stats = CooccurrenceStats._taking(
+        tuple(vocab.tags[i] for i in order), joint, spec.n_train + spec.n_images
+    )
     return SyntheticBenchmark(vocab, train_table, train_truth, eval_table, eval_truth, stats)

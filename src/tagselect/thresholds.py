@@ -311,21 +311,34 @@ def learn_all_thresholds(
     labels, or labels of a single class, are recorded as untrainable.
     Statistics cover the full vocabulary, computed on the training table;
     every score in it must be finite.  The thresholds of all trainable tags
-    are learned in one array pass over a tags x images matrix.
+    are learned by array passes over blocks of a tags x images matrix.
     """
     require_finite(table)
     img_rows, cols, labels, trained = _seen_label_rows(table, truth, vocab)
     stats = tag_stats(table)
     seen = vocab.seen_tags
-    tau: dict[str, float] = {}
-    if trained.any():
-        learned, _ = _f_optimal_cuts(table.scores.T[cols][:, img_rows], labels)
-        tau = dict(zip([t for t, ok in zip(seen, trained) if ok], learned.tolist()))
+    learned = _learned_cuts(table, img_rows, cols, labels)
+    tau = dict(zip([t for t, ok in zip(seen, trained) if ok], learned.tolist()))
     untrainable = [t for t, ok in zip(seen, trained) if not ok]
     model = ThresholdModel(tau=tau, stats=stats, untrainable=tuple(untrainable))
     if not fit_coeffs:
         return model
     return replace(model, lsq_coeffs=fit_lsq(model, intercept=intercept))
+
+
+def _learned_cuts(
+    table: ScoreTable, img_rows: np.ndarray, cols: np.ndarray, labels: np.ndarray
+) -> np.ndarray:
+    """The thresholds of ``_f_optimal_cuts(table.scores.T[cols][:, img_rows],
+    labels)``, bit for bit, a block of ``BLOCK_CELLS // len(img_rows)`` tags
+    at a time: each tag's cut depends on its own row only, and each block
+    gathers its own scores only."""
+    tau = np.empty(len(cols))
+    step = max(1, BLOCK_CELLS // max(len(img_rows), 1))
+    for k0 in range(0, len(cols), step):
+        block = table.scores.T[np.ix_(cols[k0 : k0 + step], img_rows)]
+        tau[k0 : k0 + step] = _f_optimal_cuts(block, labels[k0 : k0 + step])[0]
+    return tau
 
 
 def _seen_label_rows(

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,6 +78,29 @@ def test_report_refined_selection_equals_selection_on_refined_table(tmp_path, n_
                "--out", tmp_path / "on_refined.tsv") == 0
     reported = (tmp_path / "reported.tsv").read_bytes()
     assert reported == (tmp_path / "on_refined.tsv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def tags80(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tags80")
+    assert run("gen-synth", "--out-dir", out, "--seed", 1, "--n-images", 20, "--n-train", 20,
+               "--n-seen", 40, "--n-novel", 40, "--count-max", 10) == 0
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 10, 11, 80])
+def test_top_k_on_80_tags_keeps_k_per_image_and_reruns_identically(tags80, tmp_path, k):
+    # Both sides of the partition's cutoff: k = 1 and 10 partition each row
+    # (8k <= 80), k = 11 and 80 sort whole rows; k = 80 keeps every tag.
+    outs = [tmp_path / f"top_{k}_{run_}.tsv" for run_ in ("first", "again")]
+    for out in outs:
+        assert run("select", "--vocab", tags80 / "vocabulary.tsv", "--scores",
+                   tags80 / "eval_scores.tsv", "--strategy", "top_k", "--k", k,
+                   "--out", out) == 0
+    data = [line for line in outs[0].read_text().splitlines() if not line.startswith("#")]
+    per_image = Counter(line.split("\t")[0] for line in data)
+    assert len(per_image) == 20 and set(per_image.values()) == {k}
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestGenSynth:
@@ -299,6 +323,17 @@ class TestValidate:
             f"error[format]: {scores}:3: not valid UTF-8 (byte 0xff: invalid start byte)\n"
         )
 
+    def test_repeated_score_line_is_a_format_error_naming_the_repeat(
+        self, bench_dir, tmp_path, capsys
+    ):
+        lines = (bench_dir / "eval_scores.tsv").read_text().splitlines(keepends=True)
+        repeated = tmp_path / "repeated.tsv"
+        repeated.write_text("".join(lines + lines[-1:]))
+        code = run("validate", "--vocab", bench_dir / "vocabulary.tsv", "--scores", repeated)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {repeated}:{len(lines) + 1}: duplicate score for ")
+
     def test_unreadable_file_is_reported_without_a_traceback(self, bench_dir, tmp_path, capsys):
         missing = tmp_path / "nosuch.tsv"
         code = run("validate", "--vocab", bench_dir / "vocabulary.tsv", "--scores", missing)
@@ -370,6 +405,34 @@ class TestPipeline:
         ]
         table = capsys.readouterr().out
         assert "adaptive" in table
+
+    @pytest.mark.parametrize("copy", ["reversed", "crlf"])
+    def test_score_copy_validates_and_selects_as_the_original(self, bench_dir, tmp_path, copy):
+        # Each image's tags in reverse order, which the loader indexes by a
+        # lookup per line rather than by the vocabulary's cycle, or CRLF
+        # line endings: the refined selections must be byte-identical.
+        scores = bench_dir / "eval_scores.tsv"
+        header, *data = scores.read_text().splitlines(keepends=True)
+        if copy == "reversed":
+            data.sort(key=lambda line: line.split("\t")[1], reverse=True)
+            data.sort(key=lambda line: line.split("\t")[0])
+            text = header + "".join(data)
+        else:
+            text = "".join(line.replace("\n", "\r\n") for line in [header, *data])
+        copied = tmp_path / f"scores_{copy}.tsv"
+        copied.write_bytes(text.encode())
+        assert copied.read_bytes() != scores.read_bytes()
+        vocab = ["--vocab", bench_dir / "vocabulary.tsv"]
+        thresholds = tmp_path / "thresholds.tsv"
+        assert run("learn-thresholds", *vocab, "--scores", bench_dir / "train_scores.tsv",
+                   "--truth", bench_dir / "train_truth.tsv", "--out", thresholds) == 0
+        assert run("validate", *vocab, "--scores", copied) == 0
+        for source, out in ((scores, "original.tsv"), (copied, "copy.tsv")):
+            assert run("select", *vocab, "--scores", source, "--strategy", "adaptive",
+                       "--thresholds", thresholds,
+                       "--cooccurrence", bench_dir / "cooccurrence.tsv", "--refine",
+                       "--out", tmp_path / out) == 0
+        assert (tmp_path / "copy.tsv").read_bytes() == (tmp_path / "original.tsv").read_bytes()
 
     def test_every_strategy_round_trip_equals_compare(self, tmp_path):
         # Seed 2 at 100 images gives every threshold strategy some image with

@@ -339,7 +339,8 @@ class TestBatchedEvaluate:
     @given(evaluation_instances(duplicates=True, missing=True), st.booleans(),
            problems.SMALL_BLOCKS)
     def test_small_row_blocks_equal_per_image_scalar_loop(self, instance, full, cells):
-        # The preparation over many row blocks of a few images each.
+        # The preparation and the scoring of the selections over many row
+        # blocks of a few images each.
         with problems.small_blocks(cells):
             assert_matches_per_image(*instance, full)
 

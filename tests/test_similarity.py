@@ -686,6 +686,22 @@ class TestFromCounts:
         with pytest.raises(TagSelectError, match=message):
             CooccurrenceStats.from_counts(tags, np.array(counts), 10)
 
+    def test_taking_checks_the_tags_and_the_total(self):
+        # The generator's constructor: the count rules are its builder's,
+        # but the tags and the total are checked as from_counts checks them.
+        counts = np.array([[3, 1], [1, 2]], dtype=np.int64)
+        for tags, total in [(("a", "a"), 10), (("a", "b\t"), 10), (("a", "b"), 0),
+                            (("a", "b"), 2**63), (("a", "b"), 1.5)]:
+            with pytest.raises(TagSelectError) as taking:
+                CooccurrenceStats._taking(tags, counts.copy(), total)
+            with pytest.raises(TagSelectError) as checked:
+                CooccurrenceStats.from_counts(tags, counts.copy(), total)
+            assert str(taking.value) == str(checked.value)
+        stats = CooccurrenceStats._taking(["a", "b"], counts, 10)
+        assert stats.counts is counts and not counts.flags.writeable
+        assert stats.tags == ("a", "b")
+        assert stats.pair == {("a", "b"): 1} and stats.single == {"a": 3, "b": 2}
+
     def test_views_are_read_only(self):
         stats = CooccurrenceStats({"a": 3, "b": 2}, {("b", "a"): 1, ("a", "a"): 3}, 10)
         assert stats.pair == {("a", "b"): 1}

@@ -2,10 +2,14 @@
 perfect recovery in the noiseless limit, and pinned outputs."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import problems
 from tagselect import (
     SyntheticSpec,
     TagSelectError,
@@ -19,7 +23,8 @@ from tagselect import (
     similarity_matrix,
     table1_strategies,
 )
-from tagselect.synthetic import _round_half_up
+from tagselect import synthetic
+from tagselect.synthetic import _cooccurrence, _round_half_up
 
 
 class TestSpecValidation:
@@ -190,6 +195,83 @@ class TestComparisonOnBenchmark:
             assert 0.0 <= row.mf <= 1.0
             assert 0.0 <= row.map <= 1.0
             assert row.n_excluded == 0
+
+
+def tally_oracle(rels, rank):
+    """The sum of ``rel.T @ rel`` in int64 over ``rels``, with row and
+    column c moved to place ``rank[c]``."""
+    n = len(rank)
+    joint = np.zeros((n, n), dtype=np.int64)
+    for rel in rels:
+        x = rel.astype(np.int64)
+        joint += x.T @ x
+    out = np.empty_like(joint)
+    out[np.ix_(rank, rank)] = joint
+    return out
+
+
+@st.composite
+def label_rows(draw):
+    """(rels, rank): one to three boolean label blocks of up to 9 rows over
+    1 to 12 tags, empty, sparse, dense or full, one row possibly holding
+    every tag, and a random place for each tag."""
+    n_tags = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    rels = tuple(
+        rng.random((draw(st.integers(0, 9)), n_tags)) < density
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    if rels[0].shape[0] and draw(st.booleans()):
+        rels[0][draw(st.integers(0, rels[0].shape[0] - 1))] = True
+    return rels, rng.permutation(n_tags)
+
+
+class TestCooccurrenceTally:
+    """``_cooccurrence`` tallies each row's label pairs a block at a time;
+    its counts must equal the integer product ``rel.T @ rel`` on the sorted
+    columns, whatever the block size."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(label_rows(), problems.SMALL_BLOCKS)
+    def test_equals_the_integer_product_in_small_blocks(self, problem, cells):
+        rels, rank = problem
+        with problems.small_blocks(cells):
+            got = _cooccurrence(rels, rank)
+        want = tally_oracle(rels, rank)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rels", [
+        # One tag.
+        (np.array([[True], [False], [True]]),),
+        # 300 tags, one row holding every tag: 90,000 pairs, many blocks.
+        (np.eye(300, dtype=bool)[:5], np.ones((1, 300), dtype=bool)),
+    ])
+    def test_edges_at_the_block_size(self, rels):
+        rank = np.random.default_rng(7).permutation(rels[0].shape[1])
+        assert np.array_equal(_cooccurrence(rels, rank), tally_oracle(rels, rank))
+
+    def test_generator_counts_its_labels_in_sorted_tag_order(self):
+        # Beyond 1,000 novel tags, novel_1000 sorts before novel_101.
+        spec = SyntheticSpec(n_images=20, n_train=10, n_seen=2, n_novel=1001, count_max=30)
+        calls = []
+
+        def spy(rels, rank):
+            calls.append(rels)
+            return _cooccurrence(rels, rank)
+
+        with mock.patch.object(synthetic, "_cooccurrence", spy):
+            bench = generate_synthetic(spec, 5)
+        (rels,) = calls
+        stats = bench.cooccurrence
+        assert stats.tags == tuple(sorted(bench.vocab.tags))
+        assert stats.tags.index("novel_1000") < stats.tags.index("novel_101")
+        assert np.array_equal(rels[1].view(np.int8), bench.eval_truth.labels)
+        order = [bench.vocab.tags.index(t) for t in stats.tags]
+        want = tally_oracle(rels, np.arange(len(order)))[np.ix_(order, order)]
+        assert np.array_equal(stats.counts, want)
+        assert not stats.counts.flags.writeable
 
 
 def field_digests(bench) -> dict[str, str]:

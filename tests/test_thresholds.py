@@ -25,7 +25,13 @@ from tagselect import (
     predict_threshold,
     tag_stats,
 )
-from tagselect.thresholds import _tag_stats, require_finite_stats
+from tagselect.thresholds import (
+    _f_optimal_cuts,
+    _learned_cuts,
+    _seen_label_rows,
+    _tag_stats,
+    require_finite_stats,
+)
 
 
 class TestTagStats:
@@ -536,6 +542,47 @@ class TestPredictThreshold:
     def test_unknown_mode(self):
         with pytest.raises(TagSelectError):
             predict_threshold(self.make_model(), "t", "median")
+
+
+class TestLearnedCuts:
+    """``_learned_cuts`` runs ``_f_optimal_cuts`` a block of tags at a time,
+    gathering each block's scores only; its thresholds must equal those of
+    the whole gathered matrix byte for byte."""
+
+    @staticmethod
+    def whole(table, img_rows, cols, labels):
+        # An empty pool has no cuts, and the whole-matrix kernel is not run
+        # on one.
+        if not len(cols):
+            return np.zeros(0)
+        return _f_optimal_cuts(table.scores.T[cols][:, img_rows], labels)[0]
+
+    @settings(deadline=None, max_examples=300)
+    @given(problems.threshold_problems(), problems.SMALL_BLOCKS)
+    def test_equals_the_whole_matrix_in_small_blocks(self, problem, cells):
+        vocab, table, truth = problem
+        img_rows, cols, labels, _ = _seen_label_rows(table, truth, vocab)
+        with problems.small_blocks(cells):
+            got = _learned_cuts(table, img_rows, cols, labels)
+        assert got.tobytes() == self.whole(table, img_rows, cols, labels).tobytes()
+
+    @pytest.mark.parametrize("n_tags", [0, 1, 700])
+    def test_equals_the_whole_matrix_at_the_block_size(self, n_tags):
+        # 300 of 400 images: a block is 218 tags, so 700 tags take four
+        # blocks, the last one short; no tag is an empty pool, over images.
+        rng = np.random.default_rng(n_tags)
+        table = ScoreTable(
+            tuple(f"x{i}" for i in range(400)),
+            tuple(f"t{j}" for j in range(max(n_tags, 1))),
+            rng.choice([-1.0, 0.0, 0.5, 2.0], size=(400, max(n_tags, 1))),
+        )
+        img_rows = rng.permutation(400)[:300]
+        cols = rng.permutation(n_tags)
+        labels = rng.integers(-1, 2, size=(n_tags, 300), dtype=np.int8)
+        labels[:, :2] = [1, 0]
+        got = _learned_cuts(table, img_rows, cols, labels)
+        assert got.dtype == np.float64 and got.shape == (n_tags,)
+        assert got.tobytes() == self.whole(table, img_rows, cols, labels).tobytes()
 
 
 class TestBlockedSigma:
