@@ -38,6 +38,28 @@ PROVENANCE_CODE = {p: i for i, p in enumerate(PROVENANCE_ORDER)}
 BLOCK_CELLS = 1 << 16
 
 
+def _rows_per_block(width: int) -> int:
+    """How many rows of ``width`` cells make one block: the one place that
+    sets the block size of every blocked kernel."""
+    return max(1, BLOCK_CELLS // max(width, 1))
+
+
+def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(n_rows)``, in order, of
+    ``_rows_per_block(width)`` rows each but possibly the last."""
+    step = _rows_per_block(width)
+    for r0 in range(0, n_rows, step):
+        yield slice(r0, min(n_rows, r0 + step))
+
+
+def _sorted_rank(tags: Sequence[str], dtype=np.intp) -> np.ndarray:
+    """The rank of each of ``tags``, which are distinct, among the sorted
+    tag strings, as ``dtype``."""
+    rank = np.empty(len(tags), dtype=dtype)
+    rank[np.argsort(np.array(tags, dtype=object))] = np.arange(len(tags), dtype=dtype)
+    return rank
+
+
 def _check_identifier(value: str, kind: str) -> None:
     if not isinstance(value, str) or not value:
         raise TagSelectError(f"{kind} must be a non-empty string, got {value!r}")
@@ -161,9 +183,7 @@ class ScoreTable:
         object.__setattr__(self, "_tag_index", tag_index)
         # Each column's rank among the sorted tag strings: tags are unique,
         # so ties broken by it are broken by the strings themselves.
-        tag_rank = np.empty(len(tags), dtype=np.int32)
-        tag_rank[np.argsort(np.array(tags, dtype=object))] = np.arange(len(tags), dtype=np.int32)
-        object.__setattr__(self, "_tag_rank", tag_rank)
+        object.__setattr__(self, "_tag_rank", _sorted_rank(tags, np.int32))
 
     def _set_scores(self, arr: np.ndarray) -> None:
         if arr.shape != (len(self.images), len(self.tags)):
@@ -537,10 +557,8 @@ def order_rows(scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
 def _order_into(order: np.ndarray, scores: np.ndarray, tag_rank: np.ndarray) -> np.ndarray:
     """``order_rows(scores, tag_rank)`` written into ``order``, an integer
     array of the shape of ``scores``, a block of rows at a time."""
-    n, m = scores.shape
-    step = max(1, BLOCK_CELLS // max(m, 1))
-    for r0 in range(0, n, step):
-        order[r0 : r0 + step] = _argsort_descending(scores[r0 : r0 + step], tag_rank)
+    for rows in _row_blocks(*scores.shape):
+        order[rows] = _argsort_descending(scores[rows], tag_rank)
     return order
 
 

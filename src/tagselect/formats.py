@@ -35,6 +35,7 @@ from .core import (
     ScoreTable,
     SelectionResult,
     Vocabulary,
+    _sorted_rank,
 )
 from .errors import FormatError, TagSelectError
 from .similarity import CooccurrenceStats
@@ -503,10 +504,12 @@ def save_truth(truth: GroundTruth, path) -> None:
 # ------------------------------------------------------------- cooccurrence
 
 def load_cooccurrence(path) -> CooccurrenceStats:
-    """Counts straight into the matrix.  Checks that need every single count
-    and the total (a single count above the total, a pair naming an unknown
-    tag or above one of its single counts) run once the file is read, and
-    name the first bad row in file order."""
+    """Counts straight into the matrix.  Every count rule is checked once,
+    on the lines: those that need every single count and the total (a
+    single count above the total, a pair naming an unknown tag or above one
+    of its single counts) once the file is read, naming the first bad row
+    in file order.  The matrix is then filled in sorted tag order and taken
+    over unchecked."""
     tag_id: dict[str, int] = {}  # every tag a row names, by first appearance
     # Per block and row kind: tag ids, counts and line numbers.
     singles: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -599,11 +602,13 @@ def load_cooccurrence(path) -> CooccurrenceStats:
     if bad:
         raise FormatError(path, *min(bad))
     # Every named tag has a single count: a pair naming any other tag failed above.
+    rank = _sorted_rank(names)
+    ids, ia, ib = rank[ids], rank[ia], rank[ib]
     counts = np.zeros((len(names), len(names)), dtype=np.int64)
     counts[ids, ids] = counts_of
     counts[ia, ib] = pair_count
     counts[ib, ia] = pair_count
-    return CooccurrenceStats.from_counts(names, counts, total)
+    return CooccurrenceStats._taking(sorted(names), counts, total)
 
 
 def save_cooccurrence(stats: CooccurrenceStats, path) -> None:

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import BLOCK_CELLS, GroundTruth, SelectionResult, TagRankings, _nonzero_2d
+from .core import GroundTruth, SelectionResult, TagRankings, _nonzero_2d, _row_blocks
 from .errors import TagSelectError
 
 
@@ -200,9 +200,8 @@ def _prepare(
     n_relevant = np.empty(n, dtype=np.intp)
     included = np.empty(n, dtype=bool)
     ap_sum = np.empty(n)
-    step = max(1, BLOCK_CELLS // max(int(lengths.max(initial=0)), n_cov + 1))
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
+    for block in _row_blocks(n, max(int(lengths.max(initial=0)), n_cov + 1)):
+        r0, r1 = block.start, block.stop
         ranked_b = ranked_rows(r0, r1)
         labels_b = labels[r0:r1]
         rows = np.arange(r1 - r0)[:, None]
@@ -276,8 +275,7 @@ def _image_prf(
     """Precision, recall and F of each included image, in image order, under
     ``selections``, which must be over the prepared images.  The predictions
     are taken as coverage columns, through one map of the selection's tags,
-    and padded and gathered a block of images of at most ``BLOCK_CELLS``
-    cells at a time."""
+    and padded and gathered a block of images at a time."""
     images = selections.images
     if images != p.images:
         raise TagSelectError("selections are not over the images of the prepared evaluation")
@@ -289,13 +287,12 @@ def _image_prf(
     kept[p.positions] = True
     hits = np.empty(len(p.positions), dtype=np.intp)
     judged = np.empty_like(hits)
-    step = max(1, BLOCK_CELLS // max(int(n_pred.max(initial=0)), 1))
     j1 = 0
-    for i0 in range(0, len(images), step):
-        keep, lengths = kept[i0 : i0 + step], n_pred[i0 : i0 + step]
+    for block in _row_blocks(len(images), int(n_pred.max(initial=0))):
+        keep, lengths = kept[block], n_pred[block]
         # The block's images hold included images j0 up to j1.
         j0, j1 = j1, j1 + int(np.count_nonzero(keep))
-        picks = cover[selections.columns[offsets[i0] : offsets[i0 + len(keep)]]]
+        picks = cover[selections.columns[offsets[block.start] : offsets[block.stop]]]
         pred = _pad_rows(picks[np.repeat(keep, lengths)], lengths[keep], n_cov)
         # Each prediction's cell in the flat rows of the included images.
         pred += np.arange(0, (j1 - j0) * (n_cov + 1), n_cov + 1)[:, None]

@@ -11,7 +11,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import (
-    BLOCK_CELLS,
     FROM_FALLBACK,
     FROM_NOVEL_TOPK,
     FROM_SEEN_THRESHOLDING,
@@ -21,6 +20,7 @@ from .core import (
     Vocabulary,
     _argsort_descending,
     _nonzero_2d,
+    _row_blocks,
     order_rows,
     require_finite,
 )
@@ -99,14 +99,13 @@ def select_rows(
     # every column of its images, which are few unless the pool is empty,
     # in blocks of its own.
     width = max(pool.size, novel.size) if pool.size else table.n_tags
-    step = max(1, BLOCK_CELLS // max(width, 1))
     sizes = np.empty(table.n_images, dtype=np.intp)
     parts = [(_EMPTY, np.zeros(0), np.zeros(0, dtype=np.int8))]
-    for r0 in range(0, table.n_images, step):
-        block = scores[r0 : r0 + step]
-        key = None if ranked is None else ranked[r0 : r0 + step]
+    for rows in _row_blocks(table.n_images, width):
+        block = scores[rows]
+        key = None if ranked is None else ranked[rows]
         r, c, p = _select_block(block, cut, pool.size, novel, fallback_k, key, table._tag_rank)
-        sizes[r0 : r0 + step] = np.bincount(r, minlength=len(block))
+        sizes[rows] = np.bincount(r, minlength=len(block))
         parts.append((c, block[r, c], p))
     columns, picked, provenance = (np.concatenate(arrays) for arrays in zip(*parts))
     offsets = np.concatenate(([0], np.cumsum(sizes)))
@@ -152,10 +151,9 @@ def _select_block(
         fallback = np.flatnonzero(a_size == 0)
         # Every fallback image gets fallback_k picks, which lies in [1, n_tags].
         k = np.full(fallback.size, fallback_k)
-        step = max(1, BLOCK_CELLS // scores.shape[1])
-        for s in range(0, fallback.size, step):
-            rows = fallback[s : s + step]
-            r, c = _top_columns(scores[rows], tag_rank, k[s : s + step])
+        for s in _row_blocks(fallback.size, scores.shape[1]):
+            rows = fallback[s]
+            r, c = _top_columns(scores[rows], tag_rank, k[s])
             parts.append((rows[r], c, FROM_FALLBACK))
     r, c, p = (np.concatenate(arrays) for arrays in zip(*(
         (r, c, np.full(r.size, PROVENANCE_CODE[source], dtype=np.int8))
@@ -419,9 +417,8 @@ def _refined(
         refined, columns = np.array(table.scores), novel
     else:
         refined, columns = table.scores[:, novel], np.arange(novel.size)
-    step = max(1, BLOCK_CELLS // max(pool.size, novel.size, 1))
-    for r0 in range(0, table.n_images, step):
-        part, out = table.scores[r0 : r0 + step], refined[r0 : r0 + step]
+    for rows in _row_blocks(table.n_images, max(pool.size, novel.size)):
+        part, out = table.scores[rows], refined[rows]
         mask = part[:, pool] > tau
         hit = np.flatnonzero(mask.any(axis=1))
         r, j = _nonzero_2d(mask[hit])
@@ -432,7 +429,7 @@ def _refined(
         bad = ~np.isfinite(values)
         if bad.any():
             i = np.flatnonzero(bad.any(axis=1))[0]
-            image, tag = table.images[r0 + hit[i]], table.tags[novel[bad[i]].min()]
+            image, tag = table.images[rows.start + hit[i]], table.tags[novel[bad[i]].min()]
             raise TagSelectError(
                 f"refinement gives a non-finite score for image {image!r}, tag {tag!r}"
             )

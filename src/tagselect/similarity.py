@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BLOCK_CELLS, Vocabulary, _id_index, _lookup
+from .core import Vocabulary, _id_index, _lookup, _row_blocks, _rows_per_block
 from .errors import TagSelectError
 
 
@@ -278,7 +278,7 @@ class SimilarityMatrix:
         values = np.empty((n, n))
         r0 = 0
         while r0 < n:
-            r1 = min(n, r0 + max(1, BLOCK_CELLS // (n - r0)))
+            r1 = min(n, r0 + _rows_per_block(n - r0))
             block = self._compute(np.arange(r0, r1), np.arange(r0, n))
             values[r0:r1, r0:] = block
             values[r0:, r0:r1] = block.T
@@ -302,8 +302,8 @@ class SimilarityMatrix:
         return self._memo[1]
 
     def _compute(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The block over tag indices ``rows`` x ``cols`` from the counts,
-        ``BLOCK_CELLS`` cells at a time: 1 where the tags are equal, 0 where
+        """The block over tag indices ``rows`` x ``cols`` from the counts, a
+        block of rows at a time: 1 where the tags are equal, 0 where
         either is absent, ``fcs`` elsewhere.  ``_fcs_block`` is symmetric in
         its two tags, so a cell's bits do not depend on its side."""
         out = np.zeros((len(rows), len(cols)))
@@ -312,9 +312,8 @@ class SimilarityMatrix:
         c = np.flatnonzero(col[cols] >= 0)
         if len(c):
             c_col, c_code = col[cols[c]], f_code[cols[c]]
-            step = max(1, BLOCK_CELLS // len(c))
-            for s in range(0, len(r), step):
-                rr = r[s:s + step]
+            for s in _row_blocks(len(r), len(c)):
+                rr = r[s]
                 r_tags = rows[rr]
                 # A cell's value depends only on its (single, single, joint)
                 # counts: each distinct triple is computed once.

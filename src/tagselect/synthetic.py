@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BLOCK_CELLS, GroundTruth, ScoreTable, Vocabulary
+from .core import GroundTruth, ScoreTable, Vocabulary, _row_blocks, _rows_per_block, _sorted_rank
 from .errors import TagSelectError
 from .selection import _round_half_up, k_novel
 from .similarity import CooccurrenceStats
@@ -95,17 +95,16 @@ def _cooccurrence(rels: tuple[np.ndarray, ...], rank: np.ndarray) -> np.ndarray:
     with column c of each at place ``rank[c]``: how many rows carry each tag
     and each pair of tags.  Each label of a row is paired with every label
     of its row, itself included, and each pair adds one to its cell: exact
-    integer counting.  The rows are read ``BLOCK_CELLS`` cells at a time,
-    and their pairs tallied ``BLOCK_CELLS // 8`` at a time, or one label's
-    pairs where its row holds more tags than that."""
+    integer counting.  The rows are read a block at a time, and their pairs
+    tallied ``_rows_per_block(8)`` at a time, an eighth of a block's cells,
+    or one label's pairs where its row holds more tags than that."""
     n_tags = len(rank)
     joint = np.zeros((n_tags, n_tags), dtype=np.int64)
     cells = joint.reshape(-1)
-    step = max(1, BLOCK_CELLS // n_tags)
-    most = max(1, BLOCK_CELLS // 8)
+    most = _rows_per_block(8)
     for rel in rels:
-        for r0 in range(0, rel.shape[0], step):
-            rows, cols = np.nonzero(rel[r0 : r0 + step])
+        for block in _row_blocks(rel.shape[0], n_tags):
+            rows, cols = np.nonzero(rel[block])
             labels = rank[cols]
             length = np.bincount(rows)
             # Label e has ``width[e]`` pairs: pairs end[e] - width[e] up to
@@ -155,11 +154,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> SyntheticBenchmark:
 
     # The counts are tallied in sorted tag order, which the statistics
     # keep; by construction they are symmetric and within their marginals.
-    order = sorted(range(len(vocab.tags)), key=vocab.tags.__getitem__)
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    joint = _cooccurrence((rel_train, rel_eval), rank)
+    joint = _cooccurrence((rel_train, rel_eval), _sorted_rank(vocab.tags))
     stats = CooccurrenceStats._taking(
-        tuple(vocab.tags[i] for i in order), joint, spec.n_train + spec.n_images
+        tuple(sorted(vocab.tags)), joint, spec.n_train + spec.n_images
     )
     return SyntheticBenchmark(vocab, train_table, train_truth, eval_table, eval_truth, stats)

@@ -13,12 +13,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    BLOCK_CELLS,
     GroundTruth,
     ScoreTable,
     Vocabulary,
     _id_index,
     _lookup,
+    _row_blocks,
+    _rows_per_block,
     require_finite,
 )
 from .errors import DegenerateFitError, TagSelectError, UntrainableTagError
@@ -86,19 +87,18 @@ def _tag_stats(table: ScoreTable) -> TagStats:
 
 
 def _squared_deviations(scores: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Each column's sum of squared deviations from ``mu``, a block of
-    ``BLOCK_CELLS`` cells at a time: each block's squares follow the running
-    sum in one buffer, which one axis-0 sum adds up row after row."""
+    """Each column's sum of squared deviations from ``mu``, a block of rows
+    at a time: each block's squares follow the running sum in one buffer,
+    which one axis-0 sum adds up row after row."""
     n, m = scores.shape
-    step = max(1, BLOCK_CELLS // m)
-    buffer = np.empty((min(n, step) + 1, m))
-    for r0 in range(0, n, step):
-        part = scores[r0 : r0 + step]
+    buffer = np.empty((min(n, _rows_per_block(m)) + 1, m))
+    for rows in _row_blocks(n, m):
+        part = scores[rows]
         squares = buffer[1 : len(part) + 1]
         np.subtract(part, mu, out=squares)
         np.square(squares, out=squares)
         # The first block starts the sum itself, as numpy's does.
-        start = 1 if r0 == 0 else 0
+        start = 1 if rows.start == 0 else 0
         buffer[0] = buffer[start : len(part) + 1].sum(axis=0)
     return buffer[0].copy()
 
@@ -330,14 +330,13 @@ def _learned_cuts(
     table: ScoreTable, img_rows: np.ndarray, cols: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:
     """The thresholds of ``_f_optimal_cuts(table.scores.T[cols][:, img_rows],
-    labels)``, bit for bit, a block of ``BLOCK_CELLS // len(img_rows)`` tags
-    at a time: each tag's cut depends on its own row only, and each block
-    gathers its own scores only."""
+    labels)``, bit for bit, a block of tags at a time, each a row of
+    ``len(img_rows)`` cells: each tag's cut depends on its own row only, and
+    each block gathers its own scores only."""
     tau = np.empty(len(cols))
-    step = max(1, BLOCK_CELLS // max(len(img_rows), 1))
-    for k0 in range(0, len(cols), step):
-        block = table.scores.T[np.ix_(cols[k0 : k0 + step], img_rows)]
-        tau[k0 : k0 + step] = _f_optimal_cuts(block, labels[k0 : k0 + step])[0]
+    for tags in _row_blocks(len(cols), len(img_rows)):
+        block = table.scores.T[np.ix_(cols[tags], img_rows)]
+        tau[tags] = _f_optimal_cuts(block, labels[tags])[0]
     return tau
 
 

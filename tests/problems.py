@@ -25,7 +25,7 @@ from tagselect import (
     Vocabulary,
     tag_stats,
 )
-from tagselect import core, metrics, selection, synthetic, thresholds
+from tagselect import core
 
 SCORES = (-0.5, 0.0, 0.25, 0.5, 0.75, 1.0)
 THRESHOLDS = (0.25, 0.5, 0.75)
@@ -161,12 +161,8 @@ SMALL_BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 13, 21])
 
 @contextmanager
 def small_blocks(cells):
-    """The row-block kernels of ``core``, ``selection``, ``metrics``,
-    ``thresholds`` and ``synthetic``, which each import ``BLOCK_CELLS`` by
-    name, with ``cells`` cells per block."""
-    with mock.patch.object(core, "BLOCK_CELLS", cells), \
-            mock.patch.object(selection, "BLOCK_CELLS", cells), \
-            mock.patch.object(metrics, "BLOCK_CELLS", cells), \
-            mock.patch.object(thresholds, "BLOCK_CELLS", cells), \
-            mock.patch.object(synthetic, "BLOCK_CELLS", cells):
+    """Every row-block kernel with ``cells`` cells per block: each takes its
+    blocks from ``core._row_blocks`` or ``core._rows_per_block``, which read
+    ``core.BLOCK_CELLS``."""
+    with mock.patch.object(core, "BLOCK_CELLS", cells):
         yield

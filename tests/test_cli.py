@@ -17,6 +17,7 @@ from tagselect import (
     compare,
     evaluate,
     formats,
+    fuse,
     rank_tags,
     run_strategy,
     similarity_matrix,
@@ -101,6 +102,96 @@ def test_top_k_on_80_tags_keeps_k_per_image_and_reruns_identically(tags80, tmp_p
     per_image = Counter(line.split("\t")[0] for line in data)
     assert len(per_image) == 20 and set(per_image.values()) == {k}
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """The console-script walkthrough's benchmark (20 images of 10 tags)
+    and its learned thresholds."""
+    out = tmp_path_factory.mktemp("smoke")
+    assert run("gen-synth", "--out-dir", out, "--seed", 1, "--n-images", 20, "--n-train", 20,
+               "--n-seen", 6, "--n-novel", 4, "--count-max", 5) == 0
+    assert run("learn-thresholds", "--vocab", out / "vocabulary.tsv",
+               "--scores", out / "train_scores.tsv", "--truth", out / "train_truth.tsv",
+               "--out", out / "thresholds.tsv") == 0
+    return out
+
+
+class TestWalkthroughChecks:
+    """Checks on the console-script walkthrough's benchmark, in process."""
+
+    def io(self, smoke):
+        return ["--vocab", smoke / "vocabulary.tsv", "--scores", smoke / "eval_scores.tsv",
+                "--truth", smoke / "eval_truth.tsv"]
+
+    def test_model_without_its_lsq_row(self, smoke, tmp_path, capsys):
+        # A row that reads the coefficients exits 1 with a model error; rows
+        # that read none still run.
+        lines = (smoke / "thresholds.tsv").read_text().splitlines(keepends=True)
+        thresholds = tmp_path / "thresholds_no_lsq.tsv"
+        thresholds.write_text("".join(line for line in lines if not line.startswith("lsq")))
+        out = tmp_path / "compare.json"
+        assert run("compare", *self.io(smoke), "--thresholds", thresholds,
+                   "--strategies", "hybrid_tau_lsq", "--out", out) == 1
+        assert capsys.readouterr().err.startswith(
+            "error[model]: model carries no least-squares coefficients"
+        )
+        assert run("compare", *self.io(smoke), "--thresholds", thresholds,
+                   "--strategies", "adaptive,hybrid_tau_musigma", "--out", out) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["strategy"] for r in rows] == ["adaptive", "hybrid_tau_musigma"]
+
+    def test_intercept_model_compares_the_lsq_strategies(self, smoke, tmp_path, capsys):
+        thresholds = tmp_path / "thresholds_intercept.tsv"
+        assert run("learn-thresholds", "--vocab", smoke / "vocabulary.tsv", "--intercept",
+                   "--scores", smoke / "train_scores.tsv", "--truth", smoke / "train_truth.tsv",
+                   "--out", thresholds) == 0
+        lsq = [line for line in thresholds.read_text().splitlines() if line.startswith("lsq\t")]
+        assert len(lsq) == 1 and len(lsq[0].split("\t")) == 4
+        out = tmp_path / "compare.json"
+        assert run("compare", *self.io(smoke), "--thresholds", thresholds,
+                   "--strategies", "lsq,hybrid_tau_lsq", "--text", "--out", out) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["strategy"] for r in rows] == ["lsq", "hybrid_tau_lsq"]
+        assert "hybrid_tau_lsq" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("objective", ["mf", "map"])
+    def test_learned_fusion_reruns_byte_identical(self, smoke, tmp_path, objective):
+        # Learned on the training table, as the eval truth covers novel
+        # tags, which threshold learning refuses.
+        outs = [tmp_path / name for name in ("first", "again")]
+        for out in outs:
+            out.mkdir()
+            assert run("fuse", "--vocab", smoke / "vocabulary.tsv",
+                       "--scores", smoke / "train_scores.tsv",
+                       "--scores", smoke / "train_scores.tsv", "--learn",
+                       "--truth", smoke / "train_truth.tsv", "--objective", objective,
+                       "--model-out", out / "fusion.json", "--out", out / "fused.tsv") == 0
+        for name in ("fusion.json", "fused.tsv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_refined_comparison_reruns_byte_identical(self, smoke, tmp_path):
+        outs = [tmp_path / f"compare_{name}.json" for name in ("first", "again")]
+        for out in outs:
+            assert run("compare", *self.io(smoke), "--thresholds", smoke / "thresholds.tsv",
+                       "--cooccurrence", smoke / "cooccurrence.tsv", "--refine",
+                       "--refined-rankings", "--out", out) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_fixed_weight_fuse_of_the_eval_and_refined_tables(self, smoke, tmp_path):
+        vocab_path, eval_path = smoke / "vocabulary.tsv", smoke / "eval_scores.tsv"
+        refined, fused = tmp_path / "refined_scores.tsv", tmp_path / "fused.tsv"
+        assert run("refine", "--vocab", vocab_path, "--scores", eval_path,
+                   "--thresholds", smoke / "thresholds.tsv",
+                   "--cooccurrence", smoke / "cooccurrence.tsv", "--out", refined) == 0
+        assert run("fuse", "--vocab", vocab_path, "--scores", eval_path, "--scores", refined,
+                   "--weights", "0.5,0.5", "--out", fused) == 0
+        vocab = formats.load_vocabulary(vocab_path)
+        tables = [formats.load_scores(p, vocab) for p in (eval_path, refined)]
+        want = fuse(tables, [0.5, 0.5])
+        got = formats.load_scores(fused, vocab)
+        assert got.images == want.images
+        assert np.array_equal(got.scores.view(np.int64), want.scores.view(np.int64))
 
 
 class TestGenSynth:

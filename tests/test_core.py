@@ -2,11 +2,12 @@
 
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -592,3 +593,34 @@ class TestNarrowRankings:
                 order = rank_columns(table).order
             assert order.dtype == dtype
             assert np.array_equal(order, lexsort_rows(scores, table._tag_rank))
+
+
+class TestRowBlocks:
+    """``core._row_blocks`` and ``core._rows_per_block`` are the one
+    row-block policy of every blocked kernel."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 200), st.integers(0, 70), st.integers(1, 64))
+    @example(0, 0, 1)
+    @example(0, 5, 8)
+    @example(9, 0, 4)
+    def test_slices_partition_the_rows_in_order(self, n_rows, width, cells):
+        with mock.patch.object(core, "BLOCK_CELLS", cells):
+            step = core._rows_per_block(width)
+            blocks = list(core._row_blocks(n_rows, width))
+        # As many rows as a block's cells hold, and at least one.
+        assert step >= 1 and (step == 1 or step * max(width, 1) <= cells)
+        assert (step + 1) * max(width, 1) > cells
+        assert [r for block in blocks for r in range(n_rows)[block]] == list(range(n_rows))
+        assert all(block.step is None for block in blocks)
+        assert [block.stop - block.start for block in blocks[:-1]] == [step] * (len(blocks) - 1)
+        assert all(0 < block.stop - block.start <= step for block in blocks)
+
+
+def test_only_core_names_the_block_size():
+    # Every blocked kernel takes its rows from core, so that one patch of
+    # core.BLOCK_CELLS shrinks every block.
+    package = Path(core.__file__).parent
+    naming = [p.name for p in sorted(package.glob("*.py"))
+              if "BLOCK_CELLS" in p.read_text(encoding="utf-8")]
+    assert naming == ["core.py"]

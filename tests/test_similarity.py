@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tagselect import similarity
+from tagselect import core, similarity
 from tagselect import (
     AdaptiveConfig,
     CooccurrenceStats,
@@ -350,7 +350,7 @@ class TestSimilarityMatrixParity:
     def test_row_blocks_keep_every_bit(self, problem, block):
         vocab, stats = problem
         want = outcome(lambda: oracles.similarity_matrix_oracle(stats, vocab))
-        with mock.patch.object(similarity, "BLOCK_CELLS", block):
+        with mock.patch.object(core, "BLOCK_CELLS", block):
             got = outcome(lambda: similarity_matrix(stats, vocab))
             if isinstance(want, str):
                 assert got == want
@@ -366,7 +366,7 @@ class TestSimilarityMatrixParity:
         # until the last few rows; blocks of 50 cells take 2, 2, 2, 3, 4, 6
         # and 2 rows.
         vocab, stats = ghost_problem(small_bench)
-        with mock.patch.object(similarity, "BLOCK_CELLS", block):
+        with mock.patch.object(core, "BLOCK_CELLS", block):
             got = similarity_matrix(stats, vocab)
             values = got.values
         want = oracles.similarity_matrix_oracle(stats, vocab)
@@ -445,7 +445,7 @@ class TestBlock:
         cols = data.draw(st.lists(index, max_size=8))
         # 1 to 4 rows per block when every column tag is present.
         rows_per_block = data.draw(st.integers(1, 4))
-        with mock.patch.object(similarity, "BLOCK_CELLS", rows_per_block * max(1, len(cols))):
+        with mock.patch.object(core, "BLOCK_CELLS", rows_per_block * max(1, len(cols))):
             sim = similarity_matrix(stats, vocab)
             got = sim._block(rows, cols)
         assert "values" not in vars(sim)
@@ -453,7 +453,7 @@ class TestBlock:
         assert_same_bits(got, want.values[cells])
         assert_same_bits(got, similarity_matrix(stats, vocab).values[cells])
 
-    @pytest.mark.parametrize("block", [1, 2, 7, 32, similarity.BLOCK_CELLS])
+    @pytest.mark.parametrize("block", [1, 2, 7, 32, core.BLOCK_CELLS])
     def test_rows_and_cols_in_any_order(self, small_bench, block):
         vocab, stats = ghost_problem(small_bench)
         ghost = len(vocab.tags) - 1
@@ -461,7 +461,7 @@ class TestBlock:
         # Both unsorted, with repeats; 3, 7 and the absent tag on both sides.
         rows = [3, 0, ghost, 3, 19, 7, 1]
         cols = [ghost, 7, 3, 3, 0, 5, 19, 2]
-        with mock.patch.object(similarity, "BLOCK_CELLS", block):
+        with mock.patch.object(core, "BLOCK_CELLS", block):
             got = similarity_matrix(stats, vocab)._block(rows, cols)
         want = oracles.similarity_matrix_oracle(stats, vocab).values[np.ix_(rows, cols)]
         assert_same_bits(got, want)
@@ -508,7 +508,7 @@ class TestDedup:
         rows = data.draw(st.lists(index, max_size=8))
         cols = data.draw(st.lists(index, max_size=8))
         rows_per_block = data.draw(st.integers(1, 4))
-        with mock.patch.object(similarity, "BLOCK_CELLS", rows_per_block * max(1, len(cols))), \
+        with mock.patch.object(core, "BLOCK_CELLS", rows_per_block * max(1, len(cols))), \
                 mock.patch.object(similarity, "_PRESENCE_RANGE", presence_range):
             got = sim._block(rows, cols)
         for i, r in enumerate(rows):
